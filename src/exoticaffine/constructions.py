@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .polyring import (
@@ -235,7 +236,7 @@ def family(name: str, **params) -> Hypersurface:
         warnings = []
         if not (k > l >= 2):
             warnings.append("parameters outside k > l >= 2")
-        if _gcd(k, l) != 1:
+        if gcd(k, l) != 1:
             warnings.append("k and l are not coprime")
         if warnings:
             prov["warnings"] = warnings
@@ -290,12 +291,6 @@ def family(name: str, **params) -> Hypersurface:
         eq = f.rename_into(vs) * Polynomial.variable(vs, zn) ** n + g.rename_into(vs)
         return Hypersurface(vs, eq, prov)
     raise InvalidParams(f"unknown family {name!r}")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -30,6 +31,7 @@ from .polyring import (
     VarSetMismatch,
     jacobian_det,
 )
+from .linalg import nullspace_q
 
 DEFAULT_NILPOTENCY_BOUND = 64
 
@@ -374,64 +376,14 @@ def _canonical_monomials(d: Derivation, degree_bound: int) -> list[tuple[int, ..
     return monos
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace in reduced echelon form (free var = 1)."""
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
-        basis.append(v)
-    return basis
-
-
 def _vector_to_poly(vec, monos, vs) -> Polynomial:
     terms = {e: c for e, c in zip(monos, vec) if c != 0}
     p = Polynomial.from_terms(vs, terms)
     # scale to primitive integer coefficients, positive leading term
     if p.is_zero():
         return p
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // _igcd(denom, c.denominator)
-    p = p.scale(denom)
-    g = 0
-    for c in p.terms.values():
-        g = _igcd(g, abs(c.numerator))
+    p = p.scale(lcm(*(c.denominator for c in p.terms.values())))
+    g = gcd(*(c.numerator for c in p.terms.values()))
     if g > 1:
         p = p.scale(Fraction(1, g))
     lead = p.terms[max(p.terms)]
@@ -440,10 +392,16 @@ def _vector_to_poly(vec, monos, vs) -> Polynomial:
     return p
 
 
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _image_rows(d: Derivation, monos) -> list[list[Fraction]]:
+    """Matrix of d on the monomials: one row per monomial of the images."""
+    images = [apply(d, Polynomial.monomial(d.ambient, e)) for e in monos]
+    out_monos = sorted({e for img in images for e in img.terms})
+    index = {e: i for i, e in enumerate(out_monos)}
+    rows = [[Fraction(0)] * len(monos) for _ in out_monos]
+    for j, img in enumerate(images):
+        for e, c in img.terms.items():
+            rows[index[e]][j] = c
+    return rows
 
 
 def kernel_elements(
@@ -456,16 +414,8 @@ def kernel_elements(
     """
     _require_nilpotent(cert)
     monos = _canonical_monomials(d, degree_bound)
-    vs = d.ambient
-    images = [apply(d, Polynomial.monomial(vs, e)) for e in monos]
-    out_monos = sorted({e for img in images for e in img.terms})
-    index = {e: i for i, e in enumerate(out_monos)}
-    rows = [[Fraction(0)] * len(monos) for _ in out_monos]
-    for j, img in enumerate(images):
-        for e, c in img.terms.items():
-            rows[index[e]][j] = c
-    basis_vecs = _nullspace(rows, len(monos))
-    polys = [_vector_to_poly(v, monos, vs) for v in basis_vecs]
+    basis_vecs = nullspace_q(_image_rows(d, monos), len(monos))
+    polys = [_vector_to_poly(v, monos, d.ambient) for v in basis_vecs]
     polys = [p for p in polys if not p.is_zero()]
     for p in polys:
         if not apply(d, p).is_zero():
@@ -507,17 +457,8 @@ def invariant_candidates(
             raise VarSetMismatch("derivations act on different rings")
     monos = _canonical_monomials(base, degree_bound)
     vs = base.ambient
-    all_rows: list[list[Fraction]] = []
-    for d in ds:
-        images = [apply(d, Polynomial.monomial(vs, e)) for e in monos]
-        out_monos = sorted({e for img in images for e in img.terms})
-        index = {e: i for i, e in enumerate(out_monos)}
-        rows = [[Fraction(0)] * len(monos) for _ in out_monos]
-        for j, img in enumerate(images):
-            for e, c in img.terms.items():
-                rows[index[e]][j] = c
-        all_rows.extend(rows)
-    ml_vecs = _nullspace(all_rows, len(monos))
+    all_rows = [row for d in ds for row in _image_rows(d, monos)]
+    ml_vecs = nullspace_q(all_rows, len(monos))
     ml_basis = [p for p in (_vector_to_poly(v, monos, vs) for v in ml_vecs) if not p.is_zero()]
     ml_basis.sort(key=lambda p: sorted(p.terms))
     dk: list[Polynomial] = []

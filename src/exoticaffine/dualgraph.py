@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import det, mat_vec
+
 
 class GraphError(Exception):
     pass
@@ -303,29 +305,6 @@ class IntersectionMatrix:
     determinant: int
 
 
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def intersection_matrix(g: WeightedGraph) -> IntersectionMatrix:
     """Symmetric matrix with vertex weights on the diagonal, 1 for each edge."""
     basis = tuple(g.ids())
@@ -338,8 +317,7 @@ def intersection_matrix(g: WeightedGraph) -> IntersectionMatrix:
         u, v = tuple(e)
         entries[index[u]][index[v]] = 1
         entries[index[v]][index[u]] = 1
-    det = _bareiss_det(entries)
-    return IntersectionMatrix(basis, tuple(tuple(r) for r in entries), det)
+    return IntersectionMatrix(basis, tuple(tuple(r) for r in entries), det(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +363,8 @@ class XtCertificate:
 def xt_certificate(t) -> XtCertificate:
     """Acyclic iff |det T| = 1 for the covering data matrix T."""
     _xt_validate(t)
-    det = _bareiss_det([list(row) for row in t])
-    return XtCertificate("Acyclic" if abs(det) == 1 else "NotUnimodular", det)
+    determinant = det(t)
+    return XtCertificate("Acyclic" if abs(determinant) == 1 else "NotUnimodular", determinant)
 
 
 def tdp_contractibility(m1: int, n1: int, m2: int, n2: int) -> bool:
@@ -424,12 +402,9 @@ def ample_support_divisor(q: IntersectionMatrix | list, h: list[int]):
     if all(x == 0 for x in a):
         return "Infeasible"
 
-    def qa(vec):
-        return [sum(entries[i][j] * vec[j] for j in range(n)) for i in range(n)]
-
     for _ in range(8 * n + 16):
         support = [i for i in range(n) if a[i] > 0]
-        values = qa(a)
+        values = mat_vec(entries, a)
         if len(support) == n and all(v > 0 for v in values):
             return a
         progressed = False

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+
+from .linalg import det, identity, mat_mul
 
 
 class GroupError(Exception):
@@ -96,42 +99,7 @@ class AbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# integer linear algebra
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def det_int(matrix) -> int:
-    """Exact integer determinant (fraction-free elimination)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+# Smith normal form
 
 
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -143,8 +111,8 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     s = [list(r) for r in matrix]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    u = identity(rows)
+    v = identity(cols)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -224,7 +192,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
 
 def _validate_snf(m, u, s, v):
-    if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
         raise GroupError("SNF transforms are not unimodular")
     if mat_mul(mat_mul(u, m), v) != s:
         raise GroupError("SNF identity U*M*V = S failed")
@@ -286,7 +254,7 @@ def bezout_alpha(k: int, l: int) -> tuple[int, int, Word]:
     Among all solutions, |p| is minimized; a tie (only when l = 2|p|) is
     broken toward positive p.  Generators: a = 1, b = 2.
     """
-    if _gcd(k, l) != 1:
+    if gcd(k, l) != 1:
         raise NotCoprime(f"gcd({k},{l}) != 1")
     p0, q0 = _extended_euclid(k, l)
     # general solution p = p0 + t*l
@@ -312,12 +280,6 @@ def _extended_euclid(a: int, b: int) -> tuple[int, int]:
     if old_r < 0:
         old_x, old_y = -old_x, -old_y
     return old_x, old_y
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def named_presentation(name: str, **params) -> Presentation:
@@ -429,7 +391,7 @@ def homology_sphere_check(k: int, l: int, s: int) -> bool:
     """
     if min(k, l, s) < 2:
         raise InvalidParams("parameters must be >= 2")
-    return _gcd(k, l) == 1 and _gcd(k, s) == 1 and _gcd(l, s) == 1
+    return gcd(k, l) == 1 and gcd(k, s) == 1 and gcd(l, s) == 1
 
 
 def gkls_abelianization_order(k: int, l: int, s: int) -> int:

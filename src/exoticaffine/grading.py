@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .polyring import (
     GRLEX,
@@ -74,10 +75,6 @@ class WeightFunction:
 
     def monomial_weight(self, e: tuple[int, ...]) -> int:
         return sum(w * k for w, k in zip(self.weights, e))
-
-
-def weight_function(vs: VarSet, mapping: dict[str, int]) -> WeightFunction:
-    return WeightFunction(vs, tuple(mapping[name] for name in vs.names))
 
 
 def weight_degree(p: Polynomial, w: WeightFunction):
@@ -207,21 +204,13 @@ def _univariate_irreducible(coeffs: list[Fraction]):
         return False
     if deg == 1:
         return True
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
     if _has_rational_root(ints):
         return False
     if deg in (2, 3):
         return True
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _has_rational_root(ints: list[int]) -> bool:

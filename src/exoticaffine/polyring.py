@@ -207,12 +207,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.varset), Fraction(0))
 
-    def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.varset.index(name)
         if not self.terms:
@@ -434,10 +428,6 @@ def arith(a: Polynomial, b: Polynomial | None, op: str, n: int | None = None) ->
 
 def substitute(p: Polynomial, images: Mapping[str, Polynomial]) -> Polynomial:
     return p.substitute(images)
-
-
-def partial_derivative(p: Polynomial, name: str) -> Polynomial:
-    return p.partial(name)
 
 
 def divmod_poly(

@@ -3,7 +3,7 @@
 Simplices are sorted tuples of string vertex ids; orientation signs come from
 sorting permutations, so all chain matrices are deterministic.  Homology is
 exact: Smith normal form over Z (via fpgroups), row reduction over the field
-with p elements for mod-p questions.
+with p elements (via linalg) for mod-p questions.
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -19,9 +19,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-from .fpgroups import AbelianGroup, smith_normal_form
+from .fpgroups import AbelianGroup, snf_diagonal
+from .linalg import (
+    column_space_basis_mod,
+    identity,
+    mat_mul,
+    mat_vec,
+    nullspace_mod,
+    rank_mod,
+    rref_mod,
+    solve_many_mod,
+    solve_mod,
+)
 
 
 class SmithError(Exception):
@@ -182,17 +193,11 @@ def rotation_action(n: int, step: int, stem: str = "p", extra_fixed=()) -> Cycli
     perm = {names[i]: names[(i + step) % n] for i in range(n)}
     for v in extra_fixed:
         perm[v] = v
-    return CyclicAction(n // _gcd(n, step), perm)
+    return CyclicAction(n // gcd(n, step), perm)
 
 
 def trivial_action(k: SimplicialComplex, order: int) -> CyclicAction:
     return CyclicAction(order, {v: v for v in k.vertices()})
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def validate_action(k: SimplicialComplex, a: CyclicAction):
@@ -314,39 +319,15 @@ class ChainComplex:
     def __post_init__(self):
         p = None if self.coefficients == "Z" else int(self.coefficients)
         for k in range(1, len(self.dims) - 1):
-            prod = _mat_mul(self.boundaries[k], self.boundaries[k + 1])
+            prod = mat_mul(self.boundaries[k], self.boundaries[k + 1])
             for row in prod:
                 for x in row:
                     if (x if p is None else x % p) != 0:
                         raise NotAComplex("boundary squared is nonzero")
 
 
-def _mat_mul(a, b):
-    """Sparsity-aware product; the chain matrices here are mostly zeros."""
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    nz_b = [
-        [(j, bt[j]) for j in range(cols) if bt[j]] for bt in b
-    ]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            x = ai[t]
-            if x:
-                for j, y in nz_b[t]:
-                    oi[j] += x * y
-    return out
-
-
 def _mat_mod(matrix, p):
     return [[x % p for x in row] for row in matrix]
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _sort_sign(values) -> int:
@@ -400,136 +381,6 @@ def chain_complex(k: SimplicialComplex, coefficients="Z") -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over Q (ranks) and over GF(p)
-
-
-def _rank_q(matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _mod_rref(rows, p):
-    rows = [[x % p for x in row] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
-
-
-def _rank_mod(matrix, p) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(_mod_rref(matrix, p)[0])
-
-
-def _nullspace_mod(matrix, ncols, p):
-    if not matrix or not matrix[0]:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    red, pivots = _mod_rref(matrix, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-red[ri][fc]) % p
-        out.append(v)
-    return out
-
-
-def _solve_many(matrix, rhs_cols, p):
-    """Solutions x_j with matrix @ x_j = rhs_cols[j] (mod p); None entries
-    mark inconsistent systems.  One elimination serves every right side."""
-    nrows = len(matrix)
-    n_a = len(matrix[0]) if matrix else 0
-    n_b = len(rhs_cols)
-    if n_a == 0:
-        return [
-            [] if all(x % p == 0 for x in col) else None for col in rhs_cols
-        ]
-    aug = [
-        [matrix[i][c] % p for c in range(n_a)]
-        + [rhs_cols[j][i] % p for j in range(n_b)]
-        for i in range(nrows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(n_a):
-        pivot = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    solutions = []
-    for j in range(n_b):
-        col = n_a + j
-        if any(aug[i][col] for i in range(r, nrows)):
-            solutions.append(None)
-            continue
-        x = [0] * n_a
-        for ri, pc in enumerate(pivots):
-            x[pc] = aug[ri][col]
-        solutions.append(x)
-    return solutions
-
-
-def _solve_mod(matrix, b, p):
-    """x with matrix @ x = b (mod p), or None when inconsistent."""
-    return _solve_many(matrix, [list(b)], p)[0]
-
-
-def _column_space_basis(matrix, p):
-    """Columns of `matrix` spanning its column space (ambient coordinates)."""
-    if not matrix or not matrix[0]:
-        return []
-    _, pivots = _mod_rref([list(r) for r in matrix], p)
-    return [[matrix[i][j] % p for i in range(len(matrix))] for j in pivots]
-
-
-# ---------------------------------------------------------------------------
 # homology
 
 
@@ -537,31 +388,26 @@ def homology(c: ChainComplex):
     """Over Z: list of AbelianGroup; over Z_p: list of vector-space dims."""
     top = len(c.dims) - 1
     if c.coefficients == "Z":
-        out = []
-        for k in range(top + 1):
-            rank_k = _rank_q(c.boundaries[k]) if k >= 1 else 0
-            rank_k1 = _rank_q(c.boundaries[k + 1]) if k + 1 <= top else 0
-            betti = c.dims[k] - rank_k - rank_k1
-            torsion: tuple[int, ...] = ()
-            if k + 1 <= top and c.boundaries[k + 1] and c.boundaries[k + 1][0]:
-                diag = _snf_diag(c.boundaries[k + 1])
-                torsion = tuple(d for d in diag if d > 1)
-            out.append(AbelianGroup(betti, torsion))
-        return out
+        # one Smith normal form per boundary gives its rank and torsion
+        diags = [
+            snf_diagonal(b) if k >= 1 and b and b[0] else []
+            for k, b in enumerate(c.boundaries)
+        ] + [[]]
+        ranks = [sum(1 for d in diag if d != 0) for diag in diags]
+        return [
+            AbelianGroup(
+                c.dims[k] - ranks[k] - ranks[k + 1],
+                tuple(d for d in diags[k + 1] if d > 1),
+            )
+            for k in range(top + 1)
+        ]
     p = int(c.coefficients)
     out = []
     for k in range(top + 1):
-        rank_k = _rank_mod(c.boundaries[k], p) if k >= 1 else 0
-        rank_k1 = _rank_mod(c.boundaries[k + 1], p) if k + 1 <= top else 0
+        rank_k = rank_mod(c.boundaries[k], p) if k >= 1 else 0
+        rank_k1 = rank_mod(c.boundaries[k + 1], p) if k + 1 <= top else 0
         out.append(c.dims[k] - rank_k - rank_k1)
     return out
-
-
-def _snf_diag(matrix):
-    m = [list(row) for row in matrix]
-    _, s, _ = smith_normal_form(m)
-    n = min(len(s), len(s[0]) if s else 0)
-    return [s[i][i] for i in range(n)]
 
 
 def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
@@ -628,10 +474,10 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
         n = k.n_simplices(d)
         t = t_mats[d]
         acc = [[0] * n for _ in range(n)]
-        tk = _identity(n)
+        tk = identity(n)
         for _ in range(p):
             acc = [[(x + y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(acc, tk)]
-            tk = _mat_mod(_mat_mul(t, tk), p)
+            tk = _mat_mod(mat_mul(t, tk), p)
         sigma.append(tuple(tuple(r) for r in acc))
         tau.append(
             tuple(
@@ -648,13 +494,13 @@ def _verify_operator_identities(ops: SmithOperators):
     for sig, ta in zip(ops.sigma, ops.tau):
         sig = [list(r) for r in sig]
         ta = [list(r) for r in ta]
-        if any(x % p for row in _mat_mul(sig, ta) for x in row):
+        if any(x % p for row in mat_mul(sig, ta) for x in row):
             raise SmithError("sigma * tau != 0")
-        if any(x % p for row in _mat_mul(ta, sig) for x in row):
+        if any(x % p for row in mat_mul(ta, sig) for x in row):
             raise SmithError("tau * sigma != 0")
-        power = _identity(len(sig))
+        power = identity(len(sig))
         for _ in range(p - 1):
-            power = _mat_mod(_mat_mul(ta, power), p)
+            power = _mat_mod(mat_mul(ta, power), p)
         if power != _mat_mod(sig, p):
             raise SmithError("sigma != tau^(p-1)")
 
@@ -664,10 +510,10 @@ def operator_power(ops: SmithOperators, i: int) -> list:
     out = []
     for ta in ops.tau:
         n = len(ta)
-        m = _identity(n)
+        m = identity(n)
         ta = [list(r) for r in ta]
         for _ in range(i):
-            m = _mat_mod(_mat_mul(ta, m), ops.p)
+            m = _mat_mod(mat_mul(ta, m), ops.p)
         out.append(m)
     return out
 
@@ -691,20 +537,12 @@ class _SubComplex:
 def _induced_boundaries(bases, p, ambient_boundaries) -> _SubComplex:
     boundaries: list = [[]]
     for d in range(1, len(bases)):
-        big = ambient_boundaries[d]
         r_prev = len(bases[d - 1][0]) if bases[d - 1] and bases[d - 1][0] else 0
         r_cur = len(bases[d][0]) if bases[d] and bases[d][0] else 0
-        images = []
-        for j in range(r_cur):
-            vec = [bases[d][i][j] for i in range(len(bases[d]))]
-            images.append(
-                [
-                    sum(big[i][t] * vec[t] for t in range(len(vec))) % p
-                    for i in range(len(big))
-                ]
-            )
+        prod = mat_mul(ambient_boundaries[d], bases[d])
+        images = [[row[j] % p for row in prod] for j in range(r_cur)]
         induced = [[0] * r_cur for _ in range(r_prev)]
-        for j, coords in enumerate(_solve_many(bases[d - 1], images, p)):
+        for j, coords in enumerate(solve_many_mod(bases[d - 1], images, p)):
             if coords is None:
                 raise SmithError("subspace is not closed under the boundary")
             for i in range(r_prev):
@@ -716,7 +554,7 @@ def _induced_boundaries(bases, p, ambient_boundaries) -> _SubComplex:
 def _image_subcomplex(k, matrices, p, ambient_boundaries) -> _SubComplex:
     bases = []
     for d in range(k.dimension + 1):
-        cols = _column_space_basis(matrices[d], p)
+        cols = column_space_basis_mod(matrices[d], p)
         n = k.n_simplices(d)
         bases.append([[cols[c][i] for c in range(len(cols))] for i in range(n)])
     return _induced_boundaries(bases, p, ambient_boundaries)
@@ -761,7 +599,7 @@ class _HomologyBasis:
         n = len(cols[0])
         matrix = [[cols[c][i] for c in range(len(cols))] for i in range(n)]
         out = []
-        for x in _solve_many(matrix, list(vecs), self.p):
+        for x in solve_many_mod(matrix, list(vecs), self.p):
             if x is None:
                 raise SmithError("vector is not a cycle in this complex")
             out.append([v % self.p for v in x[: len(reps)]])
@@ -771,48 +609,17 @@ class _HomologyBasis:
         return self.classify_many(d, [vec])[0]
 
 
-class _Span:
-    """Incremental row-echelon span for independence testing over GF(p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the span; absorb and report True if independent."""
-        v = [x % self.p for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], self.p - 2, self.p)
-        v = [(x * inv) % self.p for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-
 def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
     top = len(dims) - 1
     reps, bnd_bases, hdims = [], [], []
     for d in range(top + 1):
         n = dims[d]
-        if d >= 1 and boundaries[d] and n:
-            cycles = _nullspace_mod(boundaries[d], n, p)
-        else:
-            cycles = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        if d + 1 <= top and boundaries[d + 1] and boundaries[d + 1][0]:
-            bnd = _column_space_basis(boundaries[d + 1], p)
-        else:
-            bnd = []
-        span = _Span(p)
-        for b in bnd:
-            span.add(b)
-        reps_d = [z for z in cycles if span.add(z)]
+        cycles = nullspace_mod(boundaries[d], n, p) if d >= 1 else identity(n)
+        bnd = column_space_basis_mod(boundaries[d + 1], p) if d + 1 <= top else []
+        # a cycle is a new class when it is independent of im(boundary) and
+        # of the cycles before it: a pivot column of [bnd | cycles] past bnd
+        _, pivots = rref_mod(list(zip(*bnd, *cycles)), p)
+        reps_d = [cycles[j - len(bnd)] for j in pivots if j >= len(bnd)]
         reps.append(reps_d)
         bnd_bases.append(bnd)
         hdims.append(len(reps_d))
@@ -825,13 +632,7 @@ def _induced_on_homology(src: _HomologyBasis, dst: _HomologyBasis, matrices):
     ndims = min(len(src.dims), len(dst.dims), len(matrices))
     for d in range(ndims):
         m = matrices[d]
-        images = [
-            [
-                sum(m[i][j] * rep[j] for j in range(len(rep))) % src.p
-                for i in range(len(m))
-            ]
-            for rep in src.reps[d]
-        ]
+        images = [[x % src.p for x in mat_vec(m, rep)] for rep in src.reps[d]]
         cols = dst.classify_many(d, images) if images else []
         rows = dst.dims[d]
         out.append([[cols[c][i] for c in range(len(cols))] for i in range(rows)])
@@ -840,12 +641,12 @@ def _induced_on_homology(src: _HomologyBasis, dst: _HomologyBasis, matrices):
 
 def _exact_at(incoming, outgoing, middle_dim, p) -> bool:
     """im(incoming) = ker(outgoing) inside a middle space of that dimension."""
-    rank_in = _rank_mod(incoming, p) if middle_dim else 0
-    rank_out = _rank_mod(outgoing, p) if middle_dim else 0
+    rank_in = rank_mod(incoming, p) if middle_dim else 0
+    rank_out = rank_mod(outgoing, p) if middle_dim else 0
     if rank_in + rank_out != middle_dim:
         return False
     if rank_in and rank_out:
-        prod = _mat_mod(_mat_mul(outgoing, incoming), p)
+        prod = _mat_mod(mat_mul(outgoing, incoming), p)
         if any(any(row) for row in prod):
             return False
     return True
@@ -934,8 +735,8 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     chain_pi_mu = True
     for d in range(k.dimension + 1):
         n = x.n_simplices(d)
-        prod = _mat_mod(_mat_mul(pi[d], mu[d]), q)
-        expect = [[(s_order if i == j else 0) % q for j in range(n)] for i in range(n)]
+        prod = _mat_mod(mat_mul(pi[d], mu[d]), q)
+        expect = [[(s_order * e) % q for e in row] for row in identity(n)]
         if prod != expect:
             chain_pi_mu = False
 
@@ -943,8 +744,8 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     bd_x = [list(map(list, b)) for b in chain_complex(x, q).boundaries]
     mu_chain_map = True
     for d in range(1, k.dimension + 1):
-        left = _mat_mod(_mat_mul(bd_y[d], mu[d]), q)
-        right = _mat_mod(_mat_mul(mu[d - 1], bd_x[d]), q)
+        left = _mat_mod(mat_mul(bd_y[d], mu[d]), q)
+        right = _mat_mod(mat_mul(mu[d - 1], bd_x[d]), q)
         if left != right:
             mu_chain_map = False
 
@@ -958,8 +759,8 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     pimu_ok = True
     for d in range(len(hx.dims)):
         n = hx.dims[d]
-        prod = _mat_mod(_mat_mul(pi_star[d], mu_star[d]), q) if n else []
-        expect = [[(s_order if i == j else 0) % q for j in range(n)] for i in range(n)]
+        prod = _mat_mod(mat_mul(pi_star[d], mu_star[d]), q) if n else []
+        expect = [[(s_order * e) % q for e in row] for row in identity(n)]
         if prod != expect:
             pimu_ok = False
 
@@ -977,18 +778,18 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     mupi_ok = True
     for d in range(len(hy.dims)):
         n = hy.dims[d]
-        prod = _mat_mod(_mat_mul(mu_star[d], pi_star[d]), q) if n else []
+        prod = _mat_mod(mat_mul(mu_star[d], pi_star[d]), q) if n else []
         if prod != _mat_mod(sigma_star[d], q):
             mupi_ok = False
 
     g_star = _induced_on_homology(hy, hy, powers[1 % s_order])
     trivial = all(
-        g_star[d] == _identity(hy.dims[d]) for d in range(len(hy.dims))
+        g_star[d] == identity(hy.dims[d]) for d in range(len(hy.dims))
     )
     iso = hy.dims == hx.dims
     if iso:
         for d in range(len(hx.dims)):
-            if hy.dims[d] and _rank_mod(pi_star[d], q) != hy.dims[d]:
+            if hy.dims[d] and rank_mod(pi_star[d], q) != hy.dims[d]:
                 iso = False
     return TransferReport(
         group_order=s_order,
@@ -1022,8 +823,8 @@ def special_smith_homology(
     bnds = [list(map(list, b)) for b in sub.boundaries]
     return [
         dims[d]
-        - (_rank_mod(bnds[d], p) if d >= 1 else 0)
-        - (_rank_mod(bnds[d + 1], p) if d + 1 < len(dims) else 0)
+        - (rank_mod(bnds[d], p) if d >= 1 else 0)
+        - (rank_mod(bnds[d + 1], p) if d + 1 < len(dims) else 0)
         for d in range(len(dims))
     ]
 
@@ -1099,13 +900,13 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
             n = dims[d]
             inc = _concat_columns(sub_rbar.bases[d], fixed_inc[d], n)
             r_inc = len(inc[0]) if inc and inc[0] else 0
-            if n and _rank_mod(inc, p) != r_inc:
+            if n and rank_mod(inc, p) != r_inc:
                 ses_ok = False
-            rank_rho = _rank_mod(rho[d], p) if n else 0
+            rank_rho = rank_mod(rho[d], p) if n else 0
             if r_inc + rank_rho != n:
                 ses_ok = False
             if n and r_inc:
-                prod = _mat_mod(_mat_mul(rho[d], inc), p)
+                prod = _mat_mod(mat_mul(rho[d], inc), p)
                 if any(any(row) for row in prod):
                     ses_ok = False
         if not _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p):
@@ -1212,7 +1013,7 @@ def _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p) -> bool:
         vecs = [
             [rho[d][i][col] % p for i in range(dims[d])] for col in range(dims[d])
         ]
-        cols = _solve_many(basis, vecs, p)
+        cols = solve_many_mod(basis, vecs, p)
         if any(c is None for c in cols):
             return False
         rho_mats.append([[cols[c][i] for c in range(dims[d])] for i in range(r)])
@@ -1224,20 +1025,13 @@ def _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p) -> bool:
     for d in range(ndim):
         cols = []
         for rep in h_c.reps[d]:
-            basis = sub_rho.bases[d]
-            vec = [
-                sum(basis[i][t] * rep[t] for t in range(len(rep))) % p
-                for i in range(dims[d])
-            ]
-            b_lift = _solve_mod(rho[d], vec, p)
+            vec = [x % p for x in mat_vec(sub_rho.bases[d], rep)]
+            b_lift = solve_mod(rho[d], vec, p)
             if b_lift is None:
                 return False
             if d >= 1:
-                db = [
-                    sum(amb[d][i][t] * b_lift[t] for t in range(len(b_lift))) % p
-                    for i in range(dims[d - 1])
-                ]
-                coords = _solve_mod(i_mats[d - 1], db, p)
+                db = [x % p for x in mat_vec(amb[d], b_lift)]
+                coords = solve_mod(i_mats[d - 1], db, p)
                 if coords is None:
                     return False
                 cols.append(h_a.classify(d - 1, coords))
@@ -1258,7 +1052,7 @@ def _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p) -> bool:
                 return False
     # at the very top of the ladder nothing comes in: i_* must be injective
     top = ndim - 1
-    if h_a.dims[top] and _rank_mod(i_star[top], p) != h_a.dims[top]:
+    if h_a.dims[top] and rank_mod(i_star[top], p) != h_a.dims[top]:
         return False
     return True
 
@@ -1281,27 +1075,20 @@ def _les_tau_exact(k, ops, j, sigma_sub, amb, p) -> bool:
     h_j = _sub_homology_basis(tau_j, p)
     h_j1 = _sub_homology_basis(tau_j1, p)
 
-    inc_mats, tau_mats = [], []
+    inc_mats, tau_mats, tau_on_basis = [], [], []
     for d in range(ndim):
         sb, jb, jb1 = sigma_sub.bases[d], tau_j.bases[d], tau_j1.bases[d]
         r_s = len(sb[0]) if sb and sb[0] else 0
         r_j = len(jb[0]) if jb and jb[0] else 0
         r_j1 = len(jb1[0]) if jb1 and jb1[0] else 0
         vecs = [[sb[i][c] for i in range(dims[d])] for c in range(r_s)]
-        cols = _solve_many(jb, vecs, p)
+        cols = solve_many_mod(jb, vecs, p)
         if any(c is None for c in cols):
             return False
         inc_mats.append([[cols[c][i] for c in range(r_s)] for i in range(r_j)])
-        tvecs = []
-        for c in range(r_j):
-            vec = [jb[i][c] for i in range(dims[d])]
-            tvecs.append(
-                [
-                    sum(ops.tau[d][i][t] * vec[t] for t in range(dims[d])) % p
-                    for i in range(dims[d])
-                ]
-            )
-        cols = _solve_many(jb1, tvecs, p)
+        tau_on_basis.append(_mat_mod(mat_mul(ops.tau[d], jb), p))
+        tvecs = [[row[c] for row in tau_on_basis[d]] for c in range(r_j)]
+        cols = solve_many_mod(jb1, tvecs, p)
         if any(c is None for c in cols):
             return False
         tau_mats.append([[cols[c][i] for c in range(r_j)] for i in range(r_j1)])
@@ -1313,36 +1100,14 @@ def _les_tau_exact(k, ops, j, sigma_sub, amb, p) -> bool:
     for d in range(ndim):
         cols = []
         for rep in h_j1.reps[d]:
-            jb, jb1 = tau_j.bases[d], tau_j1.bases[d]
-            r_j = len(jb[0]) if jb and jb[0] else 0
-            vec = [
-                sum(jb1[i][t] * rep[t] for t in range(len(rep))) % p
-                for i in range(dims[d])
-            ]
-            tau_on_basis = [
-                [
-                    sum(
-                        ops.tau[d][i][t] * jb[t][c]
-                        for t in range(dims[d])
-                    )
-                    % p
-                    for c in range(r_j)
-                ]
-                for i in range(dims[d])
-            ]
-            lift = _solve_mod(tau_on_basis, vec, p)
+            vec = [x % p for x in mat_vec(tau_j1.bases[d], rep)]
+            lift = solve_mod(tau_on_basis[d], vec, p)
             if lift is None:
                 return False
-            chain = [
-                sum(jb[i][c] * lift[c] for c in range(r_j)) % p
-                for i in range(dims[d])
-            ]
+            chain = [x % p for x in mat_vec(tau_j.bases[d], lift)]
             if d >= 1:
-                db = [
-                    sum(amb[d][i][t] * chain[t] for t in range(dims[d])) % p
-                    for i in range(dims[d - 1])
-                ]
-                coords = _solve_mod(sigma_sub.bases[d - 1], db, p)
+                db = [x % p for x in mat_vec(amb[d], chain)]
+                coords = solve_mod(sigma_sub.bases[d - 1], db, p)
                 if coords is None:
                     return False
                 cols.append(h_s.classify(d - 1, coords))
@@ -1362,6 +1127,6 @@ def _les_tau_exact(k, ops, j, sigma_sub, amb, p) -> bool:
             if not _exact_at(delta_star[d], inc_star[d - 1], h_s.dims[d - 1], p):
                 return False
     top = ndim - 1
-    if h_s.dims[top] and _rank_mod(inc_star[top], p) != h_s.dims[top]:
+    if h_s.dims[top] and rank_mod(inc_star[top], p) != h_s.dims[top]:
         return False
     return True

@@ -1,6 +1,7 @@
 """Blow-ups, contractions, Ramanujam verdicts, resolution chains, certificates."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -189,15 +190,9 @@ class TestResolutionChain:
                 p, q = rc.labels[v]
                 order = m * p - n * q
                 assert (order == 0) == (v == last)
-            if _gcd(m, n) == 1:
+            if gcd(m, n) == 1:
                 assert abs(intersection_matrix(g).determinant) == 1
                 assert rc.labels[last] == (n, m)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class TestIntersectionMatrix:
