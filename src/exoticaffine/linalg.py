@@ -192,11 +192,6 @@ def solve_many_mod(matrix, rhs_cols, p) -> list:
     return solutions
 
 
-def solve_mod(matrix, b, p):
-    """x with matrix @ x = b (mod p), or None when inconsistent."""
-    return solve_many_mod(matrix, [list(b)], p)[0]
-
-
 def column_space_basis_mod(matrix, p) -> list[list[int]]:
     """Columns of `matrix` spanning its column space over GF(p), as vectors."""
     if not matrix or not matrix[0]:

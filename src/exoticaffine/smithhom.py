@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .fpgroups import AbelianGroup, snf_diagonal
@@ -31,7 +32,6 @@ from .linalg import (
     rank_mod,
     rref_mod,
     solve_many_mod,
-    solve_mod,
 )
 
 
@@ -167,8 +167,10 @@ class CyclicAction:
         return out
 
     def map_simplex(self, s: tuple[str, ...], k: int = 1) -> tuple[str, ...]:
-        g = self.power(k)
-        return tuple(sorted(g[v] for v in s))
+        out = list(s)
+        for _ in range(k % self.order):
+            out = [self.perm[v] for v in out]
+        return tuple(sorted(out))
 
     def orbit_of_vertex(self, v: str) -> tuple[str, ...]:
         out = [v]
@@ -230,7 +232,7 @@ def check_regularity(k: SimplicialComplex, a: CyclicAction) -> list[str]:
         fixed_sets.add(frozenset(v for v in g if g[v] == v))
         if not r1_hit:
             for s in k.all_simplices():
-                if a.map_simplex(s, j) == s and any(g[v] != v for v in s):
+                if tuple(sorted(g[v] for v in s)) == s and any(g[v] != v for v in s):
                     violations.append(
                         "R1: setwise-invariant simplex not pointwise fixed"
                     )
@@ -296,9 +298,9 @@ def ensure_regular(
 ) -> tuple[SimplicialComplex, CyclicAction, int]:
     """Subdivide until the regularity validator passes (at most max_rounds)."""
     rounds = 0
-    while check_regularity(k, a):
+    while violations := check_regularity(k, a):
         if rounds >= max_rounds:
-            raise NotRegular(check_regularity(k, a))
+            raise NotRegular(violations)
         k, a = barycentric_subdivide(k, a)
         rounds += 1
     return k, a, rounds
@@ -533,6 +535,19 @@ class _SubComplex:
     def dims(self):
         return [len(b[0]) if b and b[0] else 0 for b in self.bases]
 
+    @cached_property
+    def homology(self) -> _HomologyBasis:
+        """Homology with representatives in basis coordinates, built once."""
+        return _homology_basis(self.dims(), self.boundaries, self.p)
+
+
+def _columns(matrix) -> list[list]:
+    return [list(col) for col in zip(*matrix)]
+
+
+def _from_columns(cols, nrows) -> list[list]:
+    return [[col[i] for col in cols] for i in range(nrows)]
+
 
 def _induced_boundaries(bases, p, ambient_boundaries) -> _SubComplex:
     boundaries: list = [[]]
@@ -555,8 +570,7 @@ def _image_subcomplex(k, matrices, p, ambient_boundaries) -> _SubComplex:
     bases = []
     for d in range(k.dimension + 1):
         cols = column_space_basis_mod(matrices[d], p)
-        n = k.n_simplices(d)
-        bases.append([[cols[c][i] for c in range(len(cols))] for i in range(n)])
+        bases.append(_from_columns(cols, k.n_simplices(d)))
     return _induced_boundaries(bases, p, ambient_boundaries)
 
 
@@ -572,7 +586,7 @@ def _fixed_inclusion_bases(k: SimplicialComplex, a: CyclicAction):
                 col = [0] * n
                 col[j] = 1
                 cols.append(col)
-        bases.append([[cols[c][i] for c in range(len(cols))] for i in range(n)])
+        bases.append(_from_columns(cols, n))
     return bases
 
 
@@ -596,17 +610,13 @@ class _HomologyBasis:
                     raise SmithError("nonzero vector in zero homology")
             return [[] for _ in vecs]
         cols = reps + bnd
-        n = len(cols[0])
-        matrix = [[cols[c][i] for c in range(len(cols))] for i in range(n)]
+        matrix = _from_columns(cols, len(cols[0]))
         out = []
         for x in solve_many_mod(matrix, list(vecs), self.p):
             if x is None:
                 raise SmithError("vector is not a cycle in this complex")
             out.append([v % self.p for v in x[: len(reps)]])
         return out
-
-    def classify(self, d: int, vec) -> list:
-        return self.classify_many(d, [vec])[0]
 
 
 def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
@@ -634,8 +644,7 @@ def _induced_on_homology(src: _HomologyBasis, dst: _HomologyBasis, matrices):
         m = matrices[d]
         images = [[x % src.p for x in mat_vec(m, rep)] for rep in src.reps[d]]
         cols = dst.classify_many(d, images) if images else []
-        rows = dst.dims[d]
-        out.append([[cols[c][i] for c in range(len(cols))] for i in range(rows)])
+        out.append(_from_columns(cols, dst.dims[d]))
     return out
 
 
@@ -888,35 +897,40 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
     dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
     fixed_inc = _fixed_inclusion_bases(k, a)
+    # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0, each power
+    # from the one before, and the image subcomplex of each, built once
+    taus = [operator_power(ops, 0)]
+    for _ in range(p):
+        taus.append([_mat_mod(mat_mul(t, m), p) for t, m in zip(ops.tau, taus[-1])])
+    images = [_image_subcomplex(k, t, p, amb) for t in taus]
 
-    ses_ok = True
-    les_rho_ok = True
+    ses_ok = les_rho_ok = les_tau_ok = True
     for j in range(1, p):
-        rho = operator_power(ops, j)
-        rhobar = operator_power(ops, p - j)
-        sub_rho = _image_subcomplex(k, rho, p, amb)
-        sub_rbar = _image_subcomplex(k, rhobar, p, amb)
-        for d in range(k.dimension + 1):
-            n = dims[d]
-            inc = _concat_columns(sub_rbar.bases[d], fixed_inc[d], n)
-            r_inc = len(inc[0]) if inc and inc[0] else 0
-            if n and rank_mod(inc, p) != r_inc:
+        # rho = tau^j: A_j = rhobar C + C(Y^w), basis [rhobar basis | fixed]
+        a_j = _induced_boundaries(
+            [
+                [r + f for r, f in zip(rbar, fixed)]
+                for rbar, fixed in zip(images[p - j].bases, fixed_inc)
+            ],
+            p,
+            amb,
+        )
+        # the image basis of rho has rank(rho) columns
+        r_inc, rank_rho = a_j.dims(), images[j].dims()
+        for d, n in enumerate(dims):
+            inc = a_j.bases[d]
+            if n and rank_mod(inc, p) != r_inc[d]:
                 ses_ok = False
-            rank_rho = rank_mod(rho[d], p) if n else 0
-            if r_inc + rank_rho != n:
+            if r_inc[d] + rank_rho[d] != n:
                 ses_ok = False
-            if n and r_inc:
-                prod = _mat_mod(mat_mul(rho[d], inc), p)
+            if n and r_inc[d]:
+                prod = _mat_mod(mat_mul(taus[j][d], inc), p)
                 if any(any(row) for row in prod):
                     ses_ok = False
-        if not _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p):
-            les_rho_ok = False
-
-    les_tau_ok = True
-    sigma_sub = _image_subcomplex(k, operator_power(ops, p - 1), p, amb)
-    for j in range(1, p):
-        if not _les_tau_exact(k, ops, j, sigma_sub, amb, p):
-            les_tau_ok = False
+        les_rho_ok &= _les_exact(a_j, images[0], images[j], taus[j], amb, p)
+        les_tau_ok &= _les_exact(
+            images[p - 1], images[j], images[j + 1], ops.tau, amb, p
+        )
 
     kq, aq, rounds = ensure_regular(k, a)
     ops_q = ops if rounds == 0 else smith_operators(kq, aq)
@@ -951,101 +965,53 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     )
 
 
-def _concat_columns(left, right, nrows):
-    r1 = len(left[0]) if left and left[0] else 0
-    r2 = len(right[0]) if right and right[0] else 0
-    out = [[0] * (r1 + r2) for _ in range(nrows)]
-    for i in range(nrows):
-        for c in range(r1):
-            out[i][c] = left[i][c]
-        for c in range(r2):
-            out[i][r1 + c] = right[i][c]
-    return out
+def _les_exact(a, b, c, q, amb, p) -> bool:
+    """... -> H_n(A) -> H_n(B) -> H_n(C) -> H_{n-1}(A) -> ... is exact.
 
-
-def _sub_homology_basis(sub: _SubComplex, p: int) -> _HomologyBasis:
-    return _homology_basis(sub.dims(), [list(map(list, b)) for b in sub.boundaries], p)
-
-
-def _direct_sum_homology(sub: _SubComplex, fixed_inc, amb, p):
-    """Homology data of (sub + fixed) as a block direct sum, plus block dims."""
-    fixed_sub = _induced_boundaries(fixed_inc, p, amb)
-    ndims = len(sub.bases)
-    block_dims = []
-    for d in range(ndims):
-        r1 = len(sub.bases[d][0]) if sub.bases[d] and sub.bases[d][0] else 0
-        r2 = len(fixed_inc[d][0]) if fixed_inc[d] and fixed_inc[d][0] else 0
-        block_dims.append((r1, r2))
-    boundaries: list = [[]]
-    for d in range(1, ndims):
-        b1 = sub.boundaries[d]
-        b2 = fixed_sub.boundaries[d]
-        r1_prev, r2_prev = block_dims[d - 1]
-        r1_cur, r2_cur = block_dims[d]
-        block = [[0] * (r1_cur + r2_cur) for _ in range(r1_prev + r2_prev)]
-        for i in range(r1_prev):
-            for j in range(r1_cur):
-                block[i][j] = b1[i][j]
-        for i in range(r2_prev):
-            for j in range(r2_cur):
-                block[r1_prev + i][r1_cur + j] = b2[i][j]
-        boundaries.append(block)
-    dims = [r1 + r2 for r1, r2 in block_dims]
-    return _homology_basis(dims, boundaries, p), block_dims
-
-
-def _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p) -> bool:
-    """... -> H_n(rhobar C + C(Y^w)) -> H_n(Y) -> H_n(rho C) -> H_{n-1} -> ..."""
-    dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
-    ndim = len(dims)
-    rho = operator_power(ops, j)
-    h_a, _ = _direct_sum_homology(sub_rbar, fixed_inc, amb, p)
-    h_y = _homology_basis(dims, amb, p)
-    h_c = _sub_homology_basis(sub_rho, p)
-
-    i_mats = [
-        _concat_columns(sub_rbar.bases[d], fixed_inc[d], dims[d]) for d in range(ndim)
-    ]
-    rho_mats = []
+    0 -> A -> B -> C -> 0 is a short exact sequence of subcomplexes of
+    C(Y; Z_p), each given by its ambient basis; A -> B is the inclusion and
+    q[d] is the chain map B -> C in ambient coordinates.
+    """
+    h_a, h_b, h_c = a.homology, b.homology, c.homology
+    ndim = len(b.bases)
+    r_b, r_c = b.dims(), c.dims()
+    i_mats, q_mats, q_on_bases = [], [], []
     for d in range(ndim):
-        basis = sub_rho.bases[d]
-        r = len(basis[0]) if basis and basis[0] else 0
-        vecs = [
-            [rho[d][i][col] % p for i in range(dims[d])] for col in range(dims[d])
-        ]
-        cols = solve_many_mod(basis, vecs, p)
-        if any(c is None for c in cols):
+        q_on_b = _mat_mod(mat_mul(q[d], b.bases[d]), p)
+        i_cols = solve_many_mod(b.bases[d], _columns(a.bases[d]), p)
+        q_cols = solve_many_mod(c.bases[d], _columns(q_on_b), p)
+        if any(x is None for x in i_cols + q_cols):
             return False
-        rho_mats.append([[cols[c][i] for c in range(dims[d])] for i in range(r)])
+        i_mats.append(_from_columns(i_cols, r_b[d]))
+        q_mats.append(_from_columns(q_cols, r_c[d]))
+        q_on_bases.append(q_on_b)
 
-    i_star = _induced_on_homology(h_a, h_y, i_mats)
-    rho_star = _induced_on_homology(h_y, h_c, rho_mats)
+    i_star = _induced_on_homology(h_a, h_b, i_mats)
+    q_star = _induced_on_homology(h_b, h_c, q_mats)
 
+    # connecting map: lift each class of C through q, take the boundary of
+    # the lift and read it in A
     delta_star = []
     for d in range(ndim):
-        cols = []
-        for rep in h_c.reps[d]:
-            vec = [x % p for x in mat_vec(sub_rho.bases[d], rep)]
-            b_lift = solve_mod(rho[d], vec, p)
-            if b_lift is None:
-                return False
-            if d >= 1:
-                db = [x % p for x in mat_vec(amb[d], b_lift)]
-                coords = solve_mod(i_mats[d - 1], db, p)
-                if coords is None:
-                    return False
-                cols.append(h_a.classify(d - 1, coords))
-            else:
-                cols.append([])
-        rows = h_a.dims[d - 1] if d >= 1 else 0
-        delta_star.append(
-            [[cols[c][i] for c in range(len(cols))] for i in range(rows)]
-        )
+        vecs = [[x % p for x in mat_vec(c.bases[d], rep)] for rep in h_c.reps[d]]
+        lifts = solve_many_mod(q_on_bases[d], vecs, p) if vecs else []
+        if any(x is None for x in lifts):
+            return False
+        if d == 0:
+            delta_star.append([])  # H_{-1}(A) = 0
+            continue
+        chains = [mat_vec(b.bases[d], x) for x in lifts]
+        bnds = [[x % p for x in mat_vec(amb[d], chain)] for chain in chains]
+        coords = solve_many_mod(a.bases[d - 1], bnds, p) if bnds else []
+        if any(x is None for x in coords):
+            return False
+        cols = h_a.classify_many(d - 1, coords) if coords else []
+        delta_star.append(_from_columns(cols, h_a.dims[d - 1]))
 
     for d in range(ndim):
-        if not _exact_at(i_star[d], rho_star[d], h_y.dims[d], p):
+        if not _exact_at(i_star[d], q_star[d], h_b.dims[d], p):
             return False
-        if not _exact_at(rho_star[d], delta_star[d], h_c.dims[d], p):
+        if not _exact_at(q_star[d], delta_star[d], h_c.dims[d], p):
             return False
         if d >= 1:
             if not _exact_at(delta_star[d], i_star[d - 1], h_a.dims[d - 1], p):
@@ -1053,80 +1019,5 @@ def _les_rho_exact(k, ops, j, sub_rho, sub_rbar, fixed_inc, amb, p) -> bool:
     # at the very top of the ladder nothing comes in: i_* must be injective
     top = ndim - 1
     if h_a.dims[top] and rank_mod(i_star[top], p) != h_a.dims[top]:
-        return False
-    return True
-
-
-def _zero_subcomplex(dims, p) -> _SubComplex:
-    bases = [[[] for _ in range(n)] for n in dims]
-    return _SubComplex(p, bases, [[] for _ in dims])
-
-
-def _les_tau_exact(k, ops, j, sigma_sub, amb, p) -> bool:
-    """... -> H_n(sigma C) -> H_n(tau^j C) -> H_n(tau^{j+1} C) -> ..."""
-    dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
-    ndim = len(dims)
-    tau_j = _image_subcomplex(k, operator_power(ops, j), p, amb)
-    if j + 1 <= p - 1:
-        tau_j1 = _image_subcomplex(k, operator_power(ops, j + 1), p, amb)
-    else:
-        tau_j1 = _zero_subcomplex(dims, p)
-    h_s = _sub_homology_basis(sigma_sub, p)
-    h_j = _sub_homology_basis(tau_j, p)
-    h_j1 = _sub_homology_basis(tau_j1, p)
-
-    inc_mats, tau_mats, tau_on_basis = [], [], []
-    for d in range(ndim):
-        sb, jb, jb1 = sigma_sub.bases[d], tau_j.bases[d], tau_j1.bases[d]
-        r_s = len(sb[0]) if sb and sb[0] else 0
-        r_j = len(jb[0]) if jb and jb[0] else 0
-        r_j1 = len(jb1[0]) if jb1 and jb1[0] else 0
-        vecs = [[sb[i][c] for i in range(dims[d])] for c in range(r_s)]
-        cols = solve_many_mod(jb, vecs, p)
-        if any(c is None for c in cols):
-            return False
-        inc_mats.append([[cols[c][i] for c in range(r_s)] for i in range(r_j)])
-        tau_on_basis.append(_mat_mod(mat_mul(ops.tau[d], jb), p))
-        tvecs = [[row[c] for row in tau_on_basis[d]] for c in range(r_j)]
-        cols = solve_many_mod(jb1, tvecs, p)
-        if any(c is None for c in cols):
-            return False
-        tau_mats.append([[cols[c][i] for c in range(r_j)] for i in range(r_j1)])
-
-    inc_star = _induced_on_homology(h_s, h_j, inc_mats)
-    tau_star = _induced_on_homology(h_j, h_j1, tau_mats)
-
-    delta_star = []
-    for d in range(ndim):
-        cols = []
-        for rep in h_j1.reps[d]:
-            vec = [x % p for x in mat_vec(tau_j1.bases[d], rep)]
-            lift = solve_mod(tau_on_basis[d], vec, p)
-            if lift is None:
-                return False
-            chain = [x % p for x in mat_vec(tau_j.bases[d], lift)]
-            if d >= 1:
-                db = [x % p for x in mat_vec(amb[d], chain)]
-                coords = solve_mod(sigma_sub.bases[d - 1], db, p)
-                if coords is None:
-                    return False
-                cols.append(h_s.classify(d - 1, coords))
-            else:
-                cols.append([])
-        rows = h_s.dims[d - 1] if d >= 1 else 0
-        delta_star.append(
-            [[cols[c][i] for c in range(len(cols))] for i in range(rows)]
-        )
-
-    for d in range(ndim):
-        if not _exact_at(inc_star[d], tau_star[d], h_j.dims[d], p):
-            return False
-        if not _exact_at(tau_star[d], delta_star[d], h_j1.dims[d], p):
-            return False
-        if d >= 1:
-            if not _exact_at(delta_star[d], inc_star[d - 1], h_s.dims[d - 1], p):
-                return False
-    top = ndim - 1
-    if h_s.dims[top] and rank_mod(inc_star[top], p) != h_s.dims[top]:
         return False
     return True

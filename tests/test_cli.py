@@ -88,6 +88,23 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["homology"] == ["Z", "0", "Z"]
 
+    def test_smith_sequences_model(self, capsys):
+        code, out = run_cli(capsys, "smith", "sequences", "--model", "sphere:3")
+        assert code == 0
+        assert json.loads(out) == {
+            "p": "3",
+            "subdivisions_for_quotient": "2",
+            "ses_exact": True,
+            "les_rho_exact": True,
+            "les_tau_exact": True,
+            "special_matches_pair": True,
+            "special_dims_sigma": ["0", "1", "1"],
+            "pair_dims": ["0", "1", "1"],
+            "prop4_premises": False,
+            "prop4_conclusion": False,
+            "prop4_implication_holds": True,
+        }
+
     def test_smith_orbit_with_repair(self, capsys):
         code, out = run_cli(
             capsys, "smith", "orbit", "--model", "circle:3", "--repair"

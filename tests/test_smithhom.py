@@ -2,7 +2,9 @@
 
 import pytest
 
+from exoticaffine import smithhom
 from exoticaffine.fpgroups import AbelianGroup
+from exoticaffine.linalg import identity
 from exoticaffine.smithhom import (
     BadPrime,
     CyclicAction,
@@ -177,6 +179,21 @@ class TestRegularity:
     def test_json(self):
         a = rotation_action(3, 1)
         assert action_from_json(action_to_json(a)) == a
+
+    def test_map_simplex_matches_power(self):
+        # oracle: the whole vertex permutation of the k-th power
+        k, a = sphere(5)
+        for power in range(-1, 2 * a.order + 1):
+            g = a.power(power)
+            for s in k.all_simplices():
+                assert a.map_simplex(s, power) == tuple(sorted(g[v] for v in s))
+
+    def test_ensure_regular_refusal_names_violations(self):
+        k, a = disc()
+        with pytest.raises(NotRegular) as err:
+            ensure_regular(k, a, max_rounds=0)
+        assert err.value.violations == check_regularity(k, a)
+        assert str(err.value) == f"action is not regular: {err.value.violations}"
 
 
 class TestSmithOperators:
@@ -401,3 +418,72 @@ class TestSmithSequences:
             k2, a2, _ = ensure_regular(k, a)
             x, _ = orbit_complex(k2, a2)
             assert k2.euler_characteristic() == p * x.euler_characteristic()
+
+
+class TestLongExactSequence:
+    """The one long-exact-sequence checker, on sequences that are not exact."""
+
+    @staticmethod
+    def ambient(k, p):
+        return [list(map(list, b)) for b in chain_complex(k, p).boundaries]
+
+    @staticmethod
+    def whole(k, p, amb):
+        """C(Y) with the identity basis."""
+        mats = [identity(k.n_simplices(d)) for d in range(k.dimension + 1)]
+        return smithhom._image_subcomplex(k, mats, p, amb)
+
+    def test_zero_into_whole_complex(self):
+        k, _ = sphere()
+        p = 3
+        amb = self.ambient(k, p)
+        ns = [k.n_simplices(d) for d in range(k.dimension + 1)]
+        zero_maps = [[[0] * n for _ in range(n)] for n in ns]
+        zero = smithhom._image_subcomplex(k, zero_maps, p, amb)
+        whole = self.whole(k, p, amb)
+        ones = [identity(n) for n in ns]
+        # 0 -> 0 -> C(Y) -> C(Y) -> 0 with q = 1 is exact, with q = 0 not
+        assert smithhom._les_exact(zero, whole, whole, ones, amb, p)
+        assert not smithhom._les_exact(zero, whole, whole, zero_maps, amb, p)
+
+    @pytest.mark.parametrize(
+        "k, a", [sphere(), free_circle(3)], ids=["sphere:3", "circle:3"]
+    )
+    def test_rho_ladder_needs_rhobar(self, k, a):
+        ops = smith_operators(k, a)
+        p = ops.p
+        amb = self.ambient(k, p)
+        fixed_inc = smithhom._fixed_inclusion_bases(k, a)
+        fixed = smithhom._induced_boundaries(fixed_inc, p, amb)
+        whole = self.whole(k, p, amb)
+        for j in range(1, p):
+            rho = operator_power(ops, j)
+            rho_c = smithhom._image_subcomplex(k, rho, p, amb)
+            rbar_c = smithhom._image_subcomplex(k, operator_power(ops, p - j), p, amb)
+            full = smithhom._induced_boundaries(
+                [
+                    [r + f for r, f in zip(rbar, fix)]
+                    for rbar, fix in zip(rbar_c.bases, fixed_inc)
+                ],
+                p,
+                amb,
+            )
+            # 0 -> rhobar C + C(Y^w) -> C(Y) -> rho C -> 0 is exact; with
+            # rhobar C dropped, C(Y^w) alone is not the kernel of rho
+            assert smithhom._les_exact(full, whole, rho_c, rho, amb, p)
+            assert not smithhom._les_exact(fixed, whole, rho_c, rho, amb, p)
+
+    def test_each_image_subcomplex_built_once(self, monkeypatch):
+        k, a = sphere(5)
+        built = []
+        original = smithhom._image_subcomplex
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(smithhom, "_image_subcomplex", counting)
+        report = verify_smith_sequences(k, a)
+        assert report.all_exact
+        # tau^0, ..., tau^p once each, plus H^sigma on the regular subdivision
+        assert len(built) <= a.order + 2
