@@ -3,6 +3,8 @@
 Matrices are sequences of rows (lists or tuples) of Python ints or
 Fractions; vectors are sequences of entries.  Row reduction has one loop per
 field: Fraction arithmetic over Q, and integers reduced mod p over GF(p).
+Ranks and column bases over GF(p) come from a sparse column reduction
+instead, since the chain matrices they serve have a few nonzeros per column.
 Integer Smith normal form lives in fpgroups, which certifies it.
 """
 
@@ -154,17 +156,76 @@ def rref_mod(rows, p, pivot_cols=None) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
+def sparse_columns(matrix, p, ncols=None) -> list[dict[int, int]]:
+    """The columns of a row-major matrix as {row: value} dicts mod p.
+
+    `ncols` is needed only when the matrix may have no rows."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if x % p:
+                cols[j][i] = x % p
+    return cols
+
+
+def _add_multiple(dst: dict, src: dict, f: int, p: int):
+    """dst += f * src (mod p) on sparse vectors, dropping the zeros."""
+    for i, x in src.items():
+        y = (dst.get(i, 0) + f * x) % p
+        if y:
+            dst[i] = y
+        else:
+            del dst[i]
+
+
+def reduce_columns_mod(cols, p, track=False):
+    """Lowest-nonzero column reduction over GF(p), left to right.
+
+    `cols` are sparse columns ({row: value} dicts).  Each column in turn has
+    multiples of earlier reduced columns subtracted until its lowest
+    nonzero row is owned by no earlier column, or it is zero.  Returns
+    (reduced, combos, lows):
+
+    - reduced[j] is the reduced column j; it is zero exactly when input
+      column j lies in the span of the columns before it, so the nonzero
+      reduced columns form a basis of the column space;
+    - with `track`, combos[j] is the {column: coefficient} combination of
+      input columns that gives reduced[j], with coefficient 1 on column j
+      itself (without `track`, combos is None);
+    - lows maps each pivot row to the column whose lowest nonzero it is.
+
+    This is the reduction of persistent homology (Edelsbrunner, Letscher
+    and Zomorodian 2002; Zomorodian and Carlsson 2005).
+    """
+    reduced: list[dict[int, int]] = []
+    combos: list[dict[int, int]] | None = [] if track else None
+    lows: dict[int, int] = {}
+    for j, col in enumerate(cols):
+        col = {i: x % p for i, x in col.items() if x % p}
+        combo = {j: 1}
+        while col:
+            low = max(col)
+            owner = lows.get(low)
+            if owner is None:
+                lows[low] = j
+                break
+            other = reduced[owner]
+            f = -col[low] * pow(other[low], -1, p) % p
+            _add_multiple(col, other, f, p)
+            if track:
+                _add_multiple(combo, combos[owner], f, p)
+        reduced.append(col)
+        if track:
+            combos.append(combo)
+    return reduced, combos, lows
+
+
 def rank_mod(matrix, p) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref_mod(matrix, p)[1])
-
-
-def nullspace_mod(matrix, ncols, p) -> list[list[int]]:
-    if not matrix or not matrix[0]:
-        return identity(ncols)
-    basis = _kernel_basis(*rref_mod(matrix, p), ncols)
-    return [[x % p for x in v] for v in basis]
+    """Rank over GF(p): the number of nonzero reduced columns."""
+    reduced, _, _ = reduce_columns_mod(sparse_columns(matrix, p), p)
+    return sum(1 for col in reduced if col)
 
 
 def solve_many_mod(matrix, rhs_cols, p) -> list:
@@ -193,8 +254,9 @@ def solve_many_mod(matrix, rhs_cols, p) -> list:
 
 
 def column_space_basis_mod(matrix, p) -> list[list[int]]:
-    """Columns of `matrix` spanning its column space over GF(p), as vectors."""
-    if not matrix or not matrix[0]:
-        return []
-    _, pivots = rref_mod(matrix, p)
+    """Columns of `matrix` spanning its column space over GF(p), as vectors:
+    those independent of the columns before them, the pivot columns of the
+    reduced row echelon form."""
+    reduced, _, _ = reduce_columns_mod(sparse_columns(matrix, p), p)
+    pivots = [j for j, col in enumerate(reduced) if col]
     return [[matrix[i][j] % p for i in range(len(matrix))] for j in pivots]

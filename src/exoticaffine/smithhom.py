@@ -2,8 +2,8 @@
 
 Simplices are sorted tuples of string vertex ids; orientation signs come from
 sorting permutations, so all chain matrices are deterministic.  Homology is
-exact: Smith normal form over Z (via fpgroups), row reduction over the field
-with p elements (via linalg) for mod-p questions.
+exact: Smith normal form over Z (via fpgroups), sparse column reduction over
+the field with p elements (via linalg) for mod-p questions.
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -28,10 +28,10 @@ from .linalg import (
     identity,
     mat_mul,
     mat_vec,
-    nullspace_mod,
     rank_mod,
-    rref_mod,
+    reduce_columns_mod,
     solve_many_mod,
+    sparse_columns,
 )
 
 
@@ -403,13 +403,14 @@ def homology(c: ChainComplex):
             )
             for k in range(top + 1)
         ]
-    p = int(c.coefficients)
-    out = []
-    for k in range(top + 1):
-        rank_k = rank_mod(c.boundaries[k], p) if k >= 1 else 0
-        rank_k1 = rank_mod(c.boundaries[k + 1], p) if k + 1 <= top else 0
-        out.append(c.dims[k] - rank_k - rank_k1)
-    return out
+    return _dims_mod(c.dims, c.boundaries, int(c.coefficients))
+
+
+def _dims_mod(dims, boundaries, p) -> list[int]:
+    """Betti numbers over GF(p), ranking each boundary matrix once."""
+    ranks = [rank_mod(b, p) if k >= 1 else 0 for k, b in enumerate(boundaries)]
+    ranks.append(0)
+    return [dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))]
 
 
 def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
@@ -425,20 +426,27 @@ def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
 # chain maps
 
 
+def _simplex_images(src, dst, vmap, d) -> list[tuple[int, int]]:
+    """(row, sign) of the one nonzero in each column of the d-th chain map
+    of a simplicial map; sign 0 (and row -1) on degenerate images."""
+    out = []
+    for s in src.simplices[d]:
+        images = [vmap[v] for v in s]
+        sign = _sort_sign(images)
+        out.append((dst.index(tuple(sorted(images))), sign) if sign else (-1, 0))
+    return out
+
+
 def chain_map_from_vertex_map(
     src: SimplicialComplex, dst: SimplicialComplex, vmap: dict[str, str]
 ) -> list[list[list[int]]]:
     """Matrices per dimension of a simplicial map; degenerate images give 0."""
     out = []
     for d in range(src.dimension + 1):
-        rows = dst.n_simplices(d)
-        cols = src.n_simplices(d)
-        m = [[0] * cols for _ in range(rows)]
-        for j, s in enumerate(src.simplices[d]):
-            images = [vmap[v] for v in s]
-            sign = _sort_sign(images)
+        m = [[0] * src.n_simplices(d) for _ in range(dst.n_simplices(d))]
+        for j, (i, sign) in enumerate(_simplex_images(src, dst, vmap, d)):
             if sign:
-                m[dst.index(tuple(sorted(images)))][j] = sign
+                m[i][j] = sign
         out.append(m)
     return out
 
@@ -470,22 +478,24 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
     violations = [v for v in check_regularity(k, a) if v.startswith(("R1", "R2"))]
     if violations:
         raise NotRegular(violations)
-    t_mats = action_chain_maps(k, a)
     sigma, tau = [], []
     for d in range(k.dimension + 1):
         n = k.n_simplices(d)
-        t = t_mats[d]
+        # t is a signed permutation matrix: t e_j = sign e_i for (i, sign) = t_cols[j]
+        t_cols = _simplex_images(k, k, a.perm, d)
+        # column j of sigma is sum_{m<p} t^m e_j: follow j's orbit p steps
         acc = [[0] * n for _ in range(n)]
-        tk = identity(n)
-        for _ in range(p):
-            acc = [[(x + y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(acc, tk)]
-            tk = _mat_mod(mat_mul(t, tk), p)
+        for j in range(n):
+            i, c = j, 1
+            for _ in range(p):
+                acc[i][j] = (acc[i][j] + c) % p
+                i, sign = t_cols[i]
+                c *= sign
+        ta = identity(n)
+        for j, (i, sign) in enumerate(t_cols):
+            ta[i][j] = (ta[i][j] - sign) % p
         sigma.append(tuple(tuple(r) for r in acc))
-        tau.append(
-            tuple(
-                tuple((int(i == j) - t[i][j]) % p for j in range(n)) for i in range(n)
-            )
-        )
+        tau.append(tuple(tuple(r) for r in ta))
     ops = SmithOperators(p, tuple(sigma), tuple(tau))
     _verify_operator_identities(ops)
     return ops
@@ -619,17 +629,43 @@ class _HomologyBasis:
         return out
 
 
+def _dense(sparse: dict, n: int) -> list[int]:
+    vec = [0] * n
+    for i, x in sparse.items():
+        vec[i] = x
+    return vec
+
+
 def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
+    """Cycles, boundaries and class representatives from one sparse column
+    reduction of each boundary matrix.
+
+    The cycles of C_d are the combinations behind the zero columns of
+    reduced boundary_d; the nonzero reduced columns of boundary_{d+1} are a
+    basis of its image, and each has its lowest nonzero on a cycle's own
+    column.  Lowest entries are distinct, so the cycles whose column is not
+    such a low complete that image basis to a basis of the cycles: they
+    represent homology.
+    """
     top = len(dims) - 1
+    reductions = [None] + [
+        reduce_columns_mod(sparse_columns(boundaries[d], p, dims[d]), p, track=True)
+        for d in range(1, top + 1)
+    ]
     reps, bnd_bases, hdims = [], [], []
     for d in range(top + 1):
         n = dims[d]
-        cycles = nullspace_mod(boundaries[d], n, p) if d >= 1 else identity(n)
-        bnd = column_space_basis_mod(boundaries[d + 1], p) if d + 1 <= top else []
-        # a cycle is a new class when it is independent of im(boundary) and
-        # of the cycles before it: a pivot column of [bnd | cycles] past bnd
-        _, pivots = rref_mod(list(zip(*bnd, *cycles)), p)
-        reps_d = [cycles[j - len(bnd)] for j in pivots if j >= len(bnd)]
+        if d >= 1:
+            reduced, combos, _ = reductions[d]
+            cycles = {j: combos[j] for j, col in enumerate(reduced) if not col}
+        else:
+            cycles = {j: {j: 1} for j in range(n)}
+        if d + 1 <= top:
+            reduced_up, _, lows_up = reductions[d + 1]
+            bnd = [_dense(col, n) for col in reduced_up if col]
+        else:
+            lows_up, bnd = {}, []
+        reps_d = [_dense(z, n) for j, z in cycles.items() if j not in lows_up]
         reps.append(reps_d)
         bnd_bases.append(bnd)
         hdims.append(len(reps_d))
@@ -724,12 +760,11 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
         rows = k.n_simplices(d)
         cols = x.n_simplices(d)
         m = [[0] * cols for _ in range(rows)]
+        fibers: dict[tuple, list] = {}
+        for sim in k.simplices[d]:
+            fibers.setdefault(tuple(sorted({vrep[v] for v in sim})), []).append(sim)
         for jx, xs in enumerate(x.simplices[d]):
-            fiber = [
-                sim
-                for sim in k.simplices[d]
-                if tuple(sorted({vrep[v] for v in sim})) == xs
-            ]
+            fiber = fibers[xs]
             c0 = min(fiber)
             jy = k.index(c0)
             eps = pi[d][jx][jy]
@@ -828,14 +863,7 @@ def special_smith_homology(
         raise SmithError("rho = tau^i needs 1 <= i <= p-1")
     amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
     sub = _image_subcomplex(k, operator_power(ops, i), p, amb)
-    dims = sub.dims()
-    bnds = [list(map(list, b)) for b in sub.boundaries]
-    return [
-        dims[d]
-        - (rank_mod(bnds[d], p) if d >= 1 else 0)
-        - (rank_mod(bnds[d + 1], p) if d + 1 < len(dims) else 0)
-        for d in range(len(dims))
-    ]
+    return _dims_mod(sub.dims(), sub.boundaries, p)
 
 
 def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:

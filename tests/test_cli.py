@@ -202,6 +202,27 @@ class TestMoreVerbs:
         assert data["pi_mu_is_s_on_homology"] is True
         assert data["mu_pi_is_sigma_on_homology"] is True
 
+    @pytest.mark.parametrize(
+        "model, dims", [("sphere:3", ["1", "0", "1"]), ("disc:3", ["1", "0", "0"])]
+    )
+    def test_smith_transfer_model_every_field(self, capsys, model, dims):
+        code, out = run_cli(
+            capsys, "smith", "transfer", "--model", model, "--repair", "--q", "2"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "group_order": "3",
+            "prime": "2",
+            "mu_is_chain_map": True,
+            "chain_level_pi_mu_is_s": True,
+            "action_homologically_trivial": True,
+            "pi_mu_is_s_on_homology": True,
+            "mu_pi_is_sigma_on_homology": True,
+            "projection_iso_on_homology": True,
+            "homology_dims_y": dims,
+            "homology_dims_x": dims,
+        }
+
     def test_smith_subdivide(self, capsys):
         code, out = run_cli(capsys, "smith", "subdivide", "--model", "circle:3")
         assert code == 0

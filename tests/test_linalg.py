@@ -2,8 +2,9 @@
 
 Ranks read off the Smith normal form are checked against Fraction
 elimination, the Bareiss determinant against cofactor expansion, the GF(p)
-solver against brute force, and Z homology against GF(p) homology through
-the universal coefficient theorem.
+solver against brute force, the sparse GF(p) column reduction against dense
+row reduction, brute-force spans and Fraction ranks, and Z homology against
+GF(p) homology through the universal coefficient theorem.
 """
 
 import itertools
@@ -11,9 +12,20 @@ import random
 from fractions import Fraction
 
 from exoticaffine.fpgroups import snf_diagonal
-from exoticaffine.linalg import det, mat_vec, solve_many_mod
+from exoticaffine.linalg import (
+    column_space_basis_mod,
+    det,
+    mat_vec,
+    rank_mod,
+    reduce_columns_mod,
+    rref_mod,
+    solve_many_mod,
+    sparse_columns,
+)
+from exoticaffine import smithhom
 from exoticaffine.smithhom import (
     ChainComplex,
+    chain_complex,
     SimplicialComplex,
     barycentric_subdivide,
     cone_complex,
@@ -61,6 +73,120 @@ def dependent_matrix(rng, rows, cols):
         else:
             out.append([rng.randint(-20, 20) for _ in range(cols)])
     return out
+
+
+def boundary_like(rng, rows, cols):
+    """Entries +-1 in d + 1 random rows of each column, as in a simplicial
+    boundary matrix of dimension d."""
+    d = rng.randint(1, 3)
+    m = [[0] * cols for _ in range(rows)]
+    for j in range(cols):
+        for i in rng.sample(range(rows), min(d + 1, rows)):
+            m[i][j] = rng.choice((-1, 1))
+    return m
+
+
+def dense_dependent(rng, rows, cols, p):
+    """Entries in [-p, p]; every third column combines the two before it."""
+    m = [[rng.randint(-p, p) for _ in range(cols)] for _ in range(rows)]
+    for j in range(2, cols, 3):
+        a, b = rng.randint(0, p - 1), rng.randint(0, p - 1)
+        for row in m:
+            row[j] = a * row[j - 2] + b * row[j - 1]
+    return m
+
+
+def random_matrices(rng, count, max_rows, max_cols):
+    """(p, matrix) pairs, p in {2, 3, 5}, half boundary-like, half dense."""
+    for t in range(count):
+        p = rng.choice((2, 3, 5))
+        rows, cols = rng.randint(1, max_rows), rng.randint(1, max_cols)
+        if t % 2:
+            yield p, boundary_like(rng, rows, cols)
+        else:
+            yield p, dense_dependent(rng, rows, cols, p)
+
+
+def brute_force_rank(matrix, p) -> int:
+    """log_p of the number of vectors in the column span, all enumerated."""
+    span = {
+        tuple(sum(c * x for c, x in zip(coeffs, row)) % p for row in matrix)
+        for coeffs in itertools.product(range(p), repeat=len(matrix[0]))
+    }
+    rank = 0
+    while p**rank < len(span):
+        rank += 1
+    return rank
+
+
+class TestColumnReduction:
+    def test_tracked_combinations_and_lows(self):
+        rng = random.Random(2005)
+        for p, m in random_matrices(rng, 200, 9, 9):
+            cols = sparse_columns(m, p)
+            reduced, combos, lows = reduce_columns_mod(cols, p, track=True)
+            for j, combo in enumerate(combos):
+                # reduced[j] = column j plus earlier columns
+                assert combo[j] == 1 and max(combo) == j, (m, p)
+                rebuilt = [
+                    sum(x * m[i][c] for c, x in combo.items()) % p for i in range(len(m))
+                ]
+                assert rebuilt == [reduced[j].get(i, 0) for i in range(len(m))], (m, p)
+            nonzero = [j for j, col in enumerate(reduced) if col]
+            assert sorted(lows.values()) == nonzero
+            assert all(lows[max(reduced[j])] == j for j in nonzero)
+            # a column reduces to zero exactly when it depends on earlier ones
+            assert nonzero == rref_mod(m, p)[1], (m, p)
+            untracked, none, same_lows = reduce_columns_mod(cols, p)
+            assert (untracked, none, same_lows) == (reduced, None, lows)
+
+    def test_column_space_basis_is_rref_pivot_columns(self):
+        rng = random.Random(2006)
+        for p, m in random_matrices(rng, 200, 9, 9):
+            pivots = rref_mod(m, p)[1]
+            expect = [[row[j] % p for row in m] for j in pivots]
+            assert column_space_basis_mod(m, p) == expect, (m, p)
+
+    def test_rank_against_brute_force_span(self):
+        rng = random.Random(2007)
+        for _ in range(150):
+            p = rng.choice((2, 3, 5))
+            max_cols = {2: 8, 3: 6, 5: 4}[p]
+            rows, cols = rng.randint(1, 6), rng.randint(1, max_cols)
+            if rng.random() < 0.5:
+                m = boundary_like(rng, rows, cols)
+            else:
+                m = dense_dependent(rng, rows, cols, p)
+            assert rank_mod(m, p) == brute_force_rank(m, p), (m, p)
+
+    def test_rank_against_fraction_rank(self):
+        rng = random.Random(2008)
+        for _ in range(150):
+            p = rng.choice((2, 3, 5))
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            r = rng.randint(0, min(rows, cols))
+            # left factor with an identity in r of its rows, right factor
+            # with an identity in r of its columns: rank r over every field
+            left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(rows)]
+            for k, i in enumerate(rng.sample(range(rows), r)):
+                left[i] = [int(k == t) for t in range(r)]
+            right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(r)]
+            for k, j in enumerate(rng.sample(range(cols), r)):
+                for t in range(r):
+                    right[t][j] = int(k == t)
+            m = [
+                [sum(left[i][t] * right[t][j] for t in range(r)) for j in range(cols)]
+                for i in range(rows)
+            ]
+            assert rank_mod(m, p) == fraction_rank(m) == r, (m, p)
+        for p, m in random_matrices(rng, 150, 8, 8):
+            assert rank_mod(m, p) <= fraction_rank(m), (m, p)
+
+    def test_empty_shapes(self):
+        assert rank_mod([], 3) == 0 and rank_mod([[], []], 3) == 0
+        assert column_space_basis_mod([], 3) == column_space_basis_mod([[0, 3]], 3) == []
+        assert sparse_columns([], 3, 2) == [{}, {}]
+        assert reduce_columns_mod([], 5, track=True) == ([], [], {})
 
 
 class TestSnfRank:
@@ -203,6 +329,14 @@ class TestUniversalCoefficients:
             h_z = simplicial_homology(k)
             for p in (2, 3):
                 assert simplicial_homology(k, p) == _uct_expected(h_z, p), (name, p)
+
+    def test_homology_basis(self):
+        for name, k in self.COMPLEXES.items():
+            h_z = simplicial_homology(k)
+            for p in (2, 3, 5):
+                c = chain_complex(k, p)
+                h = smithhom._homology_basis(list(c.dims), c.boundaries, p)
+                assert h.dims == _uct_expected(h_z, p), (name, p)
 
     def test_cellular_torsion(self):
         for name, (dims, boundaries) in CELLULAR.items():

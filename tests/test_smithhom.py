@@ -1,10 +1,12 @@
 """Simplicial homology, cyclic actions, Smith operators, transfer, sequences."""
 
+import random
+
 import pytest
 
-from exoticaffine import smithhom
+from exoticaffine import linalg, smithhom
 from exoticaffine.fpgroups import AbelianGroup
-from exoticaffine.linalg import identity
+from exoticaffine.linalg import identity, mat_vec, rref_mod, solve_many_mod
 from exoticaffine.smithhom import (
     BadPrime,
     CyclicAction,
@@ -487,3 +489,156 @@ class TestLongExactSequence:
         assert report.all_exact
         # tau^0, ..., tau^p once each, plus H^sigma on the regular subdivision
         assert len(built) <= a.order + 2
+
+
+# ---------------------------------------------------------------------------
+# homology bases over GF(p) against the dense oracle
+
+
+def dense_nullspace(matrix, n, p):
+    """Right nullspace over GF(p) read off the reduced row echelon form."""
+    if not matrix or not matrix[0]:
+        return identity(n)
+    red, pivots = rref_mod(matrix, p)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = -red[ri][free] % p
+        basis.append(v)
+    return basis
+
+
+def dense_homology_basis(dims, boundaries, p):
+    """(reps, boundary bases, cycles) per dimension by dense elimination:
+    cycles from a nullspace, boundaries from the rref pivot columns, and a
+    cycle is a new class when it is a pivot column of [boundary basis | cycles]."""
+    top = len(dims) - 1
+    reps, bnds, all_cycles = [], [], []
+    for d in range(top + 1):
+        n = dims[d]
+        cycles = dense_nullspace(boundaries[d], n, p) if d >= 1 else identity(n)
+        bnd = []
+        if d + 1 <= top and boundaries[d + 1] and boundaries[d + 1][0]:
+            up = boundaries[d + 1]
+            bnd = [[row[j] % p for row in up] for j in rref_mod(up, p)[1]]
+        _, pivots = rref_mod(list(zip(*bnd, *cycles)), p)
+        reps.append([cycles[j - len(bnd)] for j in pivots if j >= len(bnd)])
+        bnds.append(bnd)
+        all_cycles.append(cycles)
+    return reps, bnds, all_cycles
+
+
+def _rp2():
+    faces = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+    return SimplicialComplex.build([tuple(str(v) for v in s) for s in faces])
+
+
+def _random_complex(rng):
+    """Downward closure of a few random simplices on seven vertices."""
+    verts = [f"v{i}" for i in range(7)]
+    return SimplicialComplex.build(
+        rng.sample(verts, rng.randint(1, 4)) for _ in range(rng.randint(1, 9))
+    )
+
+
+def _dense_chain_complex(rng, p):
+    """C_2 -> C_1 -> C_0 with a dense random d_1 and d_2 made of random
+    combinations of a basis of ker d_1, so that d_1 d_2 = 0."""
+    n0, n1, n2 = rng.randint(1, 6), rng.randint(1, 8), rng.randint(1, 6)
+    d1 = [[rng.randint(0, p - 1) for _ in range(n1)] for _ in range(n0)]
+    kernel = dense_nullspace(d1, n1, p)
+    cols = []
+    for _ in range(n2):
+        coeffs = [rng.randint(0, p - 1) for _ in kernel]
+        cols.append([sum(c * v[i] for c, v in zip(coeffs, kernel)) % p for i in range(n1)])
+    d2 = [[col[i] for col in cols] for i in range(n1)]
+    return [n0, n1, n2], [[], d1, d2]
+
+
+def _model_complexes():
+    """RP^2, the disc, sphere and circle models at p = 3, 5, and the regular
+    subdivisions of the p = 3 ones (those at p = 5 make the oracle slow)."""
+    out = {"rp2": _rp2()}
+    for name, (k, a) in {
+        "disc:3": disc(3), "sphere:3": sphere(3), "circle:3": free_circle(3),
+        "disc:5": disc(5), "sphere:5": sphere(5), "circle:5": free_circle(5),
+    }.items():
+        out[name] = k
+        if name.endswith(":3"):
+            kq, _, rounds = ensure_regular(k, a)
+            out[f"{name} subdivided x{rounds}"] = kq
+    return out
+
+
+def _assert_homology_basis(dims, boundaries, p, label):
+    """Check the sparse homology basis against the dense one; return it."""
+    h = smithhom._homology_basis(dims, boundaries, p)
+    reps_o, bnds_o, cycles_o = dense_homology_basis(dims, boundaries, p)
+    assert h.dims == [len(r) for r in reps_o], label
+    for d, n in enumerate(dims):
+        reps, bnd = h.reps[d], h.boundary_basis[d]
+        assert len(bnd) == len(bnds_o[d]), (label, d)
+        if bnd:  # the boundary basis lies in the image of the next boundary
+            assert None not in solve_many_mod(boundaries[d + 1], bnd, p), (label, d)
+        cols = reps + bnd
+        if d >= 1:  # every rep (and boundary) is a cycle
+            for col in cols:
+                assert all(x % p == 0 for x in mat_vec(boundaries[d], col)), (label, d)
+        # reps and boundary basis are independent cycles, as many as a basis
+        # of the cycles has, so they span the cycles
+        assert len(cols) == len(cycles_o[d]), (label, d)
+        if cols:
+            matrix = [[col[i] for col in cols] for i in range(n)]
+            assert len(rref_mod(matrix, p)[1]) == len(cols), (label, d)
+    return h
+
+
+class TestHomologyBasis:
+    """The sparse column reduction against the dense three-elimination one."""
+
+    def test_models_and_subdivisions(self):
+        for name, k in _model_complexes().items():
+            for p in (3,) if "subdivided" in name else (2, 3, 5):
+                c = chain_complex(k, p)
+                h = _assert_homology_basis(list(c.dims), c.boundaries, p, (name, p))
+                assert h.dims == simplicial_homology(k, p), (name, p)
+
+    def test_random_complexes(self):
+        rng = random.Random(3001)
+        for t in range(60):
+            k = _random_complex(rng)
+            p = (2, 3, 5)[t % 3]
+            c = chain_complex(k, p)
+            _assert_homology_basis(list(c.dims), c.boundaries, p, (k, p))
+
+    def test_dense_chain_complexes(self):
+        rng = random.Random(3002)
+        for t in range(90):
+            p = (2, 3, 5)[t % 3]
+            dims, boundaries = _dense_chain_complex(rng, p)
+            _assert_homology_basis(dims, boundaries, p, (boundaries, p))
+
+    def test_no_dense_elimination(self, monkeypatch):
+        calls = []
+        original = linalg.rref_mod
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rref_mod", counting)
+        kq, _, _ = ensure_regular(*sphere(3))
+        c = chain_complex(kq, 3)
+        h = smithhom._homology_basis(list(c.dims), c.boundaries, 3)
+        assert h.dims == [1, 0, 1]
+        assert calls == []
+        # the counter sees the dense elimination behind the solver
+        solve_many_mod(c.boundaries[1], [[0] * c.dims[0]], 3)
+        assert len(calls) == 1
