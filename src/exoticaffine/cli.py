@@ -9,6 +9,7 @@ byte-identical for identical inputs; timing goes to stderr only under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -741,7 +742,10 @@ def _cmd_repro(args):
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state between
+    calls, so in-process callers of main share it."""
     parser = argparse.ArgumentParser(
         prog="exotic",
         description="Exact computer algebra for exotic affine structures",

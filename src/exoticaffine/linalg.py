@@ -180,6 +180,15 @@ def _add_multiple(dst: dict, src: dict, f: int, p: int):
             del dst[i]
 
 
+def apply_columns_mod(cols, vec, p) -> dict[int, int]:
+    """The matrix with sparse columns `cols` applied to the sparse vector
+    `vec` over GF(p), as a sparse vector."""
+    out: dict[int, int] = {}
+    for j, y in vec.items():
+        _add_multiple(out, cols[j], y, p)
+    return out
+
+
 def reduce_columns_mod(cols, p, track=False):
     """Lowest-nonzero column reduction over GF(p), left to right.
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 
 from .fpgroups import AbelianGroup, snf_diagonal
 from .linalg import (
+    apply_columns_mod,
     column_space_basis_mod,
     identity,
     mat_mul,
@@ -297,12 +298,18 @@ def ensure_regular(
     k: SimplicialComplex, a: CyclicAction, max_rounds: int = 2
 ) -> tuple[SimplicialComplex, CyclicAction, int]:
     """Subdivide until the regularity validator passes (at most max_rounds)."""
+    return _ensure_regular(k, a, check_regularity(k, a), max_rounds)
+
+
+def _ensure_regular(k, a, violations, max_rounds=2):
+    """ensure_regular, given the violations of (k, a) already found."""
     rounds = 0
-    while violations := check_regularity(k, a):
+    while violations:
         if rounds >= max_rounds:
             raise NotRegular(violations)
         k, a = barycentric_subdivide(k, a)
         rounds += 1
+        violations = check_regularity(k, a)
     return k, a, rounds
 
 
@@ -437,22 +444,43 @@ def _simplex_images(src, dst, vmap, d) -> list[tuple[int, int]]:
     return out
 
 
+def _orbit(t, j, steps):
+    """(row, sign) of t^m e_j for m = 0, ..., steps - 1: the signed orbit of
+    simplex j under the signed permutation t."""
+    i, c = j, 1
+    for _ in range(steps):
+        yield i, c
+        i, sign = t[i]
+        c *= sign
+
+
+def _column(terms, p) -> dict[int, int]:
+    """Sparse column {row: value} summing the (row, value) terms over GF(p)."""
+    col: dict[int, int] = {}
+    for i, x in terms:
+        col[i] = col.get(i, 0) + x
+    return {i: x % p for i, x in col.items() if x % p}
+
+
+def _dense_matrix(cols, nrows) -> list[list[int]]:
+    m = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            m[i][j] = x
+    return m
+
+
 def chain_map_from_vertex_map(
     src: SimplicialComplex, dst: SimplicialComplex, vmap: dict[str, str]
 ) -> list[list[list[int]]]:
     """Matrices per dimension of a simplicial map; degenerate images give 0."""
-    out = []
-    for d in range(src.dimension + 1):
-        m = [[0] * src.n_simplices(d) for _ in range(dst.n_simplices(d))]
-        for j, (i, sign) in enumerate(_simplex_images(src, dst, vmap, d)):
-            if sign:
-                m[i][j] = sign
-        out.append(m)
-    return out
-
-
-def action_chain_maps(k: SimplicialComplex, a: CyclicAction, power: int = 1):
-    return chain_map_from_vertex_map(k, k, a.power(power))
+    return [
+        _dense_matrix(
+            [{i: sign} if sign else {} for i, sign in _simplex_images(src, dst, vmap, d)],
+            dst.n_simplices(d),
+        )
+        for d in range(src.dimension + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +492,13 @@ class SmithOperators:
     p: int
     sigma: tuple  # per-dimension matrices of 1 + t + ... + t^{p-1} over Z_p
     tau: tuple  # per-dimension matrices of 1 - t over Z_p
+    t: tuple  # per dimension, the (row, sign) that t sends each simplex to
+
+
+def _prime_order(a: CyclicAction) -> int:
+    if not _is_prime(a.order):
+        raise NotPrime(f"group order {a.order} is not prime")
+    return a.order
 
 
 def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
@@ -472,61 +507,59 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
 
     Needs prime order and the (R1)-(R2) half of regularity.
     """
-    p = a.order
-    if not _is_prime(p):
-        raise NotPrime(f"group order {p} is not prime")
-    violations = [v for v in check_regularity(k, a) if v.startswith(("R1", "R2"))]
+    _prime_order(a)
+    return _smith_operators(k, a, check_regularity(k, a))
+
+
+def _smith_operators(k, a, violations) -> SmithOperators:
+    """smith_operators, given the regularity violations of (k, a)."""
+    violations = [v for v in violations if v.startswith(("R1", "R2"))]
     if violations:
         raise NotRegular(violations)
-    sigma, tau = [], []
+    p = a.order
+    sigma, tau, ts = [], [], []
     for d in range(k.dimension + 1):
-        n = k.n_simplices(d)
-        # t is a signed permutation matrix: t e_j = sign e_i for (i, sign) = t_cols[j]
-        t_cols = _simplex_images(k, k, a.perm, d)
-        # column j of sigma is sum_{m<p} t^m e_j: follow j's orbit p steps
-        acc = [[0] * n for _ in range(n)]
-        for j in range(n):
-            i, c = j, 1
-            for _ in range(p):
-                acc[i][j] = (acc[i][j] + c) % p
-                i, sign = t_cols[i]
-                c *= sign
-        ta = identity(n)
-        for j, (i, sign) in enumerate(t_cols):
-            ta[i][j] = (ta[i][j] - sign) % p
-        sigma.append(tuple(tuple(r) for r in acc))
-        tau.append(tuple(tuple(r) for r in ta))
-    ops = SmithOperators(p, tuple(sigma), tuple(tau))
-    _verify_operator_identities(ops)
-    return ops
+        t = _simplex_images(k, k, a.perm, d)
+        sig = [_column(_orbit(t, j, p), p) for j in range(len(t))]
+        ta = [_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)]
+        _check_operator_identities(p, sig, ta)
+        sigma.append(tuple(map(tuple, _dense_matrix(sig, len(t)))))
+        tau.append(tuple(map(tuple, _dense_matrix(ta, len(t)))))
+        ts.append(tuple(t))
+    return SmithOperators(p, tuple(sigma), tuple(tau), tuple(ts))
 
 
-def _verify_operator_identities(ops: SmithOperators):
-    p = ops.p
-    for sig, ta in zip(ops.sigma, ops.tau):
-        sig = [list(r) for r in sig]
-        ta = [list(r) for r in ta]
-        if any(x % p for row in mat_mul(sig, ta) for x in row):
-            raise SmithError("sigma * tau != 0")
-        if any(x % p for row in mat_mul(ta, sig) for x in row):
-            raise SmithError("tau * sigma != 0")
-        power = identity(len(sig))
+def _check_operator_identities(p, sigma, tau):
+    """sigma*tau = tau*sigma = 0 and sigma = tau^{p-1} on the sparse columns
+    of one dimension.  Built from t, both products are 1 - t^p: they fail
+    exactly where walking a simplex's orbit p steps does not bring it back
+    with sign +1."""
+    if any(apply_columns_mod(sigma, col, p) for col in tau):
+        raise SmithError("sigma * tau != 0")
+    if any(apply_columns_mod(tau, col, p) for col in sigma):
+        raise SmithError("tau * sigma != 0")
+    for j, col in enumerate(sigma):
+        power = {j: 1}
         for _ in range(p - 1):
-            power = _mat_mod(mat_mul(ta, power), p)
-        if power != _mat_mod(sig, p):
+            power = apply_columns_mod(tau, power, p)
+        if power != col:
             raise SmithError("sigma != tau^(p-1)")
 
 
 def operator_power(ops: SmithOperators, i: int) -> list:
-    """Matrices of tau^i (tau^0 = 1; tau^{p-1} = sigma; i >= p gives 0)."""
+    """Matrices of tau^i (tau^0 = 1; tau^{p-1} = sigma; i >= p gives 0).
+
+    Column j of (1 - t)^i is sum_m C(i, m) (-1)^m t^m e_j, read off the
+    first i + 1 steps of j's orbit.
+    """
+    binomials = [(-1) ** m * comb(i, m) for m in range(i + 1)]
     out = []
-    for ta in ops.tau:
-        n = len(ta)
-        m = identity(n)
-        ta = [list(r) for r in ta]
-        for _ in range(i):
-            m = _mat_mod(mat_mul(ta, m), ops.p)
-        out.append(m)
+    for t in ops.t:
+        cols = [
+            _column(((r, b * c) for b, (r, c) in zip(binomials, _orbit(t, j, i + 1))), ops.p)
+            for j in range(len(t))
+        ]
+        out.append(_dense_matrix(cols, len(t)))
     return out
 
 
@@ -587,17 +620,10 @@ def _image_subcomplex(k, matrices, p, ambient_boundaries) -> _SubComplex:
 def _fixed_inclusion_bases(k: SimplicialComplex, a: CyclicAction):
     """Per-dimension inclusion matrices of the fixed subcomplex C(Y^w)."""
     fixed_vertices = {v for v in k.vertices() if a.perm[v] == v}
-    bases = []
-    for d in range(k.dimension + 1):
-        n = k.n_simplices(d)
-        cols = []
-        for j, s in enumerate(k.simplices[d]):
-            if all(v in fixed_vertices for v in s):
-                col = [0] * n
-                col[j] = 1
-                cols.append(col)
-        bases.append(_from_columns(cols, n))
-    return bases
+    return [
+        _dense_matrix([{j: 1} for j, s in enumerate(level) if fixed_vertices.issuperset(s)], len(level))
+        for level in k.simplices
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +734,11 @@ def orbit_complex(
     violations = check_regularity(k, a)
     if violations:
         raise NotRegular(violations)
+    return _orbit_complex(k, a)
+
+
+def _orbit_complex(k, a):
+    """orbit_complex of an action known to be regular."""
     rep = {v: min(a.orbit_of_vertex(v)) for v in k.vertices()}
     simplices = {tuple(sorted({rep[v] for v in s})) for s in k.all_simplices()}
     return SimplicialComplex.build(simplices), rep
@@ -736,6 +767,33 @@ class TransferReport:
         )
 
 
+def _transfer_maps(k, a, x, vrep, pi, q):
+    """Per-dimension matrices over Z_q of mu, of sigma = the sum of the s
+    powers of the generator g, and of g, from orbit walks on the signed
+    permutation t of each dimension's simplices.  mu's column for an orbit
+    simplex is sigma's column for its smallest preimage, times the sign pi
+    gives that preimage."""
+    s_order = a.order
+    mu, sigma, g = [], [], []
+    for d in range(k.dimension + 1):
+        t = _simplex_images(k, k, a.perm, d)
+        n = len(t)
+        sig = [_column(_orbit(t, j, s_order), q) for j in range(n)]
+        fibers: dict[tuple, list] = {}
+        for jy, sim in enumerate(k.simplices[d]):
+            fibers.setdefault(tuple(sorted({vrep[v] for v in sim})), []).append(jy)
+        cols = []
+        for jx, xs in enumerate(x.simplices[d]):
+            jy = fibers[xs][0]  # simplices are sorted: the smallest preimage
+            if set(fibers[xs]) != {i for i, _ in _orbit(t, jy, s_order)}:
+                raise NotRegular(["fiber is not a single orbit"])
+            cols.append({i: pi[d][jx][jy] * v % q for i, v in sig[jy].items()})
+        mu.append(_dense_matrix(cols, n))
+        sigma.append(_dense_matrix(sig, n))
+        g.append(_dense_matrix([_column([image], q) for image in t], n))
+    return mu, sigma, g
+
+
 def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferReport:
     """Build the transfer mu over Z_q and verify its composition identities.
 
@@ -754,27 +812,7 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     if x.dimension != k.dimension:
         raise NotRegular(["quotient drops dimension"])
     pi = chain_map_from_vertex_map(k, x, vrep)
-    powers = [action_chain_maps(k, a, j) for j in range(s_order)]
-    mu = []
-    for d in range(k.dimension + 1):
-        rows = k.n_simplices(d)
-        cols = x.n_simplices(d)
-        m = [[0] * cols for _ in range(rows)]
-        fibers: dict[tuple, list] = {}
-        for sim in k.simplices[d]:
-            fibers.setdefault(tuple(sorted({vrep[v] for v in sim})), []).append(sim)
-        for jx, xs in enumerate(x.simplices[d]):
-            fiber = fibers[xs]
-            c0 = min(fiber)
-            jy = k.index(c0)
-            eps = pi[d][jx][jy]
-            orbit = {a.map_simplex(c0, j) for j in range(s_order)}
-            if set(fiber) != orbit:
-                raise NotRegular(["fiber is not a single orbit"])
-            for j in range(s_order):
-                for i in range(rows):
-                    m[i][jx] = (m[i][jx] + eps * powers[j][d][i][jy]) % q
-        mu.append(m)
+    mu, sigma_matrices, g = _transfer_maps(k, a, x, vrep, pi, q)
 
     chain_pi_mu = True
     for d in range(k.dimension + 1):
@@ -808,16 +846,6 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
         if prod != expect:
             pimu_ok = False
 
-    sigma_matrices = []
-    for d in range(k.dimension + 1):
-        n = dims_y[d]
-        acc = [[0] * n for _ in range(n)]
-        for j in range(s_order):
-            acc = [
-                [(u + v) % q for u, v in zip(r1, r2)]
-                for r1, r2 in zip(acc, powers[j][d])
-            ]
-        sigma_matrices.append(acc)
     sigma_star = _induced_on_homology(hy, hy, sigma_matrices)
     mupi_ok = True
     for d in range(len(hy.dims)):
@@ -826,7 +854,7 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
         if prod != _mat_mod(sigma_star[d], q):
             mupi_ok = False
 
-    g_star = _induced_on_homology(hy, hy, powers[1 % s_order])
+    g_star = _induced_on_homology(hy, hy, g)
     trivial = all(
         g_star[d] == identity(hy.dims[d]) for d in range(len(hy.dims))
     )
@@ -862,7 +890,8 @@ def special_smith_homology(
     if not 1 <= i <= p - 1:
         raise SmithError("rho = tau^i needs 1 <= i <= p-1")
     amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
-    sub = _image_subcomplex(k, operator_power(ops, i), p, amb)
+    rho = ops.sigma if i == p - 1 else operator_power(ops, i)
+    sub = _image_subcomplex(k, rho, p, amb)
     return _dims_mod(sub.dims(), sub.boundaries, p)
 
 
@@ -920,16 +949,17 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     quotient (on a regular subdivision when the quotient needs one) and
     instantiates the Z_p-acyclicity transfer statement.
     """
-    ops = smith_operators(k, a)
-    p = ops.p
+    # regularity is checked once per complex: here for (k, a), and in
+    # _ensure_regular for each subdivision
+    p = _prime_order(a)
+    violations = check_regularity(k, a)
+    ops = _smith_operators(k, a, violations)
     amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
     dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
     fixed_inc = _fixed_inclusion_bases(k, a)
-    # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0, each power
-    # from the one before, and the image subcomplex of each, built once
-    taus = [operator_power(ops, 0)]
-    for _ in range(p):
-        taus.append([_mat_mod(mat_mul(t, m), p) for t, m in zip(ops.tau, taus[-1])])
+    # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0 and the image
+    # subcomplex of each, built once
+    taus = [operator_power(ops, j) for j in range(p + 1)]
     images = [_image_subcomplex(k, t, p, amb) for t in taus]
 
     ses_ok = les_rho_ok = les_tau_ok = True
@@ -960,10 +990,10 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
             images[p - 1], images[j], images[j + 1], ops.tau, amb, p
         )
 
-    kq, aq, rounds = ensure_regular(k, a)
-    ops_q = ops if rounds == 0 else smith_operators(kq, aq)
+    kq, aq, rounds = _ensure_regular(k, a, violations)
+    ops_q = ops if rounds == 0 else _smith_operators(kq, aq, [])
     sigma_dims = special_smith_homology(kq, aq, p - 1, _ops=ops_q)
-    xq, vrep = orbit_complex(kq, aq)
+    xq, vrep = _orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
     pair = relative_homology_dims(xq, fixed_image, p)
     ndim = max(len(sigma_dims), len(pair))

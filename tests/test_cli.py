@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from exoticaffine import cli
 from exoticaffine.cli import main
 
 
@@ -343,3 +344,37 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1
         assert "NonTerminatingOrder" in json.loads(out)["error"]
+
+
+class TestParserReuse:
+    """main() builds the parser once per process; reusing it across calls,
+    a usage error included, must print what fresh parsers print."""
+
+    SEQUENCE = [
+        ("group", "triangle", "--k", "2", "--l", "3", "--s", "5"),
+        ("graph", "chain", "--m", "5", "--n", "3"),
+        ("group", "nonesuch"),
+        ("poly", "divide", "-a", "x^2+1", "-b", "x", "--vars", "x"),
+        ("--pretty", "smith", "homology", "--model", "disc:3", "--mod", "3"),
+        ("repro", "graphs"),
+    ]
+
+    def outcomes(self, capsys, fresh):
+        out = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_shared_parser_matches_fresh_parsers(self, capsys):
+        fresh = self.outcomes(capsys, fresh=True)
+        shared = self.outcomes(capsys, fresh=False)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 2, 1, 0, 0]
+        assert cli.build_parser() is cli.build_parser()

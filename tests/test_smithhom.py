@@ -1,12 +1,13 @@
 """Simplicial homology, cyclic actions, Smith operators, transfer, sequences."""
 
+import dataclasses
 import random
 
 import pytest
 
 from exoticaffine import linalg, smithhom
 from exoticaffine.fpgroups import AbelianGroup
-from exoticaffine.linalg import identity, mat_vec, rref_mod, solve_many_mod
+from exoticaffine.linalg import identity, mat_mul, mat_vec, rref_mod, solve_many_mod
 from exoticaffine.smithhom import (
     BadPrime,
     CyclicAction,
@@ -14,10 +15,12 @@ from exoticaffine.smithhom import (
     NotPrime,
     NotRegular,
     SimplicialComplex,
+    SmithError,
     action_from_json,
     action_to_json,
     barycentric_subdivide,
     chain_complex,
+    chain_map_from_vertex_map,
     check_regularity,
     complex_from_json,
     complex_to_json,
@@ -642,3 +645,307 @@ class TestHomologyBasis:
         # the counter sees the dense elimination behind the solver
         solve_many_mod(c.boundaries[1], [[0] * c.dims[0]], 3)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Smith operators and the transfer against the dense oracles
+
+
+def mat_mod(matrix, p):
+    return [[x % p for x in row] for row in matrix]
+
+
+def verify_operator_identities(ops):
+    """The dense oracle: sigma*tau = tau*sigma = 0 and sigma = tau^(p-1) by
+    n x n products, one dimension after another."""
+    p = ops.p
+    for sig, ta in zip(ops.sigma, ops.tau):
+        sig = [list(r) for r in sig]
+        ta = [list(r) for r in ta]
+        if any(x % p for row in mat_mul(sig, ta) for x in row):
+            raise SmithError("sigma * tau != 0")
+        if any(x % p for row in mat_mul(ta, sig) for x in row):
+            raise SmithError("tau * sigma != 0")
+        power = identity(len(sig))
+        for _ in range(p - 1):
+            power = mat_mod(mat_mul(ta, power), p)
+        if power != mat_mod(sig, p):
+            raise SmithError("sigma != tau^(p-1)")
+
+
+def dense_operators(p, ts):
+    """sigma and tau as dense matrices from the signed permutations t, built
+    entry by entry: sigma by walking each orbit p steps, tau = 1 - t."""
+    sigma, tau = [], []
+    for t in ts:
+        n = len(t)
+        acc = [[0] * n for _ in range(n)]
+        for j in range(n):
+            i, c = j, 1
+            for _ in range(p):
+                acc[i][j] = (acc[i][j] + c) % p
+                i, sign = t[i]
+                c *= sign
+        ta = identity(n)
+        for j, (i, sign) in enumerate(t):
+            ta[i][j] = (ta[i][j] - sign) % p
+        sigma.append(tuple(map(tuple, acc)))
+        tau.append(tuple(map(tuple, ta)))
+    return smithhom.SmithOperators(p, tuple(sigma), tuple(tau), tuple(ts))
+
+
+def verdict(check, *args):
+    """The SmithError message a check raises, or None when it accepts."""
+    try:
+        check(*args)
+    except SmithError as exc:
+        return str(exc)
+    return None
+
+
+def sparse_check(ops):
+    for sig, ta in zip(ops.sigma, ops.tau):
+        n = len(sig)
+        smithhom._check_operator_identities(
+            ops.p, linalg.sparse_columns(sig, ops.p, n), linalg.sparse_columns(ta, ops.p, n)
+        )
+
+
+def operator_models(subdivided_primes=(2, 3, 5, 7)):
+    """disc, sphere and circle at p = 2, 3, 5, 7 (the 4-gon turned by 2
+    stands in for the 2-gon), with the regular subdivisions at the primes
+    asked for."""
+    out = {}
+    for p in (2, 3, 5, 7):
+        n, step = (p, 1) if p > 2 else (4, 2)
+        base = polygon(n)
+        models = {
+            f"disc:{p}": (cone_complex(base, "apex"), rotation_action(n, step, extra_fixed=("apex",))),
+            f"sphere:{p}": (
+                suspension_complex(base),
+                rotation_action(n, step, extra_fixed=("north", "south")),
+            ),
+            f"circle:{p}": free_circle(p),
+        }
+        for name, (k, a) in models.items():
+            assert a.order == p
+            out[name] = (k, a)
+            if p in subdivided_primes:
+                kq, aq, rounds = ensure_regular(k, a)
+                out[f"{name} subdivided x{rounds}"] = (kq, aq)
+    return out
+
+
+def random_action(rng, p):
+    """p copies of a random complex on five vertices, permuted cyclically by
+    the generator, and coned off at a fixed apex half the time: a regular
+    action whose fixed set is empty or the apex."""
+    base = [rng.sample(range(5), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+    simplices = [tuple(f"v{v}.{i}" for v in s) for s in base for i in range(p)]
+    perm = {f"v{v}.{i}": f"v{v}.{(i + 1) % p}" for s in base for v in s for i in range(p)}
+    if rng.random() < 0.5:
+        simplices = [s + ("apex",) for s in simplices]
+        perm["apex"] = "apex"
+    return SimplicialComplex.build(simplices), CyclicAction(p, perm)
+
+
+def free_column(t):
+    """A simplex that t moves."""
+    return next(j for j, (i, _) in enumerate(t) if i != j)
+
+
+def corrupt_entry(matrices, d, i, j, p):
+    """The matrices with entry (i, j) of dimension d raised by one."""
+    m = [list(r) for r in matrices[d]]
+    m[i][j] = (m[i][j] + 1) % p
+    return matrices[:d] + (tuple(map(tuple, m)),) + matrices[d + 1 :]
+
+
+class TestOperatorOracle:
+    """The sparse operator checks and tau powers against dense products."""
+
+    def test_sparse_check_accepts_what_the_oracle_accepts(self):
+        for name, (k, a) in operator_models().items():
+            ops = smith_operators(k, a)  # the sparse check runs inside
+            assert verdict(verify_operator_identities, ops) is None, name
+            assert verdict(sparse_check, ops) is None, name
+            assert dense_operators(ops.p, ops.t) == ops, name
+
+    def test_corrupted_sigma_and_tau_columns(self):
+        """One entry raised by one, on a moved simplex m or a fixed one f.
+        Every corruption is refused, with the oracle's message; each of the
+        three identities is the first to fail on some of them."""
+        messages = set()
+        for name, (k, a) in operator_models(subdivided_primes=(3,)).items():
+            ops = smith_operators(k, a)
+            for d, t in enumerate(ops.t):
+                m = free_column(t)
+                cells = {"sigma": [(m, m)], "tau": [(m, m)]}
+                fixed = [j for j, (i, _) in enumerate(t) if i == j]
+                if fixed:
+                    f = fixed[0]
+                    cells["sigma"] += [(m, f), (f, f)]
+                    cells["tau"] += [(f, m), (f, f)]
+                for field, entries in cells.items():
+                    for i, j in entries:
+                        bad = dataclasses.replace(
+                            ops, **{field: corrupt_entry(getattr(ops, field), d, i, j, ops.p)}
+                        )
+                        expected = verdict(verify_operator_identities, bad)
+                        assert expected is not None, (name, field, d, i, j)
+                        assert verdict(sparse_check, bad) == expected, (name, field, d, i, j)
+                        messages.add(expected)
+        assert messages == {"sigma * tau != 0", "tau * sigma != 0", "sigma != tau^(p-1)"}
+
+    def test_corrupted_generator(self, monkeypatch):
+        """One flipped sign in t makes t^p = -1 on that orbit: both checks
+        refuse at odd p, and both accept at p = 2, where -1 = 1."""
+        original = smithhom._simplex_images
+
+        def flipped(src, dst, vmap, d):
+            t = original(src, dst, vmap, d)
+            if d == 1 and src is dst:
+                j = free_column(t)
+                t[j] = (t[j][0], -t[j][1])
+            return t
+
+        for name, (k, a) in operator_models(subdivided_primes=(3,)).items():
+            ts = [flipped(k, k, a.perm, d) for d in range(k.dimension + 1)]
+            expected = verdict(verify_operator_identities, dense_operators(a.order, ts))
+            assert (expected is None) == (a.order == 2), name
+            with monkeypatch.context() as m:
+                m.setattr(smithhom, "_simplex_images", flipped)
+                assert verdict(smith_operators, k, a) == expected, name
+
+    def test_operator_power_matches_dense_products(self):
+        for name, (k, a) in operator_models(subdivided_primes=(2, 3)).items():
+            ops = smith_operators(k, a)
+            p = ops.p
+            dense = [identity(len(ta)) for ta in ops.tau]
+            for i in range(p + 2):
+                assert operator_power(ops, i) == dense, (name, i)
+                dense = [mat_mod(mat_mul(ta, m), p) for ta, m in zip(ops.tau, dense)]
+            assert operator_power(ops, p - 1) == [list(map(list, m)) for m in ops.sigma]
+
+    def test_random_actions(self):
+        rng = random.Random(3003)
+        for n in range(30):
+            p = (2, 3, 5)[n % 3]
+            k, a = random_action(rng, p)
+            ops = smith_operators(k, a)
+            assert verdict(verify_operator_identities, ops) is None, (k, a)
+            assert dense_operators(p, ops.t) == ops, (k, a)
+            dense = [identity(len(ta)) for ta in ops.tau]
+            for i in range(p + 2):
+                assert operator_power(ops, i) == dense, (k, a, i)
+                dense = [mat_mod(mat_mul(ta, m), p) for ta, m in zip(ops.tau, dense)]
+            assert verify_smith_sequences(k, a).all_exact, (k, a)
+
+    def test_no_dense_products(self, monkeypatch):
+        calls = []
+        original = linalg.mat_mul
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "mat_mul", counting)
+        monkeypatch.setattr(smithhom, "mat_mul", counting)
+        kq, aq, _ = ensure_regular(*sphere(5))
+        calls.clear()
+        ops = smith_operators(kq, aq)
+        for i in range(ops.p + 1):
+            operator_power(ops, i)
+        assert calls == []
+        chain_complex(kq, 5)  # the counter sees the check on boundary^2
+        assert calls
+
+
+def dense_transfer_maps(k, a, x, vrep, q):
+    """mu, sigma and g over Z_q from the s dense chain maps of the powers of
+    the generator: mu sends an orbit simplex to the sign-adjusted sum of the
+    images of its smallest preimage."""
+    s = a.order
+    pi = chain_map_from_vertex_map(k, x, vrep)
+    powers = [chain_map_from_vertex_map(k, k, a.power(j)) for j in range(s)]
+    mu, sigma = [], []
+    for d in range(k.dimension + 1):
+        rows = k.n_simplices(d)
+        m = [[0] * x.n_simplices(d) for _ in range(rows)]
+        for jx, xs in enumerate(x.simplices[d]):
+            c0 = min(sim for sim in k.simplices[d] if tuple(sorted({vrep[v] for v in sim})) == xs)
+            jy = k.index(c0)
+            for j in range(s):
+                for i in range(rows):
+                    m[i][jx] = (m[i][jx] + pi[d][jx][jy] * powers[j][d][i][jy]) % q
+        mu.append(m)
+        acc = [[0] * rows for _ in range(rows)]
+        for j in range(s):
+            acc = [[(u + v) % q for u, v in zip(r1, r2)] for r1, r2 in zip(acc, powers[j][d])]
+        sigma.append(acc)
+    g = [mat_mod(m, q) for m in powers[1 % s]]
+    return mu, sigma, g
+
+
+class TestTransferOracle:
+    @pytest.mark.parametrize("p, q", [(3, 2), (5, 2), (5, 3)])
+    def test_orbit_walks_match_dense_powers(self, p, q):
+        for name, (k, a) in operator_models(subdivided_primes=()).items():
+            if not name.endswith(f":{p}"):
+                continue
+            kq, aq, _ = ensure_regular(k, a)
+            x, vrep = orbit_complex(kq, aq)
+            pi = chain_map_from_vertex_map(kq, x, vrep)
+            walked = smithhom._transfer_maps(kq, aq, x, vrep, pi, q)
+            assert walked == dense_transfer_maps(kq, aq, x, vrep, q), (name, q)
+            assert transfer_check(kq, aq, q).all_identities_hold, (name, q)
+
+
+    def test_random_actions(self):
+        rng = random.Random(3004)
+        for n in range(30):
+            p = (2, 3, 5)[n % 3]
+            q = 3 if p == 2 else 2
+            k, a = random_action(rng, p)
+            x, vrep = orbit_complex(k, a)
+            pi = chain_map_from_vertex_map(k, x, vrep)
+            walked = smithhom._transfer_maps(k, a, x, vrep, pi, q)
+            assert walked == dense_transfer_maps(k, a, x, vrep, q), (k, a)
+            assert transfer_check(k, a, q).all_identities_hold, (k, a)
+
+
+class TestRegularityChecks:
+    @pytest.mark.parametrize(
+        "model, expected",
+        [(disc(3), 3), (sphere(3), 3), (free_circle(3), 2), (sphere(5), 3)],
+        ids=["disc:3", "sphere:3", "circle:3", "sphere:5"],
+    )
+    def test_once_per_complex(self, monkeypatch, model, expected):
+        seen = []
+        original = smithhom.check_regularity
+
+        def counting(k, a):
+            seen.append(k)
+            return original(k, a)
+
+        monkeypatch.setattr(smithhom, "check_regularity", counting)
+        report = verify_smith_sequences(*model)
+        assert report.all_exact
+        assert len(seen) == expected == 1 + report.subdivisions_for_quotient
+        assert len({id(k) for k in seen}) == expected
+
+    def test_refusals_keep_their_order(self):
+        # prime order is asked for before regularity
+        k = SimplicialComplex.build([("a", "b"), ("c", "d")])
+        composite = CyclicAction(4, {"a": "b", "b": "a", "c": "d", "d": "c"})
+        with pytest.raises(NotPrime, match="group order 4 is not prime"):
+            verify_smith_sequences(k, composite)
+        # an (R1) violation is refused as smith_operators refuses it
+        k = SimplicialComplex.build([("a", "b")])
+        swap = CyclicAction(2, {"a": "b", "b": "a"})
+        with pytest.raises(NotRegular) as direct:
+            smith_operators(k, swap)
+        with pytest.raises(NotRegular) as nested:
+            verify_smith_sequences(k, swap)
+        assert str(nested.value) == str(direct.value)
+        assert all(v.startswith(("R1", "R2")) for v in nested.value.violations)
