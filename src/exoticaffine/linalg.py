@@ -1,11 +1,12 @@
 """Exact matrix kernels: one implementation of each, shared by every module.
 
-Matrices are sequences of rows (lists or tuples) of Python ints or
-Fractions; vectors are sequences of entries.  Row reduction has one loop per
-field: Fraction arithmetic over Q, and integers reduced mod p over GF(p).
-Ranks and column bases over GF(p) come from a sparse column reduction
-instead, since the chain matrices they serve have a few nonzeros per column.
-Integer Smith normal form lives in fpgroups, which certifies it.
+Over Z and Q, matrices are sequences of rows (lists or tuples) of Python ints
+or Fractions; vectors are sequences of entries.  Row reduction over Q runs on
+Fractions.  Over GF(p) a matrix is a list of sparse columns, {row: value}
+dicts, since the chain matrices there have a few nonzeros per column: one
+lowest-nonzero column reduction gives ranks, column bases and solutions.
+`sparse_columns` turns a row-major matrix into such columns.  Integer Smith
+normal form lives in fpgroups, which certifies it.
 """
 
 from __future__ import annotations
@@ -126,36 +127,6 @@ def nullspace_q(rows, ncols: int) -> list[list]:
 # over GF(p)
 
 
-def rref_mod(rows, p, pivot_cols=None) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p), pivoting only in the first
-    `pivot_cols` columns (all by default); the remaining columns ride along
-    as right-hand sides.  Returns every row (the first len(pivots) are the
-    pivot rows) and the pivot columns."""
-    rows = [[x % p for x in row] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if pivot_cols is not None:
-        ncols = pivot_cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def sparse_columns(matrix, p, ncols=None) -> list[dict[int, int]]:
     """The columns of a row-major matrix as {row: value} dicts mod p.
 
@@ -231,41 +202,46 @@ def reduce_columns_mod(cols, p, track=False):
     return reduced, combos, lows
 
 
-def rank_mod(matrix, p) -> int:
-    """Rank over GF(p): the number of nonzero reduced columns."""
-    reduced, _, _ = reduce_columns_mod(sparse_columns(matrix, p), p)
+def mul_columns_mod(a, b, p) -> list[dict[int, int]]:
+    """a @ b over GF(p) on sparse columns: a applied to each column of b."""
+    return [apply_columns_mod(a, col, p) for col in b]
+
+
+def rank_mod(cols, p) -> int:
+    """Rank over GF(p) of sparse columns: the number of nonzero reduced
+    columns."""
+    reduced, _, _ = reduce_columns_mod(cols, p)
     return sum(1 for col in reduced if col)
 
 
-def solve_many_mod(matrix, rhs_cols, p) -> list:
-    """Solutions x_j with matrix @ x_j = rhs_cols[j] (mod p); None entries
-    mark inconsistent systems.  One elimination serves every right side."""
-    nrows = len(matrix)
-    n_a = len(matrix[0]) if matrix else 0
-    if n_a == 0:
-        return [
-            [] if all(x % p == 0 for x in col) else None for col in rhs_cols
-        ]
-    aug = [list(matrix[i]) + [col[i] for col in rhs_cols] for i in range(nrows)]
-    aug, pivots = rref_mod(aug, p, n_a)
-    r = len(pivots)
+def solve_columns_mod(basis, targets, p) -> list:
+    """Sparse solutions {basis column: coefficient} of basis @ x = target
+    over GF(p), one per target; None where the target is not in the column
+    span.  The basis is reduced once, with the combinations tracked; each
+    target is then reduced against the lowest nonzeros of the reduced basis
+    only, and the multiples taken give its solution."""
+    if not targets:
+        return []
+    reduced, combos, lows = reduce_columns_mod(basis, p, track=True)
     solutions = []
-    for j in range(len(rhs_cols)):
-        col = n_a + j
-        if any(aug[i][col] for i in range(r, nrows)):
-            solutions.append(None)
-            continue
-        x = [0] * n_a
-        for ri, pc in enumerate(pivots):
-            x[pc] = aug[ri][col]
-        solutions.append(x)
+    for target in targets:
+        col = {i: x % p for i, x in target.items() if x % p}
+        x: dict[int, int] = {}
+        while col:
+            low = max(col)
+            owner = lows.get(low)
+            if owner is None:
+                break
+            other = reduced[owner]
+            f = col[low] * pow(other[low], -1, p) % p
+            _add_multiple(col, other, -f, p)
+            _add_multiple(x, combos[owner], f, p)
+        solutions.append(None if col else x)
     return solutions
 
 
-def column_space_basis_mod(matrix, p) -> list[list[int]]:
-    """Columns of `matrix` spanning its column space over GF(p), as vectors:
-    those independent of the columns before them, the pivot columns of the
-    reduced row echelon form."""
-    reduced, _, _ = reduce_columns_mod(sparse_columns(matrix, p), p)
-    pivots = [j for j, col in enumerate(reduced) if col]
-    return [[matrix[i][j] % p for i in range(len(matrix))] for j in pivots]
+def column_space_basis_mod(cols, p) -> list[dict[int, int]]:
+    """The sparse columns that span the column space over GF(p): those
+    independent of the columns before them."""
+    reduced, _, _ = reduce_columns_mod(cols, p)
+    return [col for col, red in zip(cols, reduced) if red]

@@ -3,7 +3,11 @@
 Simplices are sorted tuples of string vertex ids; orientation signs come from
 sorting permutations, so all chain matrices are deterministic.  Homology is
 exact: Smith normal form over Z (via fpgroups), sparse column reduction over
-the field with p elements (via linalg) for mod-p questions.
+the field with p elements (via linalg) for mod-p questions.  Over Z a chain
+matrix is a list of dense rows (boundary_matrix, ChainComplex).  Over GF(p)
+every matrix is a list of sparse {row: value} columns, as linalg computes on
+them: the boundaries, sigma and tau, subcomplex bases, homology
+representatives, induced maps and the transfer.
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -26,12 +30,11 @@ from .fpgroups import AbelianGroup, snf_diagonal
 from .linalg import (
     apply_columns_mod,
     column_space_basis_mod,
-    identity,
     mat_mul,
-    mat_vec,
+    mul_columns_mod,
     rank_mod,
     reduce_columns_mod,
-    solve_many_mod,
+    solve_columns_mod,
     sparse_columns,
 )
 
@@ -97,8 +100,16 @@ class SimplicialComplex:
             return len(self.simplices[k])
         return 0
 
+    @cached_property
+    def _positions(self) -> tuple[dict[tuple[str, ...], int], ...]:
+        """Per dimension, the index of each simplex, built once."""
+        return tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
+
     def index(self, simplex: tuple[str, ...]) -> int:
-        return self.simplices[len(simplex) - 1].index(simplex)
+        try:
+            return self._positions[len(simplex) - 1][simplex]
+        except (IndexError, KeyError):
+            raise ValueError(f"{simplex!r} is not a simplex of the complex") from None
 
     def all_simplices(self):
         for level in self.simplices:
@@ -161,6 +172,10 @@ class CyclicAction:
     order: int
     perm: dict[str, str]
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise SmithError(f"group order {self.order} is not positive")
+
     def power(self, k: int) -> dict[str, str]:
         out = {v: v for v in self.perm}
         for _ in range(k % self.order):
@@ -210,8 +225,10 @@ def validate_action(k: SimplicialComplex, a: CyclicAction):
         raise SmithError("permutation domain differs from the vertex set")
     if sorted(a.perm.values()) != sorted(a.perm):
         raise SmithError("vertex map is not a permutation")
-    identity = {v: v for v in verts}
-    if a.power(a.order) != identity:
+    g = dict(a.perm)  # the generator to the power a.order, not reduced mod a.order
+    for _ in range(a.order - 1):
+        g = {v: a.perm[g[v]] for v in g}
+    if any(g[v] != v for v in g):
         raise SmithError(f"generator does not have order dividing {a.order}")
     all_simplices = set(k.all_simplices())
     for s in all_simplices:
@@ -335,10 +352,6 @@ class ChainComplex:
                         raise NotAComplex("boundary squared is nonzero")
 
 
-def _mat_mod(matrix, p):
-    return [[x % p for x in row] for row in matrix]
-
-
 def _sort_sign(values) -> int:
     """Parity sign of the permutation sorting the values (0 on duplicates)."""
     n = len(values)
@@ -350,17 +363,37 @@ def _sort_sign(values) -> int:
     return -1 if inversions % 2 else 1
 
 
-def boundary_matrix(k: SimplicialComplex, dim: int) -> list[list[int]]:
-    rows = k.n_simplices(dim - 1)
-    cols = k.n_simplices(dim)
-    matrix = [[0] * cols for _ in range(rows)]
+def boundary_columns(k: SimplicialComplex, dim: int) -> list[dict[int, int]]:
+    """The boundary of each dim-simplex as a sparse integer column
+    {face index: +-1}; zero columns below dimension 1."""
     if dim < 1 or dim > k.dimension:
-        return matrix
-    for j, s in enumerate(k.simplices[dim]):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1 :]
-            matrix[k.index(face)][j] += (-1) ** drop
+        return [{} for _ in range(k.n_simplices(dim))]
+    faces = k._positions[dim - 1]
+    return [
+        {faces[s[:drop] + s[drop + 1 :]]: (-1) ** drop for drop in range(len(s))}
+        for s in k.simplices[dim]
+    ]
+
+
+def boundary_matrix(k: SimplicialComplex, dim: int) -> list[list[int]]:
+    matrix = [[0] * k.n_simplices(dim) for _ in range(k.n_simplices(dim - 1))]
+    for j, col in enumerate(boundary_columns(k, dim)):
+        for i, x in col.items():
+            matrix[i][j] = x
     return matrix
+
+
+def _boundaries_mod(k: SimplicialComplex, p: int) -> list[list[dict[int, int]]]:
+    """Per dimension the boundary columns over GF(p) ([] in dimension 0),
+    with boundary^2 = 0 checked."""
+    boundaries = [[]] + [
+        [{i: x % p for i, x in col.items()} for col in boundary_columns(k, d)]
+        for d in range(1, k.dimension + 1)
+    ]
+    for d in range(2, len(boundaries)):
+        if any(mul_columns_mod(boundaries[d - 1], boundaries[d], p)):
+            raise NotAComplex("boundary squared is nonzero")
+    return boundaries
 
 
 def _is_prime(p: int) -> bool:
@@ -374,19 +407,25 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime(p) -> int:
+    p = int(p)
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return p
+
+
+def _dims(k: SimplicialComplex) -> list[int]:
+    return [k.n_simplices(d) for d in range(k.dimension + 1)]
+
+
 def chain_complex(k: SimplicialComplex, coefficients="Z") -> ChainComplex:
-    if coefficients != "Z":
-        p = int(coefficients)
-        if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-    dims = tuple(k.n_simplices(d) for d in range(k.dimension + 1))
+    """The chain complex as dense boundary matrices, over Z or reduced mod p."""
+    p = None if coefficients == "Z" else _prime(coefficients)
     boundaries: list = [()]
     for d in range(1, k.dimension + 1):
         m = boundary_matrix(k, d)
-        if coefficients != "Z":
-            m = _mat_mod(m, int(coefficients))
-        boundaries.append(tuple(tuple(row) for row in m))
-    return ChainComplex(coefficients, dims, tuple(boundaries))
+        boundaries.append(tuple(tuple(x if p is None else x % p for x in row) for row in m))
+    return ChainComplex(coefficients, tuple(_dims(k)), tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +449,25 @@ def homology(c: ChainComplex):
             )
             for k in range(top + 1)
         ]
-    return _dims_mod(c.dims, c.boundaries, int(c.coefficients))
+    p = int(c.coefficients)
+    return _dims_mod(
+        c.dims, [sparse_columns(b, p, n) for b, n in zip(c.boundaries, c.dims)], p
+    )
 
 
 def _dims_mod(dims, boundaries, p) -> list[int]:
-    """Betti numbers over GF(p), ranking each boundary matrix once."""
-    ranks = [rank_mod(b, p) if k >= 1 else 0 for k, b in enumerate(boundaries)]
-    ranks.append(0)
+    """Betti numbers over GF(p), ranking each boundary's sparse columns once."""
+    ranks = [rank_mod(b, p) for b in boundaries] + [0]
     return [dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))]
 
 
 def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
-    return homology(chain_complex(k, coefficients))
+    """Over Z: list of AbelianGroup; over Z_p: list of vector-space dims,
+    from the sparse boundary columns."""
+    if coefficients == "Z":
+        return homology(chain_complex(k))
+    p = _prime(coefficients)
+    return _dims_mod(_dims(k), _boundaries_mod(k, p), p)
 
 
 def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
@@ -436,11 +482,12 @@ def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
 def _simplex_images(src, dst, vmap, d) -> list[tuple[int, int]]:
     """(row, sign) of the one nonzero in each column of the d-th chain map
     of a simplicial map; sign 0 (and row -1) on degenerate images."""
+    positions = dst._positions[d]
     out = []
     for s in src.simplices[d]:
         images = [vmap[v] for v in s]
         sign = _sort_sign(images)
-        out.append((dst.index(tuple(sorted(images))), sign) if sign else (-1, 0))
+        out.append((positions[tuple(sorted(images))], sign) if sign else (-1, 0))
     return out
 
 
@@ -462,23 +509,13 @@ def _column(terms, p) -> dict[int, int]:
     return {i: x % p for i, x in col.items() if x % p}
 
 
-def _dense_matrix(cols, nrows) -> list[list[int]]:
-    m = [[0] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            m[i][j] = x
-    return m
-
-
 def chain_map_from_vertex_map(
     src: SimplicialComplex, dst: SimplicialComplex, vmap: dict[str, str]
-) -> list[list[list[int]]]:
-    """Matrices per dimension of a simplicial map; degenerate images give 0."""
+) -> list[list[dict[int, int]]]:
+    """Sparse integer columns per dimension of a simplicial map: the signed
+    image of each simplex; degenerate images give 0."""
     return [
-        _dense_matrix(
-            [{i: sign} if sign else {} for i, sign in _simplex_images(src, dst, vmap, d)],
-            dst.n_simplices(d),
-        )
+        [{i: sign} if sign else {} for i, sign in _simplex_images(src, dst, vmap, d)]
         for d in range(src.dimension + 1)
     ]
 
@@ -490,8 +527,8 @@ def chain_map_from_vertex_map(
 @dataclass(frozen=True)
 class SmithOperators:
     p: int
-    sigma: tuple  # per-dimension matrices of 1 + t + ... + t^{p-1} over Z_p
-    tau: tuple  # per-dimension matrices of 1 - t over Z_p
+    sigma: tuple  # per dimension, the sparse columns of 1 + t + ... + t^{p-1} over Z_p
+    tau: tuple  # per dimension, the sparse columns of 1 - t over Z_p
     t: tuple  # per dimension, the (row, sign) that t sends each simplex to
 
 
@@ -523,8 +560,8 @@ def _smith_operators(k, a, violations) -> SmithOperators:
         sig = [_column(_orbit(t, j, p), p) for j in range(len(t))]
         ta = [_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)]
         _check_operator_identities(p, sig, ta)
-        sigma.append(tuple(map(tuple, _dense_matrix(sig, len(t)))))
-        tau.append(tuple(map(tuple, _dense_matrix(ta, len(t)))))
+        sigma.append(sig)
+        tau.append(ta)
         ts.append(tuple(t))
     return SmithOperators(p, tuple(sigma), tuple(tau), tuple(ts))
 
@@ -547,20 +584,20 @@ def _check_operator_identities(p, sigma, tau):
 
 
 def operator_power(ops: SmithOperators, i: int) -> list:
-    """Matrices of tau^i (tau^0 = 1; tau^{p-1} = sigma; i >= p gives 0).
+    """Sparse columns per dimension of tau^i (tau^0 = 1; tau^{p-1} = sigma;
+    i >= p gives 0).
 
     Column j of (1 - t)^i is sum_m C(i, m) (-1)^m t^m e_j, read off the
     first i + 1 steps of j's orbit.
     """
     binomials = [(-1) ** m * comb(i, m) for m in range(i + 1)]
-    out = []
-    for t in ops.t:
-        cols = [
+    return [
+        [
             _column(((r, b * c) for b, (r, c) in zip(binomials, _orbit(t, j, i + 1))), ops.p)
             for j in range(len(t))
         ]
-        out.append(_dense_matrix(cols, len(t)))
-    return out
+        for t in ops.t
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +606,14 @@ def operator_power(ops: SmithOperators, i: int) -> list:
 
 @dataclass
 class _SubComplex:
-    """Subcomplex given per dimension by a basis matrix (columns = basis)."""
+    """Subcomplex given per dimension by a basis of sparse ambient columns."""
 
     p: int
-    bases: list  # bases[d]: dims[d] x r_d
-    boundaries: list  # induced boundary in basis coordinates
+    bases: list  # bases[d]: sparse columns in C_d(Y)
+    boundaries: list  # induced boundary, sparse columns in basis coordinates
 
     def dims(self):
-        return [len(b[0]) if b and b[0] else 0 for b in self.bases]
+        return [len(b) for b in self.bases]
 
     @cached_property
     def homology(self) -> _HomologyBasis:
@@ -584,44 +621,27 @@ class _SubComplex:
         return _homology_basis(self.dims(), self.boundaries, self.p)
 
 
-def _columns(matrix) -> list[list]:
-    return [list(col) for col in zip(*matrix)]
-
-
-def _from_columns(cols, nrows) -> list[list]:
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
 def _induced_boundaries(bases, p, ambient_boundaries) -> _SubComplex:
     boundaries: list = [[]]
     for d in range(1, len(bases)):
-        r_prev = len(bases[d - 1][0]) if bases[d - 1] and bases[d - 1][0] else 0
-        r_cur = len(bases[d][0]) if bases[d] and bases[d][0] else 0
-        prod = mat_mul(ambient_boundaries[d], bases[d])
-        images = [[row[j] % p for row in prod] for j in range(r_cur)]
-        induced = [[0] * r_cur for _ in range(r_prev)]
-        for j, coords in enumerate(solve_many_mod(bases[d - 1], images, p)):
-            if coords is None:
-                raise SmithError("subspace is not closed under the boundary")
-            for i in range(r_prev):
-                induced[i][j] = coords[i]
+        images = mul_columns_mod(ambient_boundaries[d], bases[d], p)
+        induced = solve_columns_mod(bases[d - 1], images, p)
+        if any(x is None for x in induced):
+            raise SmithError("subspace is not closed under the boundary")
         boundaries.append(induced)
     return _SubComplex(p, bases, boundaries)
 
 
-def _image_subcomplex(k, matrices, p, ambient_boundaries) -> _SubComplex:
-    bases = []
-    for d in range(k.dimension + 1):
-        cols = column_space_basis_mod(matrices[d], p)
-        bases.append(_from_columns(cols, k.n_simplices(d)))
+def _image_subcomplex(matrices, p, ambient_boundaries) -> _SubComplex:
+    bases = [column_space_basis_mod(m, p) for m in matrices]
     return _induced_boundaries(bases, p, ambient_boundaries)
 
 
 def _fixed_inclusion_bases(k: SimplicialComplex, a: CyclicAction):
-    """Per-dimension inclusion matrices of the fixed subcomplex C(Y^w)."""
+    """Per dimension, the basis columns of the fixed subcomplex C(Y^w)."""
     fixed_vertices = {v for v in k.vertices() if a.perm[v] == v}
     return [
-        _dense_matrix([{j: 1} for j, s in enumerate(level) if fixed_vertices.issuperset(s)], len(level))
+        [{j: 1} for j, s in enumerate(level) if fixed_vertices.issuperset(s)]
         for level in k.simplices
     ]
 
@@ -634,37 +654,23 @@ def _fixed_inclusion_bases(k: SimplicialComplex, a: CyclicAction):
 class _HomologyBasis:
     p: int
     dims: list
-    reps: list  # reps[d]: cycle vectors spanning H_d
-    boundary_basis: list  # basis of im(boundary_{d+1})
+    reps: list  # reps[d]: sparse cycles spanning H_d
+    boundary_basis: list  # sparse basis of im(boundary_{d+1})
 
     def classify_many(self, d: int, vecs) -> list:
+        """The class of each cycle, as sparse coordinates on reps[d]."""
         reps = self.reps[d]
-        bnd = self.boundary_basis[d]
-        if not reps and not bnd:
-            for vec in vecs:
-                if any(x % self.p for x in vec):
-                    raise SmithError("nonzero vector in zero homology")
-            return [[] for _ in vecs]
-        cols = reps + bnd
-        matrix = _from_columns(cols, len(cols[0]))
         out = []
-        for x in solve_many_mod(matrix, list(vecs), self.p):
+        for x in solve_columns_mod(reps + self.boundary_basis[d], vecs, self.p):
             if x is None:
                 raise SmithError("vector is not a cycle in this complex")
-            out.append([v % self.p for v in x[: len(reps)]])
+            out.append({i: c for i, c in x.items() if i < len(reps)})
         return out
-
-
-def _dense(sparse: dict, n: int) -> list[int]:
-    vec = [0] * n
-    for i, x in sparse.items():
-        vec[i] = x
-    return vec
 
 
 def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
     """Cycles, boundaries and class representatives from one sparse column
-    reduction of each boundary matrix.
+    reduction of each boundary.
 
     The cycles of C_d are the combinations behind the zero columns of
     reduced boundary_d; the nonzero reduced columns of boundary_{d+1} are a
@@ -675,52 +681,39 @@ def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
     """
     top = len(dims) - 1
     reductions = [None] + [
-        reduce_columns_mod(sparse_columns(boundaries[d], p, dims[d]), p, track=True)
-        for d in range(1, top + 1)
+        reduce_columns_mod(boundaries[d], p, track=True) for d in range(1, top + 1)
     ]
-    reps, bnd_bases, hdims = [], [], []
+    reps, bnd_bases = [], []
     for d in range(top + 1):
-        n = dims[d]
         if d >= 1:
             reduced, combos, _ = reductions[d]
             cycles = {j: combos[j] for j, col in enumerate(reduced) if not col}
         else:
-            cycles = {j: {j: 1} for j in range(n)}
+            cycles = {j: {j: 1} for j in range(dims[0])}
         if d + 1 <= top:
             reduced_up, _, lows_up = reductions[d + 1]
-            bnd = [_dense(col, n) for col in reduced_up if col]
+            bnd = [col for col in reduced_up if col]
         else:
             lows_up, bnd = {}, []
-        reps_d = [_dense(z, n) for j, z in cycles.items() if j not in lows_up]
-        reps.append(reps_d)
+        reps.append([z for j, z in cycles.items() if j not in lows_up])
         bnd_bases.append(bnd)
-        hdims.append(len(reps_d))
-    return _HomologyBasis(p, hdims, reps, bnd_bases)
+    return _HomologyBasis(p, [len(r) for r in reps], reps, bnd_bases)
 
 
-def _induced_on_homology(src: _HomologyBasis, dst: _HomologyBasis, matrices):
-    """Per-dimension matrices of the induced map on homology classes."""
-    out = []
-    ndims = min(len(src.dims), len(dst.dims), len(matrices))
-    for d in range(ndims):
-        m = matrices[d]
-        images = [[x % src.p for x in mat_vec(m, rep)] for rep in src.reps[d]]
-        cols = dst.classify_many(d, images) if images else []
-        out.append(_from_columns(cols, dst.dims[d]))
-    return out
+def _induced_on_homology(src: _HomologyBasis, dst: _HomologyBasis, maps):
+    """Per dimension, the sparse columns of the induced map on homology."""
+    ndims = min(len(src.dims), len(dst.dims), len(maps))
+    return [
+        dst.classify_many(d, mul_columns_mod(maps[d], src.reps[d], src.p))
+        for d in range(ndims)
+    ]
 
 
 def _exact_at(incoming, outgoing, middle_dim, p) -> bool:
     """im(incoming) = ker(outgoing) inside a middle space of that dimension."""
-    rank_in = rank_mod(incoming, p) if middle_dim else 0
-    rank_out = rank_mod(outgoing, p) if middle_dim else 0
-    if rank_in + rank_out != middle_dim:
+    if rank_mod(incoming, p) + rank_mod(outgoing, p) != middle_dim:
         return False
-    if rank_in and rank_out:
-        prod = _mat_mod(mat_mul(outgoing, incoming), p)
-        if any(any(row) for row in prod):
-            return False
-    return True
+    return not any(mul_columns_mod(outgoing, incoming, p))
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +761,8 @@ class TransferReport:
 
 
 def _transfer_maps(k, a, x, vrep, pi, q):
-    """Per-dimension matrices over Z_q of mu, of sigma = the sum of the s
-    powers of the generator g, and of g, from orbit walks on the signed
+    """Per-dimension sparse columns over Z_q of mu, of sigma = the sum of the
+    s powers of the generator g, and of g, from orbit walks on the signed
     permutation t of each dimension's simplices.  mu's column for an orbit
     simplex is sigma's column for its smallest preimage, times the sign pi
     gives that preimage."""
@@ -777,8 +770,7 @@ def _transfer_maps(k, a, x, vrep, pi, q):
     mu, sigma, g = [], [], []
     for d in range(k.dimension + 1):
         t = _simplex_images(k, k, a.perm, d)
-        n = len(t)
-        sig = [_column(_orbit(t, j, s_order), q) for j in range(n)]
+        sig = [_column(_orbit(t, j, s_order), q) for j in range(len(t))]
         fibers: dict[tuple, list] = {}
         for jy, sim in enumerate(k.simplices[d]):
             fibers.setdefault(tuple(sorted({vrep[v] for v in sim})), []).append(jy)
@@ -787,11 +779,16 @@ def _transfer_maps(k, a, x, vrep, pi, q):
             jy = fibers[xs][0]  # simplices are sorted: the smallest preimage
             if set(fibers[xs]) != {i for i, _ in _orbit(t, jy, s_order)}:
                 raise NotRegular(["fiber is not a single orbit"])
-            cols.append({i: pi[d][jx][jy] * v % q for i, v in sig[jy].items()})
-        mu.append(_dense_matrix(cols, n))
-        sigma.append(_dense_matrix(sig, n))
-        g.append(_dense_matrix([_column([image], q) for image in t], n))
+            cols.append({i: pi[d][jy][jx] * v % q for i, v in sig[jy].items()})
+        mu.append(cols)
+        sigma.append(sig)
+        g.append([_column([image], q) for image in t])
     return mu, sigma, g
+
+
+def _scalar(n, c, q) -> list[dict[int, int]]:
+    """Sparse columns of c times the n x n identity over Z_q, c a unit."""
+    return [{j: c % q} for j in range(n)]
 
 
 def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferReport:
@@ -803,8 +800,7 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     mu_* pi_* = sigma_* on homology over Z_q, homological triviality of the
     generator, and (then) that pi_* is an isomorphism.
     """
-    if not _is_prime(q):
-        raise NotPrime(f"{q} is not prime")
+    _prime(q)
     s_order = a.order
     if s_order % q == 0:
         raise BadPrime(f"{q} divides the group order {s_order}")
@@ -812,57 +808,37 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     if x.dimension != k.dimension:
         raise NotRegular(["quotient drops dimension"])
     pi = chain_map_from_vertex_map(k, x, vrep)
-    mu, sigma_matrices, g = _transfer_maps(k, a, x, vrep, pi, q)
+    mu, sigma_maps, g = _transfer_maps(k, a, x, vrep, pi, q)
+    chain_pi_mu = all(
+        mul_columns_mod(pi[d], mu[d], q) == _scalar(len(mu[d]), s_order, q)
+        for d in range(k.dimension + 1)
+    )
 
-    chain_pi_mu = True
-    for d in range(k.dimension + 1):
-        n = x.n_simplices(d)
-        prod = _mat_mod(mat_mul(pi[d], mu[d]), q)
-        expect = [[(s_order * e) % q for e in row] for row in identity(n)]
-        if prod != expect:
-            chain_pi_mu = False
+    bd_y = _boundaries_mod(k, q)
+    bd_x = _boundaries_mod(x, q)
+    mu_chain_map = all(
+        mul_columns_mod(bd_y[d], mu[d], q) == mul_columns_mod(mu[d - 1], bd_x[d], q)
+        for d in range(1, k.dimension + 1)
+    )
 
-    bd_y = [list(map(list, b)) for b in chain_complex(k, q).boundaries]
-    bd_x = [list(map(list, b)) for b in chain_complex(x, q).boundaries]
-    mu_chain_map = True
-    for d in range(1, k.dimension + 1):
-        left = _mat_mod(mat_mul(bd_y[d], mu[d]), q)
-        right = _mat_mod(mat_mul(mu[d - 1], bd_x[d]), q)
-        if left != right:
-            mu_chain_map = False
-
-    dims_y = [k.n_simplices(d) for d in range(k.dimension + 1)]
-    dims_x = [x.n_simplices(d) for d in range(x.dimension + 1)]
-    hy = _homology_basis(dims_y, bd_y, q)
-    hx = _homology_basis(dims_x, bd_x, q)
+    hy = _homology_basis(_dims(k), bd_y, q)
+    hx = _homology_basis(_dims(x), bd_x, q)
     pi_star = _induced_on_homology(hy, hx, pi)
     mu_star = _induced_on_homology(hx, hy, mu)
-
-    pimu_ok = True
-    for d in range(len(hx.dims)):
-        n = hx.dims[d]
-        prod = _mat_mod(mat_mul(pi_star[d], mu_star[d]), q) if n else []
-        expect = [[(s_order * e) % q for e in row] for row in identity(n)]
-        if prod != expect:
-            pimu_ok = False
-
-    sigma_star = _induced_on_homology(hy, hy, sigma_matrices)
-    mupi_ok = True
-    for d in range(len(hy.dims)):
-        n = hy.dims[d]
-        prod = _mat_mod(mat_mul(mu_star[d], pi_star[d]), q) if n else []
-        if prod != _mat_mod(sigma_star[d], q):
-            mupi_ok = False
-
-    g_star = _induced_on_homology(hy, hy, g)
-    trivial = all(
-        g_star[d] == identity(hy.dims[d]) for d in range(len(hy.dims))
+    pimu_ok = all(
+        mul_columns_mod(pi_star[d], mu_star[d], q) == _scalar(n, s_order, q)
+        for d, n in enumerate(hx.dims)
     )
-    iso = hy.dims == hx.dims
-    if iso:
-        for d in range(len(hx.dims)):
-            if hy.dims[d] and rank_mod(pi_star[d], q) != hy.dims[d]:
-                iso = False
+    sigma_star = _induced_on_homology(hy, hy, sigma_maps)
+    mupi_ok = all(
+        mul_columns_mod(mu_star[d], pi_star[d], q) == sigma_star[d]
+        for d in range(len(hy.dims))
+    )
+    g_star = _induced_on_homology(hy, hy, g)
+    trivial = all(g_star[d] == _scalar(n, 1, q) for d, n in enumerate(hy.dims))
+    iso = hy.dims == hx.dims and all(
+        rank_mod(pi_star[d], q) == n for d, n in enumerate(hy.dims)
+    )
     return TransferReport(
         group_order=s_order,
         prime=q,
@@ -881,17 +857,14 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
 # special Smith homology and the exact sequences
 
 
-def special_smith_homology(
-    k: SimplicialComplex, a: CyclicAction, i: int, _ops: SmithOperators | None = None
-) -> list:
+def special_smith_homology(k: SimplicialComplex, a: CyclicAction, i: int) -> list:
     """Dimensions of H^rho(Y; Z_p) for rho = tau^i (tau^{p-1} = sigma)."""
-    ops = _ops if _ops is not None else smith_operators(k, a)
+    ops = smith_operators(k, a)
     p = ops.p
     if not 1 <= i <= p - 1:
         raise SmithError("rho = tau^i needs 1 <= i <= p-1")
-    amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
     rho = ops.sigma if i == p - 1 else operator_power(ops, i)
-    sub = _image_subcomplex(k, rho, p, amb)
+    sub = _image_subcomplex(rho, p, _boundaries_mod(k, p))
     return _dims_mod(sub.dims(), sub.boundaries, p)
 
 
@@ -906,15 +879,15 @@ def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
         ]
         for d in range(k.dimension + 1)
     ]
-    amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
-    boundaries: list = [()]
+    # A is a subcomplex, so these boundaries square to zero as those of K do
+    amb = _boundaries_mod(k, p)
+    boundaries: list = [[]]
     for d in range(1, k.dimension + 1):
-        rows, cols = keep[d - 1], keep[d]
+        rows = {i: r for r, i in enumerate(keep[d - 1])}
         boundaries.append(
-            tuple(tuple(amb[d][i][j] % p for j in cols) for i in rows)
+            [{rows[i]: x for i, x in amb[d][j].items() if i in rows} for j in keep[d]]
         )
-    dims = tuple(len(keep[d]) for d in range(k.dimension + 1))
-    return homology(ChainComplex(p, dims, tuple(boundaries)))
+    return _dims_mod([len(cols) for cols in keep], boundaries, p)
 
 
 @dataclass
@@ -954,45 +927,44 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     p = _prime_order(a)
     violations = check_regularity(k, a)
     ops = _smith_operators(k, a, violations)
-    amb = [list(map(list, b)) for b in chain_complex(k, p).boundaries]
-    dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
+    amb = _boundaries_mod(k, p)
     fixed_inc = _fixed_inclusion_bases(k, a)
     # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0 and the image
     # subcomplex of each, built once
     taus = [operator_power(ops, j) for j in range(p + 1)]
-    images = [_image_subcomplex(k, t, p, amb) for t in taus]
+    images = [_image_subcomplex(t, p, amb) for t in taus]
 
     ses_ok = les_rho_ok = les_tau_ok = True
     for j in range(1, p):
         # rho = tau^j: A_j = rhobar C + C(Y^w), basis [rhobar basis | fixed]
         a_j = _induced_boundaries(
-            [
-                [r + f for r, f in zip(rbar, fixed)]
-                for rbar, fixed in zip(images[p - j].bases, fixed_inc)
-            ],
+            [rbar + fixed for rbar, fixed in zip(images[p - j].bases, fixed_inc)],
             p,
             amb,
         )
         # the image basis of rho has rank(rho) columns
         r_inc, rank_rho = a_j.dims(), images[j].dims()
-        for d, n in enumerate(dims):
+        for d, n in enumerate(_dims(k)):
             inc = a_j.bases[d]
-            if n and rank_mod(inc, p) != r_inc[d]:
+            if rank_mod(inc, p) != r_inc[d]:
                 ses_ok = False
             if r_inc[d] + rank_rho[d] != n:
                 ses_ok = False
-            if n and r_inc[d]:
-                prod = _mat_mod(mat_mul(taus[j][d], inc), p)
-                if any(any(row) for row in prod):
-                    ses_ok = False
+            if any(mul_columns_mod(taus[j][d], inc, p)):
+                ses_ok = False
         les_rho_ok &= _les_exact(a_j, images[0], images[j], taus[j], amb, p)
         les_tau_ok &= _les_exact(
             images[p - 1], images[j], images[j + 1], ops.tau, amb, p
         )
 
+    # H^sigma of the regular subdivision; without one, sigma C is images[p - 1]
     kq, aq, rounds = _ensure_regular(k, a, violations)
-    ops_q = ops if rounds == 0 else _smith_operators(kq, aq, [])
-    sigma_dims = special_smith_homology(kq, aq, p - 1, _ops=ops_q)
+    if rounds:
+        sigma_q = _smith_operators(kq, aq, []).sigma
+        sigma_c = _image_subcomplex(sigma_q, p, _boundaries_mod(kq, p))
+    else:
+        sigma_c = images[p - 1]
+    sigma_dims = _dims_mod(sigma_c.dims(), sigma_c.boundaries, p)
     xq, vrep = _orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
     pair = relative_homology_dims(xq, fixed_image, p)
@@ -1032,39 +1004,36 @@ def _les_exact(a, b, c, q, amb, p) -> bool:
     """
     h_a, h_b, h_c = a.homology, b.homology, c.homology
     ndim = len(b.bases)
-    r_b, r_c = b.dims(), c.dims()
-    i_mats, q_mats, q_on_bases = [], [], []
+    i_maps, q_maps, q_on_bases = [], [], []
     for d in range(ndim):
-        q_on_b = _mat_mod(mat_mul(q[d], b.bases[d]), p)
-        i_cols = solve_many_mod(b.bases[d], _columns(a.bases[d]), p)
-        q_cols = solve_many_mod(c.bases[d], _columns(q_on_b), p)
+        q_on_b = mul_columns_mod(q[d], b.bases[d], p)
+        i_cols = solve_columns_mod(b.bases[d], a.bases[d], p)
+        q_cols = solve_columns_mod(c.bases[d], q_on_b, p)
         if any(x is None for x in i_cols + q_cols):
             return False
-        i_mats.append(_from_columns(i_cols, r_b[d]))
-        q_mats.append(_from_columns(q_cols, r_c[d]))
+        i_maps.append(i_cols)
+        q_maps.append(q_cols)
         q_on_bases.append(q_on_b)
 
-    i_star = _induced_on_homology(h_a, h_b, i_mats)
-    q_star = _induced_on_homology(h_b, h_c, q_mats)
+    i_star = _induced_on_homology(h_a, h_b, i_maps)
+    q_star = _induced_on_homology(h_b, h_c, q_maps)
 
     # connecting map: lift each class of C through q, take the boundary of
     # the lift and read it in A
     delta_star = []
     for d in range(ndim):
-        vecs = [[x % p for x in mat_vec(c.bases[d], rep)] for rep in h_c.reps[d]]
-        lifts = solve_many_mod(q_on_bases[d], vecs, p) if vecs else []
+        vecs = mul_columns_mod(c.bases[d], h_c.reps[d], p)
+        lifts = solve_columns_mod(q_on_bases[d], vecs, p)
         if any(x is None for x in lifts):
             return False
         if d == 0:
-            delta_star.append([])  # H_{-1}(A) = 0
+            delta_star.append([{} for _ in lifts])  # H_{-1}(A) = 0
             continue
-        chains = [mat_vec(b.bases[d], x) for x in lifts]
-        bnds = [[x % p for x in mat_vec(amb[d], chain)] for chain in chains]
-        coords = solve_many_mod(a.bases[d - 1], bnds, p) if bnds else []
+        chains = mul_columns_mod(b.bases[d], lifts, p)
+        coords = solve_columns_mod(a.bases[d - 1], mul_columns_mod(amb[d], chains, p), p)
         if any(x is None for x in coords):
             return False
-        cols = h_a.classify_many(d - 1, coords) if coords else []
-        delta_star.append(_from_columns(cols, h_a.dims[d - 1]))
+        delta_star.append(h_a.classify_many(d - 1, coords))
 
     for d in range(ndim):
         if not _exact_at(i_star[d], q_star[d], h_b.dims[d], p):
@@ -1076,6 +1045,4 @@ def _les_exact(a, b, c, q, amb, p) -> bool:
                 return False
     # at the very top of the ladder nothing comes in: i_* must be injective
     top = ndim - 1
-    if h_a.dims[top] and rank_mod(i_star[top], p) != h_a.dims[top]:
-        return False
-    return True
+    return rank_mod(i_star[top], p) == h_a.dims[top]

@@ -89,18 +89,23 @@ class TestDispatch:
         assert code == 0
         assert json.loads(out)["homology"] == ["Z", "0", "Z"]
 
-    def test_smith_sequences_model(self, capsys):
-        code, out = run_cli(capsys, "smith", "sequences", "--model", "sphere:3")
+    @pytest.mark.parametrize(
+        "model, p, rounds, dims",
+        [("sphere:3", "3", "2", ["0", "1", "1"]), ("circle:5", "5", "1", ["1", "1"])],
+        ids=["sphere:3", "circle:5"],
+    )
+    def test_smith_sequences_model(self, capsys, model, p, rounds, dims):
+        code, out = run_cli(capsys, "smith", "sequences", "--model", model)
         assert code == 0
         assert json.loads(out) == {
-            "p": "3",
-            "subdivisions_for_quotient": "2",
+            "p": p,
+            "subdivisions_for_quotient": rounds,
             "ses_exact": True,
             "les_rho_exact": True,
             "les_tau_exact": True,
             "special_matches_pair": True,
-            "special_dims_sigma": ["0", "1", "1"],
-            "pair_dims": ["0", "1", "1"],
+            "special_dims_sigma": dims,
+            "pair_dims": dims,
             "prop4_premises": False,
             "prop4_conclusion": False,
             "prop4_implication_holds": True,
@@ -204,7 +209,8 @@ class TestMoreVerbs:
         assert data["mu_pi_is_sigma_on_homology"] is True
 
     @pytest.mark.parametrize(
-        "model, dims", [("sphere:3", ["1", "0", "1"]), ("disc:3", ["1", "0", "0"])]
+        "model, dims",
+        [("sphere:3", ["1", "0", "1"]), ("disc:3", ["1", "0", "0"]), ("circle:3", ["1", "1"])],
     )
     def test_smith_transfer_model_every_field(self, capsys, model, dims):
         code, out = run_cli(
@@ -308,6 +314,26 @@ class TestErrorsAndDeterminism:
         code, out = run_cli(capsys, "poly", "divide", "-a", "x^2+1", "-b", "x", "--vars", "x")
         assert code == 1
         assert "NotDivisible" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("order", [3, 0, -3])
+    @pytest.mark.parametrize(
+        "verb",
+        [("orbit", "--repair"), ("transfer", "--repair"), ("subdivide",)],
+        ids=["orbit", "transfer", "subdivide"],
+    )
+    def test_wrong_action_order_refused(self, capsys, verb, order):
+        # an involution of the 4-cycle, declared with an order it does not have
+        square = {
+            "simplices": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+            "action": {"order": order, "perm": {"a": "c", "c": "a", "b": "d", "d": "b"}},
+        }
+        code, out = run_cli(capsys, "smith", verb[0], *verb[1:], "--json", json.dumps(square))
+        assert code == 1
+        assert json.loads(out)["error"] == (
+            "SmithError: generator does not have order dividing 3"
+            if order == 3
+            else f"SmithError: group order {order} is not positive"
+        )
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 """Exact matrix kernels against slow, obvious oracles written out here.
 
 Ranks read off the Smith normal form are checked against Fraction
-elimination, the Bareiss determinant against cofactor expansion, the GF(p)
-solver against brute force, the sparse GF(p) column reduction against dense
-row reduction, brute-force spans and Fraction ranks, and Z homology against
-GF(p) homology through the universal coefficient theorem.
+elimination, the Bareiss determinant against cofactor expansion, the sparse
+GF(p) solver against the dense one and brute force, the sparse GF(p) column
+reduction against dense row reduction, brute-force spans and Fraction ranks,
+and Z homology against GF(p) homology through the universal coefficient
+theorem.
 """
 
 import itertools
@@ -18,14 +19,13 @@ from exoticaffine.linalg import (
     mat_vec,
     rank_mod,
     reduce_columns_mod,
-    rref_mod,
-    solve_many_mod,
+    solve_columns_mod,
     sparse_columns,
 )
+from gfp_oracle import dense, rref_mod, solve_many_mod
 from exoticaffine import smithhom
 from exoticaffine.smithhom import (
     ChainComplex,
-    chain_complex,
     SimplicialComplex,
     barycentric_subdivide,
     cone_complex,
@@ -145,7 +145,8 @@ class TestColumnReduction:
         for p, m in random_matrices(rng, 200, 9, 9):
             pivots = rref_mod(m, p)[1]
             expect = [[row[j] % p for row in m] for j in pivots]
-            assert column_space_basis_mod(m, p) == expect, (m, p)
+            basis = column_space_basis_mod(sparse_columns(m, p), p)
+            assert [list(c) for c in zip(*dense(basis, len(m)))] == expect, (m, p)
 
     def test_rank_against_brute_force_span(self):
         rng = random.Random(2007)
@@ -157,7 +158,7 @@ class TestColumnReduction:
                 m = boundary_like(rng, rows, cols)
             else:
                 m = dense_dependent(rng, rows, cols, p)
-            assert rank_mod(m, p) == brute_force_rank(m, p), (m, p)
+            assert rank_mod(sparse_columns(m, p), p) == brute_force_rank(m, p), (m, p)
 
     def test_rank_against_fraction_rank(self):
         rng = random.Random(2008)
@@ -178,13 +179,15 @@ class TestColumnReduction:
                 [sum(left[i][t] * right[t][j] for t in range(r)) for j in range(cols)]
                 for i in range(rows)
             ]
-            assert rank_mod(m, p) == fraction_rank(m) == r, (m, p)
+            assert rank_mod(sparse_columns(m, p, cols), p) == fraction_rank(m) == r, (m, p)
         for p, m in random_matrices(rng, 150, 8, 8):
-            assert rank_mod(m, p) <= fraction_rank(m), (m, p)
+            assert rank_mod(sparse_columns(m, p), p) <= fraction_rank(m), (m, p)
 
     def test_empty_shapes(self):
-        assert rank_mod([], 3) == 0 and rank_mod([[], []], 3) == 0
-        assert column_space_basis_mod([], 3) == column_space_basis_mod([[0, 3]], 3) == []
+        assert rank_mod(sparse_columns([], 3), 3) == 0
+        assert rank_mod(sparse_columns([[], []], 3), 3) == 0
+        assert column_space_basis_mod(sparse_columns([[0, 3]], 3), 3) == []
+        assert column_space_basis_mod([], 3) == []
         assert sparse_columns([], 3, 2) == [{}, {}]
         assert reduce_columns_mod([], 5, track=True) == ([], [], {})
 
@@ -225,7 +228,19 @@ class TestDeterminant:
         assert det(m) == cofactor_det(m) == 58
 
 
+def sparse_solve(a, targets, p):
+    """solve_columns_mod on a dense matrix and dense targets; dense solutions."""
+    ncols = len(a[0]) if a else 0
+    rhs = [[b[i] for b in targets] for i in range(len(a))]
+    solutions = solve_columns_mod(
+        sparse_columns(a, p, ncols), sparse_columns(rhs, p, len(targets)), p
+    )
+    return [None if x is None else [x.get(j, 0) for j in range(ncols)] for x in solutions]
+
+
 class TestSolveMod:
+    """The sparse solver against the dense oracle solver and brute force."""
+
     def test_solutions_satisfy_the_system(self):
         rng = random.Random(2003)
         for _ in range(200):
@@ -240,6 +255,15 @@ class TestSolveMod:
             for b, x in ((in_image, got_image), (anywhere, got_any)):
                 if x is not None:
                     assert [v % p for v in mat_vec(a, x)] == [v % p for v in b]
+            # the sparse solver, also on the basis with a zero column put in
+            # front and for the zero target
+            targets = [in_image, anywhere, [0] * rows]
+            for basis in (a, [[0] + row for row in a]):
+                oracle = solve_many_mod(basis, targets, p)
+                for b, x, y in zip(targets, sparse_solve(basis, targets, p), oracle):
+                    assert (x is None) == (y is None), (basis, b, p)
+                    if x is not None:
+                        assert [v % p for v in mat_vec(basis, x)] == [v % p for v in b]
 
     def test_none_exactly_when_inconsistent(self):
         rng = random.Random(2004)
@@ -253,6 +277,7 @@ class TestSolveMod:
                 for x in itertools.product(range(p), repeat=cols)
             )
             assert (solve_many_mod(a, [b], p)[0] is not None) == solvable, (a, b, p)
+            assert (sparse_solve(a, [b], p)[0] is not None) == solvable, (a, b, p)
 
 
 def _torus():
@@ -334,8 +359,8 @@ class TestUniversalCoefficients:
         for name, k in self.COMPLEXES.items():
             h_z = simplicial_homology(k)
             for p in (2, 3, 5):
-                c = chain_complex(k, p)
-                h = smithhom._homology_basis(list(c.dims), c.boundaries, p)
+                dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
+                h = smithhom._homology_basis(dims, smithhom._boundaries_mod(k, p), p)
                 assert h.dims == _uct_expected(h_z, p), (name, p)
 
     def test_cellular_torsion(self):

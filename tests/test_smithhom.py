@@ -7,7 +7,7 @@ import pytest
 
 from exoticaffine import linalg, smithhom
 from exoticaffine.fpgroups import AbelianGroup
-from exoticaffine.linalg import identity, mat_mul, mat_vec, rref_mod, solve_many_mod
+from exoticaffine.linalg import identity, mat_mul, mat_vec, sparse_columns
 from exoticaffine.smithhom import (
     BadPrime,
     CyclicAction,
@@ -39,6 +39,7 @@ from exoticaffine.smithhom import (
     trivial_action,
     verify_smith_sequences,
 )
+from gfp_oracle import dense, rref_mod, solve_many_mod
 
 
 def disc(n=3, p_order=None):
@@ -76,6 +77,15 @@ class TestComplexes:
     def test_json_round_trip(self):
         k = cone_complex(polygon(4), "o")
         assert complex_from_json(complex_to_json(k)) == k
+
+    def test_index_matches_tuple_index(self):
+        for name, (k, _) in operator_models().items():
+            for level in k.simplices:
+                for s in level:
+                    assert k.index(s) == level.index(s), (name, s)
+            for missing in (("zz",), ("apex", "zz"), k.simplices[-1][0] + ("zz",)):
+                with pytest.raises(ValueError):
+                    k.index(missing)
 
 
 class TestHomology:
@@ -115,6 +125,23 @@ class TestHomology:
             from exoticaffine.smithhom import ChainComplex
 
             ChainComplex("Z", (1, 1, 1), ((), ((1,),), ((1,),)))
+
+    def test_corrupted_sparse_boundary_refused(self, monkeypatch):
+        original = smithhom.boundary_columns
+
+        def corrupted(k, dim):
+            cols = original(k, dim)
+            if dim == 2:
+                i, x = next(iter(cols[0].items()))
+                cols[0][i] = 2 * x
+            return cols
+
+        monkeypatch.setattr(smithhom, "boundary_columns", corrupted)
+        k, a = sphere()
+        with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
+            simplicial_homology(k, 3)
+        with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
+            verify_smith_sequences(k, a)
 
     def test_nonprime_rejected(self):
         with pytest.raises(NotPrime):
@@ -185,6 +212,18 @@ class TestRegularity:
         a = rotation_action(3, 1)
         assert action_from_json(action_to_json(a)) == a
 
+    def test_order_is_checked_unreduced(self):
+        # an involution of the 4-cycle declared with order 3
+        k = polygon(4)
+        involution = {"p0": "p2", "p2": "p0", "p1": "p3", "p3": "p1"}
+        with pytest.raises(SmithError, match="generator does not have order dividing 3"):
+            smithhom.validate_action(k, CyclicAction(3, involution))
+        for order in (2, 4):  # its order and a multiple of it
+            smithhom.validate_action(k, CyclicAction(order, involution))
+        for order in (0, -3):
+            with pytest.raises(SmithError, match=f"group order {order} is not positive"):
+                CyclicAction(order, involution)
+
     def test_map_simplex_matches_power(self):
         # oracle: the whole vertex permutation of the k-th power
         k, a = sphere(5)
@@ -211,15 +250,15 @@ class TestSmithOperators:
         k = cone_complex(polygon(3), "o")
         ops = smith_operators(k, trivial_action(k, 3))
         for d in range(k.dimension + 1):
-            assert all(all(x == 0 for x in row) for row in ops.sigma[d])
-            assert all(all(x == 0 for x in row) for row in ops.tau[d])
+            assert all(all(x == 0 for x in row) for row in dense(ops.sigma[d]))
+            assert all(all(x == 0 for x in row) for row in dense(ops.tau[d]))
 
     def test_sigma_is_tau_power_p5(self):
         k, a = free_circle(5)
         ops = smith_operators(k, a)
         sigma = operator_power(ops, 4)
-        assert tuple(tuple(tuple(r) for r in m) for m in sigma) == tuple(
-            tuple(tuple(r) for r in m) for m in ops.sigma
+        assert tuple(tuple(tuple(r) for r in dense(m)) for m in sigma) == tuple(
+            tuple(tuple(r) for r in dense(m)) for m in ops.sigma
         )
 
     def test_nonprime_rejected(self):
@@ -430,23 +469,23 @@ class TestLongExactSequence:
 
     @staticmethod
     def ambient(k, p):
-        return [list(map(list, b)) for b in chain_complex(k, p).boundaries]
+        return smithhom._boundaries_mod(k, p)
 
     @staticmethod
     def whole(k, p, amb):
         """C(Y) with the identity basis."""
-        mats = [identity(k.n_simplices(d)) for d in range(k.dimension + 1)]
-        return smithhom._image_subcomplex(k, mats, p, amb)
+        mats = [sparse_columns(identity(k.n_simplices(d)), p) for d in range(k.dimension + 1)]
+        return smithhom._image_subcomplex(mats, p, amb)
 
     def test_zero_into_whole_complex(self):
         k, _ = sphere()
         p = 3
         amb = self.ambient(k, p)
         ns = [k.n_simplices(d) for d in range(k.dimension + 1)]
-        zero_maps = [[[0] * n for _ in range(n)] for n in ns]
-        zero = smithhom._image_subcomplex(k, zero_maps, p, amb)
+        zero_maps = [sparse_columns([[0] * n for _ in range(n)], p) for n in ns]
+        zero = smithhom._image_subcomplex(zero_maps, p, amb)
         whole = self.whole(k, p, amb)
-        ones = [identity(n) for n in ns]
+        ones = [sparse_columns(identity(n), p) for n in ns]
         # 0 -> 0 -> C(Y) -> C(Y) -> 0 with q = 1 is exact, with q = 0 not
         assert smithhom._les_exact(zero, whole, whole, ones, amb, p)
         assert not smithhom._les_exact(zero, whole, whole, zero_maps, amb, p)
@@ -463,15 +502,10 @@ class TestLongExactSequence:
         whole = self.whole(k, p, amb)
         for j in range(1, p):
             rho = operator_power(ops, j)
-            rho_c = smithhom._image_subcomplex(k, rho, p, amb)
-            rbar_c = smithhom._image_subcomplex(k, operator_power(ops, p - j), p, amb)
+            rho_c = smithhom._image_subcomplex(rho, p, amb)
+            rbar_c = smithhom._image_subcomplex(operator_power(ops, p - j), p, amb)
             full = smithhom._induced_boundaries(
-                [
-                    [r + f for r, f in zip(rbar, fix)]
-                    for rbar, fix in zip(rbar_c.bases, fixed_inc)
-                ],
-                p,
-                amb,
+                [rbar + fix for rbar, fix in zip(rbar_c.bases, fixed_inc)], p, amb
             )
             # 0 -> rhobar C + C(Y^w) -> C(Y) -> rho C -> 0 is exact; with
             # rhobar C dropped, C(Y^w) alone is not the kernel of rho
@@ -581,12 +615,17 @@ def _model_complexes():
 
 
 def _assert_homology_basis(dims, boundaries, p, label):
-    """Check the sparse homology basis against the dense one; return it."""
-    h = smithhom._homology_basis(dims, boundaries, p)
+    """Check the sparse homology basis of the dense boundaries against the
+    dense one; return it."""
+    sparse = [sparse_columns(b, p, n) for b, n in zip(boundaries, dims)]
+    h = smithhom._homology_basis(dims, sparse, p)
     reps_o, bnds_o, cycles_o = dense_homology_basis(dims, boundaries, p)
     assert h.dims == [len(r) for r in reps_o], label
     for d, n in enumerate(dims):
-        reps, bnd = h.reps[d], h.boundary_basis[d]
+        reps, bnd = (
+            [list(col) for col in zip(*dense(cols, n))]
+            for cols in (h.reps[d], h.boundary_basis[d])
+        )
         assert len(bnd) == len(bnds_o[d]), (label, d)
         if bnd:  # the boundary basis lies in the image of the next boundary
             assert None not in solve_many_mod(boundaries[d + 1], bnd, p), (label, d)
@@ -629,22 +668,26 @@ class TestHomologyBasis:
             _assert_homology_basis(dims, boundaries, p, (boundaries, p))
 
     def test_no_dense_elimination(self, monkeypatch):
+        """The Smith sequences and the transfer run on sparse columns only:
+        no dense product, no dense mat-vec, no dense-to-sparse conversion."""
         calls = []
-        original = linalg.rref_mod
+        for name in ("mat_mul", "mat_vec", "sparse_columns"):
+            original = getattr(linalg, name)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counting(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(linalg, "rref_mod", counting)
-        kq, _, _ = ensure_regular(*sphere(3))
-        c = chain_complex(kq, 3)
-        h = smithhom._homology_basis(list(c.dims), c.boundaries, 3)
-        assert h.dims == [1, 0, 1]
+            monkeypatch.setattr(linalg, name, counting)
+            if hasattr(smithhom, name):
+                monkeypatch.setattr(smithhom, name, counting)
+        assert verify_smith_sequences(*sphere(5)).all_exact
+        kq, aq, _ = ensure_regular(*sphere(3))
+        assert transfer_check(kq, aq, 2).all_identities_hold
         assert calls == []
-        # the counter sees the dense elimination behind the solver
-        solve_many_mod(c.boundaries[1], [[0] * c.dims[0]], 3)
-        assert len(calls) == 1
+        # the counters see the dense entry of the public ChainComplex
+        smithhom.homology(chain_complex(kq, 3))
+        assert {"mat_mul", "sparse_columns"} <= set(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +703,7 @@ def verify_operator_identities(ops):
     n x n products, one dimension after another."""
     p = ops.p
     for sig, ta in zip(ops.sigma, ops.tau):
-        sig = [list(r) for r in sig]
-        ta = [list(r) for r in ta]
+        sig, ta = dense(sig), dense(ta)
         if any(x % p for row in mat_mul(sig, ta) for x in row):
             raise SmithError("sigma * tau != 0")
         if any(x % p for row in mat_mul(ta, sig) for x in row):
@@ -674,8 +716,9 @@ def verify_operator_identities(ops):
 
 
 def dense_operators(p, ts):
-    """sigma and tau as dense matrices from the signed permutations t, built
-    entry by entry: sigma by walking each orbit p steps, tau = 1 - t."""
+    """sigma and tau from the signed permutations t, built entry by entry as
+    dense matrices (sigma by walking each orbit p steps, tau = 1 - t), then
+    given as sparse columns."""
     sigma, tau = [], []
     for t in ts:
         n = len(t)
@@ -689,8 +732,8 @@ def dense_operators(p, ts):
         ta = identity(n)
         for j, (i, sign) in enumerate(t):
             ta[i][j] = (ta[i][j] - sign) % p
-        sigma.append(tuple(map(tuple, acc)))
-        tau.append(tuple(map(tuple, ta)))
+        sigma.append(sparse_columns(acc, p, n))
+        tau.append(sparse_columns(ta, p, n))
     return smithhom.SmithOperators(p, tuple(sigma), tuple(tau), tuple(ts))
 
 
@@ -705,10 +748,7 @@ def verdict(check, *args):
 
 def sparse_check(ops):
     for sig, ta in zip(ops.sigma, ops.tau):
-        n = len(sig)
-        smithhom._check_operator_identities(
-            ops.p, linalg.sparse_columns(sig, ops.p, n), linalg.sparse_columns(ta, ops.p, n)
-        )
+        smithhom._check_operator_identities(ops.p, sig, ta)
 
 
 def operator_models(subdivided_primes=(2, 3, 5, 7)):
@@ -756,9 +796,9 @@ def free_column(t):
 
 def corrupt_entry(matrices, d, i, j, p):
     """The matrices with entry (i, j) of dimension d raised by one."""
-    m = [list(r) for r in matrices[d]]
+    m = dense(matrices[d])
     m[i][j] = (m[i][j] + 1) % p
-    return matrices[:d] + (tuple(map(tuple, m)),) + matrices[d + 1 :]
+    return matrices[:d] + (sparse_columns(m, p, len(m)),) + matrices[d + 1 :]
 
 
 class TestOperatorOracle:
@@ -821,11 +861,14 @@ class TestOperatorOracle:
         for name, (k, a) in operator_models(subdivided_primes=(2, 3)).items():
             ops = smith_operators(k, a)
             p = ops.p
-            dense = [identity(len(ta)) for ta in ops.tau]
+            products = [identity(len(ta)) for ta in ops.tau]
             for i in range(p + 2):
-                assert operator_power(ops, i) == dense, (name, i)
-                dense = [mat_mod(mat_mul(ta, m), p) for ta, m in zip(ops.tau, dense)]
-            assert operator_power(ops, p - 1) == [list(map(list, m)) for m in ops.sigma]
+                assert [dense(m) for m in operator_power(ops, i)] == products, (name, i)
+                products = [
+                    mat_mod(mat_mul(dense(ta), m), p) for ta, m in zip(ops.tau, products)
+                ]
+            sigma = operator_power(ops, p - 1)
+            assert [dense(m) for m in sigma] == [dense(m) for m in ops.sigma]
 
     def test_random_actions(self):
         rng = random.Random(3003)
@@ -835,10 +878,12 @@ class TestOperatorOracle:
             ops = smith_operators(k, a)
             assert verdict(verify_operator_identities, ops) is None, (k, a)
             assert dense_operators(p, ops.t) == ops, (k, a)
-            dense = [identity(len(ta)) for ta in ops.tau]
+            products = [identity(len(ta)) for ta in ops.tau]
             for i in range(p + 2):
-                assert operator_power(ops, i) == dense, (k, a, i)
-                dense = [mat_mod(mat_mul(ta, m), p) for ta, m in zip(ops.tau, dense)]
+                assert [dense(m) for m in operator_power(ops, i)] == products, (k, a, i)
+                products = [
+                    mat_mod(mat_mul(dense(ta), m), p) for ta, m in zip(ops.tau, products)
+                ]
             assert verify_smith_sequences(k, a).all_exact, (k, a)
 
     def test_no_dense_products(self, monkeypatch):
@@ -861,13 +906,24 @@ class TestOperatorOracle:
         assert calls
 
 
+def dense_chain_map(src, dst, vmap):
+    """Row-major matrices per dimension of a simplicial map."""
+    maps = chain_map_from_vertex_map(src, dst, vmap)
+    return [dense(m, dst.n_simplices(d)) for d, m in enumerate(maps)]
+
+
+def dense_maps(maps, k):
+    """Each per-dimension list of sparse columns into C(k) as dense matrices."""
+    return tuple([dense(m, k.n_simplices(d)) for d, m in enumerate(ms)] for ms in maps)
+
+
 def dense_transfer_maps(k, a, x, vrep, q):
     """mu, sigma and g over Z_q from the s dense chain maps of the powers of
     the generator: mu sends an orbit simplex to the sign-adjusted sum of the
     images of its smallest preimage."""
     s = a.order
-    pi = chain_map_from_vertex_map(k, x, vrep)
-    powers = [chain_map_from_vertex_map(k, k, a.power(j)) for j in range(s)]
+    pi = dense_chain_map(k, x, vrep)
+    powers = [dense_chain_map(k, k, a.power(j)) for j in range(s)]
     mu, sigma = [], []
     for d in range(k.dimension + 1):
         rows = k.n_simplices(d)
@@ -897,7 +953,7 @@ class TestTransferOracle:
             x, vrep = orbit_complex(kq, aq)
             pi = chain_map_from_vertex_map(kq, x, vrep)
             walked = smithhom._transfer_maps(kq, aq, x, vrep, pi, q)
-            assert walked == dense_transfer_maps(kq, aq, x, vrep, q), (name, q)
+            assert dense_maps(walked, kq) == dense_transfer_maps(kq, aq, x, vrep, q), (name, q)
             assert transfer_check(kq, aq, q).all_identities_hold, (name, q)
 
 
@@ -910,7 +966,7 @@ class TestTransferOracle:
             x, vrep = orbit_complex(k, a)
             pi = chain_map_from_vertex_map(k, x, vrep)
             walked = smithhom._transfer_maps(k, a, x, vrep, pi, q)
-            assert walked == dense_transfer_maps(k, a, x, vrep, q), (k, a)
+            assert dense_maps(walked, k) == dense_transfer_maps(k, a, x, vrep, q), (k, a)
             assert transfer_check(k, a, q).all_identities_hold, (k, a)
 
 
