@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, isqrt, lcm
 
 from .fpgroups import AbelianGroup, snf_diagonal
 from .linalg import (
@@ -101,6 +101,11 @@ class SimplicialComplex:
         return 0
 
     @cached_property
+    def _orbit_walks(self) -> dict:
+        """By order and permutation, the walk of an action's last check."""
+        return {}
+
+    @cached_property
     def _positions(self) -> tuple[dict[tuple[str, ...], int], ...]:
         """Per dimension, the index of each simplex, built once."""
         return tuple({s: i for i, s in enumerate(level)} for level in self.simplices)
@@ -151,14 +156,8 @@ def suspension_complex(
     base: SimplicialComplex, north: str = "north", south: str = "south"
 ) -> SimplicialComplex:
     """Suspension: two cones glued along the base (sphere over a circle)."""
-    for apex in (north, south):
-        if apex in base.vertices():
-            raise SmithError(f"apex {apex!r} already a vertex of the base")
-    simplices = list(base.all_simplices())
-    for apex in (north, south):
-        simplices.append((apex,))
-        simplices.extend(tuple(sorted(s + (apex,))) for s in base.all_simplices())
-    return SimplicialComplex.build(simplices)
+    cones = [cone_complex(base, apex) for apex in (north, south)]
+    return SimplicialComplex.build(s for cone in cones for s in cone.all_simplices())
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +174,6 @@ class CyclicAction:
     def __post_init__(self):
         if self.order < 1:
             raise SmithError(f"group order {self.order} is not positive")
-
-    def power(self, k: int) -> dict[str, str]:
-        out = {v: v for v in self.perm}
-        for _ in range(k % self.order):
-            out = {v: self.perm[out[v]] for v in out}
-        return out
 
     def map_simplex(self, s: tuple[str, ...], k: int = 1) -> tuple[str, ...]:
         out = list(s)
@@ -219,64 +212,81 @@ def trivial_action(k: SimplicialComplex, order: int) -> CyclicAction:
 
 
 def validate_action(k: SimplicialComplex, a: CyclicAction):
-    """The permutation must be a simplicial automorphism of the stated order."""
-    verts = set(k.vertices())
-    if set(a.perm) != verts:
+    """The permutation must be a simplicial automorphism of the stated order.
+    Returns each vertex's orbit length and smallest orbit vertex, and per
+    dimension the (row, sign) the generator sends each simplex to."""
+    if set(a.perm) != set(k.vertices()):
         raise SmithError("permutation domain differs from the vertex set")
     if sorted(a.perm.values()) != sorted(a.perm):
         raise SmithError("vertex map is not a permutation")
-    g = dict(a.perm)  # the generator to the power a.order, not reduced mod a.order
-    for _ in range(a.order - 1):
-        g = {v: a.perm[g[v]] for v in g}
-    if any(g[v] != v for v in g):
+    length, rep = {}, {}
+    for v in k.vertices():
+        if v not in rep:
+            orbit = a.orbit_of_vertex(v)
+            for u in orbit:
+                length[u], rep[u] = len(orbit), orbit[0]
+    if any(a.order % n for n in length.values()):
         raise SmithError(f"generator does not have order dividing {a.order}")
-    all_simplices = set(k.all_simplices())
-    for s in all_simplices:
-        if a.map_simplex(s) not in all_simplices:
-            raise SmithError(f"image of simplex {s} is not a simplex")
+    t = tuple(tuple(_simplex_images(k, k, a.perm, d)) for d in range(k.dimension + 1))
+    return length, {v: rep[v] for v in k.vertices()}, t
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    t: tuple  # per dimension, the (row, sign) the generator sends each simplex to
+    rep: dict  # the smallest vertex of each vertex's orbit
+    violations: tuple  # what check_regularity returned
 
 
 def check_regularity(k: SimplicialComplex, a: CyclicAction) -> list[str]:
-    """Violated regularity conditions; empty when the action is regular."""
-    validate_action(k, a)
-    violations = []
-    identity = {v: v for v in k.vertices()}
-    fixed_sets = set()
-    r1_hit = False
-    for j in range(1, a.order):
-        g = a.power(j)
-        if g == identity:
-            continue
-        fixed_sets.add(frozenset(v for v in g if g[v] == v))
-        if not r1_hit:
-            for s in k.all_simplices():
-                if tuple(sorted(g[v] for v in s)) == s and any(g[v] != v for v in s):
-                    violations.append(
-                        "R1: setwise-invariant simplex not pointwise fixed"
-                    )
-                    r1_hit = True
-                    break
-    if len(fixed_sets) > 1:
-        violations.append("R2: fixed sets of nontrivial powers differ")
-    orbit_rep = {v: min(a.orbit_of_vertex(v)) for v in k.vertices()}
-    for s in k.all_simplices():
-        reps = [orbit_rep[v] for v in s]
-        if len(set(reps)) != len(reps):
-            violations.append("R3: simplex carries two vertices of one orbit")
-            break
-    seen: set[tuple] = set()
-    done: set[tuple] = set()
-    for s in k.all_simplices():
-        if s in done:
-            continue
-        orbit = {a.map_simplex(s, j) for j in range(a.order)}
-        done |= orbit
-        key = tuple(sorted({orbit_rep[v] for v in s}))
-        if key in seen:
-            violations.append("R4: two simplex orbits share one vertex-orbit set")
-            break
-        seen.add(key)
-    return sorted(set(violations))
+    """Violated regularity conditions; empty when the action is regular.
+
+    One walk of the generator's cycles per dimension: a simplex on a cycle
+    of length L is mapped to itself by the powers L divides, and fixed
+    pointwise by those the lcm of its vertices' orbit lengths divides (R1).
+    g^j fixes {v : length(v) divides j}, which for 0 < j < N (N the true
+    order) is g's fixed set iff every moved vertex has orbit length N (R2).
+    (R3) and (R4) key each simplex orbit by its vertex orbits, once over all
+    dimensions.  The walk is kept on k."""
+    length, rep, t = validate_action(k, a)
+    order = lcm(*length.values())
+    found = set()
+    if any(1 < n < order for n in length.values()):
+        found.add("R2: fixed sets of nontrivial powers differ")
+    keys: set[frozenset] = set()
+    for level, images in zip(k.simplices, t):
+        seen = [False] * len(level)
+        for j, s in enumerate(level):
+            if seen[j]:
+                continue
+            steps, i = 0, j
+            while not seen[i]:
+                seen[i] = True
+                i = images[i][0]
+                steps += 1
+            key = frozenset(rep[v] for v in s)
+            if steps < lcm(*(length[v] for v in s)):
+                found.add("R1: setwise-invariant simplex not pointwise fixed")
+            if len(key) < len(s):
+                found.add("R3: simplex carries two vertices of one orbit")
+            if key in keys:
+                found.add("R4: two simplex orbits share one vertex-orbit set")
+            keys.add(key)
+    violations = sorted(found)
+    k._orbit_walks[_action_key(a)] = _Orbits(t, rep, tuple(violations))
+    return violations
+
+
+def _action_key(a: CyclicAction):
+    return a.order, tuple(a.perm.items())
+
+
+def _orbits(k: SimplicialComplex, a: CyclicAction) -> _Orbits:
+    """The walk of the last regularity check of (k, a), made now if none was."""
+    key = _action_key(a)
+    if key not in k._orbit_walks:
+        check_regularity(k, a)
+    return k._orbit_walks[key]
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +300,44 @@ def _bary_name(s: tuple[str, ...]) -> str:
 def barycentric_subdivide(
     k: SimplicialComplex, a: CyclicAction | None = None
 ) -> tuple[SimplicialComplex, CyclicAction | None]:
-    """One barycentric subdivision; the action extends over barycenters."""
-    chains_at: dict[tuple[str, ...], list[tuple]] = {}
+    """One barycentric subdivision; the action extends over barycenters.
+
+    The r-simplices are the flags s_0 < ... < s_r of simplices of k, on
+    their barycenters.  Every sub-chain of a flag is a flag, so the flags of
+    each length are already closed under faces.
+    """
+    flags_at: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    levels: list[list[tuple[str, ...]]] = [[] for _ in k.simplices]
     for s in k.all_simplices():
-        own: list[tuple] = [(s,)]
+        own = [(_bary_name(s),)]
         for r in range(1, len(s)):
             for face in itertools.combinations(s, r):
-                own.extend(ch + (s,) for ch in chains_at[face])
-        chains_at[s] = own
-    simplices = []
-    for s in k.all_simplices():
-        simplices.extend(
-            tuple(sorted(_bary_name(f) for f in ch)) for ch in chains_at[s]
-        )
-    new_k = SimplicialComplex.build(simplices)
-    new_a = None
-    if a is not None:
-        perm = {_bary_name(s): _bary_name(a.map_simplex(s)) for s in k.all_simplices()}
-        new_a = CyclicAction(a.order, perm)
-    return new_k, new_a
+                own.extend(flag + own[0] for flag in flags_at[face])
+        flags_at[s] = own
+        for flag in own:
+            levels[len(flag) - 1].append(tuple(sorted(flag)))
+    new_k = SimplicialComplex(tuple(tuple(sorted(set(level))) for level in levels))
+    if a is None:
+        return new_k, None
+    perm = {_bary_name(s): _bary_name(a.map_simplex(s)) for s in k.all_simplices()}
+    return new_k, CyclicAction(a.order, perm)
 
 
 def ensure_regular(
     k: SimplicialComplex, a: CyclicAction, max_rounds: int = 2
 ) -> tuple[SimplicialComplex, CyclicAction, int]:
     """Subdivide until the regularity validator passes (at most max_rounds)."""
-    return _ensure_regular(k, a, check_regularity(k, a), max_rounds)
+    return _ensure_regular(k, a, max_rounds)
 
 
-def _ensure_regular(k, a, violations, max_rounds=2):
-    """ensure_regular, given the violations of (k, a) already found."""
+def _ensure_regular(k, a, max_rounds=2):
+    """ensure_regular, which traces of the public name do not count."""
     rounds = 0
-    while violations:
+    while _orbits(k, a).violations:
         if rounds >= max_rounds:
-            raise NotRegular(violations)
+            raise NotRegular(list(_orbits(k, a).violations))
         k, a = barycentric_subdivide(k, a)
         rounds += 1
-        violations = check_regularity(k, a)
     return k, a, rounds
 
 
@@ -354,12 +365,9 @@ class ChainComplex:
 
 def _sort_sign(values) -> int:
     """Parity sign of the permutation sorting the values (0 on duplicates)."""
-    n = len(values)
-    if len(set(values)) != n:
+    if len(set(values)) != len(values):
         return 0
-    inversions = sum(
-        1 for i in range(n) for j in range(i + 1, n) if values[i] > values[j]
-    )
+    inversions = sum(x > y for x, y in itertools.combinations(values, 2))
     return -1 if inversions % 2 else 1
 
 
@@ -397,14 +405,7 @@ def _boundaries_mod(k: SimplicialComplex, p: int) -> list[list[dict[int, int]]]:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def _prime(p) -> int:
@@ -481,13 +482,17 @@ def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
 
 def _simplex_images(src, dst, vmap, d) -> list[tuple[int, int]]:
     """(row, sign) of the one nonzero in each column of the d-th chain map
-    of a simplicial map; sign 0 (and row -1) on degenerate images."""
+    of a simplicial map; sign 0 (and row -1) on degenerate images.  Refuses
+    the first simplex, in complex order, whose image is not a simplex."""
     positions = dst._positions[d]
     out = []
     for s in src.simplices[d]:
         images = [vmap[v] for v in s]
         sign = _sort_sign(images)
-        out.append((positions[tuple(sorted(images))], sign) if sign else (-1, 0))
+        row = positions.get(tuple(sorted(images))) if sign else -1
+        if row is None:
+            raise SmithError(f"image of simplex {s} is not a simplex")
+        out.append((row, sign))
     return out
 
 
@@ -545,25 +550,25 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
     Needs prime order and the (R1)-(R2) half of regularity.
     """
     _prime_order(a)
-    return _smith_operators(k, a, check_regularity(k, a))
+    check_regularity(k, a)  # afresh: the operators come from this call's walk
+    return _smith_operators(k, a)
 
 
-def _smith_operators(k, a, violations) -> SmithOperators:
-    """smith_operators, given the regularity violations of (k, a)."""
-    violations = [v for v in violations if v.startswith(("R1", "R2"))]
+def _smith_operators(k, a) -> SmithOperators:
+    """smith_operators on the walk of the regularity check of (k, a)."""
+    orbits = _orbits(k, a)
+    violations = [v for v in orbits.violations if v.startswith(("R1", "R2"))]
     if violations:
         raise NotRegular(violations)
     p = a.order
-    sigma, tau, ts = [], [], []
-    for d in range(k.dimension + 1):
-        t = _simplex_images(k, k, a.perm, d)
+    sigma, tau = [], []
+    for t in orbits.t:
         sig = [_column(_orbit(t, j, p), p) for j in range(len(t))]
         ta = [_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)]
         _check_operator_identities(p, sig, ta)
         sigma.append(sig)
         tau.append(ta)
-        ts.append(tuple(t))
-    return SmithOperators(p, tuple(sigma), tuple(tau), tuple(ts))
+    return SmithOperators(p, tuple(sigma), tuple(tau), orbits.t)
 
 
 def _check_operator_identities(p, sigma, tau):
@@ -724,7 +729,7 @@ def orbit_complex(
     k: SimplicialComplex, a: CyclicAction
 ) -> tuple[SimplicialComplex, dict[str, str]]:
     """Quotient complex and the vertex projection; refuses non-regular input."""
-    violations = check_regularity(k, a)
+    violations = list(_orbits(k, a).violations)
     if violations:
         raise NotRegular(violations)
     return _orbit_complex(k, a)
@@ -732,9 +737,9 @@ def orbit_complex(
 
 def _orbit_complex(k, a):
     """orbit_complex of an action known to be regular."""
-    rep = {v: min(a.orbit_of_vertex(v)) for v in k.vertices()}
+    rep = _orbits(k, a).rep
     simplices = {tuple(sorted({rep[v] for v in s})) for s in k.all_simplices()}
-    return SimplicialComplex.build(simplices), rep
+    return SimplicialComplex.build(simplices), dict(rep)
 
 
 @dataclass
@@ -768,8 +773,7 @@ def _transfer_maps(k, a, x, vrep, pi, q):
     gives that preimage."""
     s_order = a.order
     mu, sigma, g = [], [], []
-    for d in range(k.dimension + 1):
-        t = _simplex_images(k, k, a.perm, d)
+    for d, t in enumerate(_orbits(k, a).t):
         sig = [_column(_orbit(t, j, s_order), q) for j in range(len(t))]
         fibers: dict[tuple, list] = {}
         for jy, sim in enumerate(k.simplices[d]):
@@ -872,12 +876,8 @@ def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
     """Dims of H(K, A; Z_p), A the full subcomplex on sub_vertices."""
     sub_vertices = set(sub_vertices)
     keep = [
-        [
-            j
-            for j, s in enumerate(k.simplices[d])
-            if not all(v in sub_vertices for v in s)
-        ]
-        for d in range(k.dimension + 1)
+        [j for j, s in enumerate(level) if not sub_vertices.issuperset(s)]
+        for level in k.simplices
     ]
     # A is a subcomplex, so these boundaries square to zero as those of K do
     amb = _boundaries_mod(k, p)
@@ -922,11 +922,10 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     quotient (on a regular subdivision when the quotient needs one) and
     instantiates the Z_p-acyclicity transfer statement.
     """
-    # regularity is checked once per complex: here for (k, a), and in
-    # _ensure_regular for each subdivision
+    # regularity is checked once per complex and action, here for (k, a)
+    # and in _ensure_regular for each subdivision
     p = _prime_order(a)
-    violations = check_regularity(k, a)
-    ops = _smith_operators(k, a, violations)
+    ops = _smith_operators(k, a)
     amb = _boundaries_mod(k, p)
     fixed_inc = _fixed_inclusion_bases(k, a)
     # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0 and the image
@@ -958,9 +957,9 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
         )
 
     # H^sigma of the regular subdivision; without one, sigma C is images[p - 1]
-    kq, aq, rounds = _ensure_regular(k, a, violations)
+    kq, aq, rounds = _ensure_regular(k, a)
     if rounds:
-        sigma_q = _smith_operators(kq, aq, []).sigma
+        sigma_q = _smith_operators(kq, aq).sigma
         sigma_c = _image_subcomplex(sigma_q, p, _boundaries_mod(kq, p))
     else:
         sigma_c = images[p - 1]
@@ -968,17 +967,16 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     xq, vrep = _orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
     pair = relative_homology_dims(xq, fixed_image, p)
-    ndim = max(len(sigma_dims), len(pair))
-    special_ok = (sigma_dims + [0] * (ndim - len(sigma_dims))) == (
-        pair + [0] * (ndim - len(pair))
+    special_ok = all(
+        x == y for x, y in itertools.zip_longest(sigma_dims, pair, fillvalue=0)
     )
 
     fixed_simplices = [s for s in k.all_simplices() if all(a.perm[v] == v for v in s)]
-    if fixed_simplices:
-        fixed_acyclic = reduced_is_trivial(SimplicialComplex.build(fixed_simplices), p)
-    else:
-        fixed_acyclic = False
-    premises = bool(fixed_simplices) and fixed_acyclic and reduced_is_trivial(xq, p)
+    premises = (
+        bool(fixed_simplices)
+        and reduced_is_trivial(SimplicialComplex.build(fixed_simplices), p)
+        and reduced_is_trivial(xq, p)
+    )
     conclusion = reduced_is_trivial(k, p)
 
     return SequenceReport(

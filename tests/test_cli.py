@@ -1,6 +1,11 @@
 """CLI dispatch: JSON output, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +409,62 @@ class TestParserReuse:
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 2, 1, 0, 0]
         assert cli.build_parser() is cli.build_parser()
+
+
+# sha256 of the stdout of `exotic smith <verb> --model <model>`, pinned when
+# barycentric subdivision and the regularity check were last rewritten
+PINNED_SMITH_STDOUT = {
+    ("subdivide", "disc:3"): "634084351dc0d5ce34b677a08c65b609f4601a07ac9780e2c5b51c861e928651",
+    ("orbit", "disc:3"): "58cf03e7582e2703d437b77e8a49197897cdb981c2ff59f8c08b4452b2c6731d",
+    ("transfer", "disc:3"): "8ce990e3851d067a083fa2a9a75c1bb98ecf9ab89835332a8ba7d39862c3838c",
+    ("subdivide", "disc:5"): "427ac4dc96850e546306038d24c3167f444c5ecd460bae2b3e560c1e37fca288",
+    ("orbit", "disc:5"): "bec6374d97a73ea80953ca8d82174263fd54af9a627cc3afe55a07c3d1ecbe63",
+    ("transfer", "disc:5"): "6de14317a24da1901b3f880de9f2852190186a4ab71835c4cd8180cd936e6184",
+    ("subdivide", "sphere:3"): "caa2a62b0b6832dc0040e0363bbbd8c05d7d6005aeec3d67182f43aef5414dd9",
+    ("orbit", "sphere:3"): "837aa70d4ccd06b4285f29c2678eeba0f634ee7c8576214d03b8bd9bd0a9dfe4",
+    ("transfer", "sphere:3"): "fffc5dfb24030021f914b4f3660513bc0941f89a5f7574ce13d4b0029ee56d79",
+    ("subdivide", "sphere:5"): "16f21cff107512d146a848a145b6bf9d1f76aff38af8fa6101a640f96b570e46",
+    ("orbit", "sphere:5"): "f0e3fcb2c7f4c8b3c8e61cf4824da21ff42ccdcf1f1beaf1e8eab2992fb8f9de",
+    ("transfer", "sphere:5"): "137d97d834705391c90a3d3c404f326f19111bf2df954eb2221058f6c986f8e8",
+    ("subdivide", "circle:3"): "53f63b4a65bdd9168a0cdc71b985ebacc204fa866bb4cd28d08c9e542476fa46",
+    ("orbit", "circle:3"): "095b51b113976e6feaef7dd82d4640f9c61b33ba146bf2aee4fdc3b642caef6d",
+    ("transfer", "circle:3"): "7c4509c4e493a7642a4bd2ae7deec971513fd5088a4755b63b05834ae227336e",
+    ("subdivide", "circle:5"): "4811d42ecdbcf8ccea10d308c9109eaec427b159973ee32b4b3392aec9f67671",
+    ("orbit", "circle:5"): "0988bda827c1101e0c95c3ab5cb68b50c3100759902fae56a3e98908d34ff181",
+    ("transfer", "circle:5"): "35f07c1a07ca4c55020e6de63c5453727a6818af29813b72c14f003517ae2e1b",
+}
+
+
+class TestPinnedSmithOutput:
+    """subdivide, orbit --repair and transfer --repair print byte for byte
+    what they printed before the orbit-walk regularity check."""
+
+    @pytest.mark.parametrize("verb, model", sorted(PINNED_SMITH_STDOUT))
+    def test_stdout_sha256(self, capsys, verb, model):
+        flags = () if verb == "subdivide" else ("--repair",)
+        code, out = run_cli(capsys, "smith", verb, *flags, "--model", model)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SMITH_STDOUT[verb, model]
+
+    def test_bad_image_named_under_any_hash_seed(self):
+        # three simplices have no image: (a, c), (a, x) and (a, c, x); the
+        # first in complex order is named, whatever order a set would give
+        data = {
+            "simplices": [["a", "c", "x"], ["b"]],
+            "action": {"order": 2, "perm": {"a": "b", "b": "a", "c": "c", "x": "x"}},
+        }
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "exoticaffine.cli", "smith", "orbit",
+                 "--json", json.dumps(data)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {
+            json.dumps({"error": "SmithError: image of simplex ('a', 'c') is not a simplex"})
+            + "\n"
+        }

@@ -1,11 +1,13 @@
 """Simplicial homology, cyclic actions, Smith operators, transfer, sequences."""
 
 import dataclasses
+import itertools
 import random
+from math import lcm
 
 import pytest
 
-from exoticaffine import linalg, smithhom
+from exoticaffine import cli, linalg, smithhom
 from exoticaffine.fpgroups import AbelianGroup
 from exoticaffine.linalg import identity, mat_mul, mat_vec, sparse_columns
 from exoticaffine.smithhom import (
@@ -60,6 +62,14 @@ def sphere(n=3):
 def free_circle(p):
     """A (2p)-gon with the free rotation by 2: order p."""
     return polygon(2 * p), rotation_action(2 * p, 2)
+
+
+def power_map(a, k):
+    """The whole vertex permutation of the k-th power of the generator."""
+    out = {v: v for v in a.perm}
+    for _ in range(k % a.order):
+        out = {v: a.perm[out[v]] for v in out}
+    return out
 
 
 class TestComplexes:
@@ -228,7 +238,7 @@ class TestRegularity:
         # oracle: the whole vertex permutation of the k-th power
         k, a = sphere(5)
         for power in range(-1, 2 * a.order + 1):
-            g = a.power(power)
+            g = power_map(a, power)
             for s in k.all_simplices():
                 assert a.map_simplex(s, power) == tuple(sorted(g[v] for v in s))
 
@@ -923,7 +933,7 @@ def dense_transfer_maps(k, a, x, vrep, q):
     images of its smallest preimage."""
     s = a.order
     pi = dense_chain_map(k, x, vrep)
-    powers = [dense_chain_map(k, k, a.power(j)) for j in range(s)]
+    powers = [dense_chain_map(k, k, power_map(a, j)) for j in range(s)]
     mu, sigma = [], []
     for d in range(k.dimension + 1):
         rows = k.n_simplices(d)
@@ -1005,3 +1015,196 @@ class TestRegularityChecks:
             verify_smith_sequences(k, swap)
         assert str(nested.value) == str(direct.value)
         assert all(v.startswith(("R1", "R2")) for v in nested.value.violations)
+
+    @pytest.mark.parametrize("verb", ["orbit", "transfer"])
+    @pytest.mark.parametrize(
+        "model, expected", [("disc:3", 3), ("sphere:3", 3), ("circle:3", 2), ("disc:5", 3)]
+    )
+    def test_once_per_command(self, monkeypatch, capsys, verb, model, expected):
+        """--repair checks the input and each subdivision; the command then
+        reuses the check of the last one instead of making it again."""
+        seen = []
+        original = smithhom.check_regularity
+
+        def counting(k, a):
+            seen.append(k)
+            return original(k, a)
+
+        monkeypatch.setattr(smithhom, "check_regularity", counting)
+        assert cli.main(["smith", verb, "--repair", "--model", model]) == 0
+        capsys.readouterr()
+        assert len(seen) == expected
+        assert len({id(k) for k in seen}) == expected
+
+    def test_checks_are_kept_per_action(self, monkeypatch):
+        k, a = free_circle(3)
+        kq, aq, _ = ensure_regular(k, a)
+        seen = []
+        original = smithhom.check_regularity
+
+        def counting(k, a):
+            seen.append(a)
+            return original(k, a)
+
+        monkeypatch.setattr(smithhom, "check_regularity", counting)
+        orbit_complex(kq, aq)
+        orbit_complex(kq, CyclicAction(aq.order, dict(aq.perm)))  # an equal action
+        assert seen == []
+        trivial = trivial_action(kq, 3)
+        x, _ = orbit_complex(kq, trivial)
+        assert seen == [trivial] and x == kq
+
+
+def oracle_check_regularity(k, a):
+    """The regularity check power by power: (R1) rescans every simplex under
+    each nontrivial power g^j, (R4) maps each simplex by every power."""
+    smithhom.validate_action(k, a)
+    violations = []
+    identity = {v: v for v in k.vertices()}
+    fixed_sets = set()
+    r1_hit = False
+    for j in range(1, a.order):
+        g = power_map(a, j)
+        if g == identity:
+            continue
+        fixed_sets.add(frozenset(v for v in g if g[v] == v))
+        if not r1_hit:
+            for s in k.all_simplices():
+                if tuple(sorted(g[v] for v in s)) == s and any(g[v] != v for v in s):
+                    violations.append("R1: setwise-invariant simplex not pointwise fixed")
+                    r1_hit = True
+                    break
+    if len(fixed_sets) > 1:
+        violations.append("R2: fixed sets of nontrivial powers differ")
+    orbit_rep = {v: min(a.orbit_of_vertex(v)) for v in k.vertices()}
+    for s in k.all_simplices():
+        reps = [orbit_rep[v] for v in s]
+        if len(set(reps)) != len(reps):
+            violations.append("R3: simplex carries two vertices of one orbit")
+            break
+    seen: set[tuple] = set()
+    done: set[tuple] = set()
+    for s in k.all_simplices():
+        if s in done:
+            continue
+        orbit = {a.map_simplex(s, j) for j in range(a.order)}
+        done |= orbit
+        key = tuple(sorted({orbit_rep[v] for v in s}))
+        if key in seen:
+            violations.append("R4: two simplex orbits share one vertex-orbit set")
+            break
+        seen.add(key)
+    return sorted(set(violations))
+
+
+def oracle_subdivide(k, a=None):
+    """Barycentric subdivision as the downward closure of every flag's
+    barycenters, through SimplicialComplex.build."""
+    chains_at = {}
+    for s in k.all_simplices():
+        own = [(s,)]
+        for r in range(1, len(s)):
+            for face in itertools.combinations(s, r):
+                own.extend(ch + (s,) for ch in chains_at[face])
+        chains_at[s] = own
+    simplices = []
+    for s in k.all_simplices():
+        simplices.extend(
+            tuple(sorted(smithhom._bary_name(f) for f in ch)) for ch in chains_at[s]
+        )
+    new_a = None
+    if a is not None:
+        perm = {
+            smithhom._bary_name(s): smithhom._bary_name(a.map_simplex(s))
+            for s in k.all_simplices()
+        }
+        new_a = CyclicAction(a.order, perm)
+    return SimplicialComplex.build(simplices), new_a
+
+
+def random_permutation_complex(rng):
+    """Random orbits of lengths 1 to 4 on at most seven vertices, and the
+    orbits of one to three random simplices under their permutation; half
+    the time each simplex takes at most one vertex from an orbit.  The
+    declared order is the true order, or twice it a third of the time."""
+    lengths = []
+    while sum(lengths) < 7 and (not lengths or rng.random() < 0.7):
+        lengths.append(rng.choice((1, 1, 2, 3, 4)))
+    orbits, perm = [], {}
+    for o, n in enumerate(lengths):
+        cycle = [f"v{o}.{i}" for i in range(n)]
+        orbits.append(cycle)
+        perm.update({v: cycle[(i + 1) % n] for i, v in enumerate(cycle)})
+    order = lcm(*lengths)
+    one_per_orbit = rng.random() < 0.5
+    base = []
+    for _ in range(rng.randint(1, 3)):
+        if one_per_orbit:
+            picked = rng.sample(orbits, rng.randint(1, min(3, len(orbits))))
+            base.append([rng.choice(cycle) for cycle in picked])
+        else:
+            base.append(rng.sample(list(perm), rng.randint(1, min(3, len(perm)))))
+    a = CyclicAction(order, perm)
+    powers = [power_map(a, j) for j in range(order)]
+    simplices = [[g[v] for v in s] for s in base for g in powers] + [[v] for v in perm]
+    return SimplicialComplex.build(simplices), CyclicAction(order * rng.choice((1, 1, 2)), perm)
+
+
+def subdivision_cases(rng):
+    """Every operator model with its regular subdivision, random permutation
+    complexes and random complexes without an action."""
+    cases = list(operator_models().values())
+    cases += [random_permutation_complex(rng) for _ in range(150)]
+    cases += [(_random_complex(rng), None) for _ in range(100)]
+    return cases + [(SimplicialComplex.build([]), None)]
+
+
+class TestRegularityOracle:
+    """The orbit-walk check against the power-by-power one it replaced."""
+
+    def test_models_and_two_subdivisions(self):
+        for name, (k, a) in operator_models(subdivided_primes=()).items():
+            for rounds in range(3):
+                assert check_regularity(k, a) == oracle_check_regularity(k, a), (name, rounds)
+                k, a = barycentric_subdivide(k, a)
+
+    def test_random_permutation_complexes(self):
+        """(R1) implies (R3): a power moving a vertex inside an invariant
+        simplex leaves two vertices of one orbit in it.  (R3) implies (R4):
+        dropping the second of those vertices gives a face in another
+        dimension with the same vertex orbits.  Every other combination
+        occurs, with and without (R2)."""
+        rng = random.Random(9009)
+        combos = set()
+        for _ in range(2000):
+            k, a = random_permutation_complex(rng)
+            violations = check_regularity(k, a)
+            assert violations == oracle_check_regularity(k, a), (k, a)
+            combos.add(frozenset(v[:2] for v in violations))
+        chains = [set(), {"R4"}, {"R3", "R4"}, {"R1", "R3", "R4"}]
+        assert combos == {frozenset(c | r2) for c in chains for r2 in (set(), {"R2"})}
+
+    def test_r4_across_dimensions_only(self):
+        # the swapped segment has one simplex orbit per dimension; the edge
+        # and its vertices share the vertex-orbit set {a}
+        k = SimplicialComplex.build([("a", "b")])
+        a = CyclicAction(2, {"a": "b", "b": "a"})
+        expected = [
+            "R1: setwise-invariant simplex not pointwise fixed",
+            "R3: simplex carries two vertices of one orbit",
+            "R4: two simplex orbits share one vertex-orbit set",
+        ]
+        assert check_regularity(k, a) == oracle_check_regularity(k, a) == expected
+
+
+class TestSubdivisionOracle:
+    def test_flags_equal_the_closure_of_flags(self):
+        for k, a in subdivision_cases(random.Random(9010)):
+            new_k, new_a = barycentric_subdivide(k, a)
+            old_k, old_a = oracle_subdivide(k, a)
+            assert new_k.simplices == old_k.simplices, k
+            if a is None:
+                assert new_a is old_a is None
+            else:
+                assert new_a.order == old_a.order
+                assert list(new_a.perm.items()) == list(old_a.perm.items())
