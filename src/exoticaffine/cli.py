@@ -758,11 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read the primary JSON input (graph/complex/derivation/presentation) from stdin",
     )
-    parser.add_argument(
-        "--json-out",
-        action="store_true",
-        help="force compact machine JSON (the default; counterpart of --pretty)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="polynomial arithmetic")

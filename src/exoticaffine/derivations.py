@@ -31,7 +31,7 @@ from .polyring import (
     VarSetMismatch,
     jacobian_det,
 )
-from .linalg import nullspace_q
+from .linalg import reduce_columns_mod
 
 DEFAULT_NILPOTENCY_BOUND = 64
 
@@ -376,32 +376,43 @@ def _canonical_monomials(d: Derivation, degree_bound: int) -> list[tuple[int, ..
     return monos
 
 
-def _vector_to_poly(vec, monos, vs) -> Polynomial:
-    terms = {e: c for e, c in zip(monos, vec) if c != 0}
-    p = Polynomial.from_terms(vs, terms)
-    # scale to primitive integer coefficients, positive leading term
-    if p.is_zero():
-        return p
+def _image_columns(d: Derivation, monos) -> list[dict]:
+    """d on the monomials as sparse columns over Q: column j holds the terms
+    of d(monos[j]), its rows keyed by exponent tuple."""
+    return [apply(d, Polynomial.monomial(d.ambient, e)).terms for e in monos]
+
+
+def _kernel(cols, monos, vs) -> list[Polynomial]:
+    """Q-basis of the kernel of the columns, one polynomial per column that
+    reduces to zero: its tracked combination, the reduced echelon kernel
+    vector of that free column, scaled to primitive integer coefficients
+    with a positive leading term.  Sorted by terms."""
+    reduced, combos, _ = reduce_columns_mod(cols, None, track=True)
+    polys = [
+        _primitive(Polynomial.from_terms(vs, {monos[j]: c for j, c in combo.items()}))
+        for col, combo in zip(reduced, combos)
+        if not col
+    ]
+    polys.sort(key=lambda p: sorted(p.terms))
+    return polys
+
+
+def _primitive(p: Polynomial) -> Polynomial:
+    """p scaled to primitive integer coefficients, positive leading term."""
     p = p.scale(lcm(*(c.denominator for c in p.terms.values())))
     g = gcd(*(c.numerator for c in p.terms.values()))
     if g > 1:
         p = p.scale(Fraction(1, g))
-    lead = p.terms[max(p.terms)]
-    if lead < 0:
-        p = -p
-    return p
+    return -p if p.terms[max(p.terms)] < 0 else p
 
 
-def _image_rows(d: Derivation, monos) -> list[list[Fraction]]:
-    """Matrix of d on the monomials: one row per monomial of the images."""
-    images = [apply(d, Polynomial.monomial(d.ambient, e)) for e in monos]
-    out_monos = sorted({e for img in images for e in img.terms})
-    index = {e: i for i, e in enumerate(out_monos)}
-    rows = [[Fraction(0)] * len(monos) for _ in out_monos]
-    for j, img in enumerate(images):
-        for e, c in img.terms.items():
-            rows[index[e]][j] = c
-    return rows
+def _checked_kernel(d: Derivation, cols, monos) -> list[Polynomial]:
+    """_kernel of d's image columns, every element re-checked by apply."""
+    polys = _kernel(cols, monos, d.ambient)
+    for p in polys:
+        if not apply(d, p).is_zero():
+            raise DerivationError("kernel solve produced a non-kernel element")
+    return polys
 
 
 def kernel_elements(
@@ -414,14 +425,7 @@ def kernel_elements(
     """
     _require_nilpotent(cert)
     monos = _canonical_monomials(d, degree_bound)
-    basis_vecs = nullspace_q(_image_rows(d, monos), len(monos))
-    polys = [_vector_to_poly(v, monos, d.ambient) for v in basis_vecs]
-    polys = [p for p in polys if not p.is_zero()]
-    for p in polys:
-        if not apply(d, p).is_zero():
-            raise DerivationError("kernel solve produced a non-kernel element")
-    polys.sort(key=lambda p: sorted(p.terms))
-    return polys
+    return _checked_kernel(d, _image_columns(d, monos), monos)
 
 
 @dataclass(frozen=True)
@@ -449,6 +453,8 @@ def invariant_candidates(
 ) -> InvariantCandidates:
     if not ds:
         raise DerivationError("need at least one derivation")
+    if len(certs) != len(ds):
+        raise DerivationError("need one nilpotency certificate per derivation")
     for cert in certs:
         _require_nilpotent(cert)
     base = ds[0]
@@ -456,14 +462,20 @@ def invariant_candidates(
         if d.ambient != base.ambient or d.on_quotient != base.on_quotient:
             raise VarSetMismatch("derivations act on different rings")
     monos = _canonical_monomials(base, degree_bound)
-    vs = base.ambient
-    all_rows = [row for d in ds for row in _image_rows(d, monos)]
-    ml_vecs = nullspace_q(all_rows, len(monos))
-    ml_basis = [p for p in (_vector_to_poly(v, monos, vs) for v in ml_vecs) if not p.is_zero()]
-    ml_basis.sort(key=lambda p: sorted(p.terms))
+    columns = [_image_columns(d, monos) for d in ds]
+    kernels = [_checked_kernel(d, cols, monos) for d, cols in zip(ds, columns)]
+    if len(ds) == 1:
+        ml_basis = kernels[0]
+    else:
+        # stack the derivations: row (k, e) is the e-coefficient of the k-th
+        stacked = [
+            {(k, e): c for k, cols in enumerate(columns) for e, c in cols[j].items()}
+            for j in range(len(monos))
+        ]
+        ml_basis = _kernel(stacked, monos, base.ambient)
     dk: list[Polynomial] = []
-    for d, cert in zip(ds, certs):
-        for p in kernel_elements(d, cert, degree_bound):
+    for kernel in kernels:
+        for p in kernel:
             if p not in dk:
                 dk.append(p)
     return InvariantCandidates(ml_basis, dk, degree_bound)

@@ -1,15 +1,17 @@
 """Exact matrix kernels: one implementation of each, shared by every module.
 
-Over Z and Q, matrices are sequences of rows (lists or tuples) of Python ints
-or Fractions; vectors are sequences of entries.  Row reduction over Q runs on
-Fractions.  Over GF(p) a matrix is a list of sparse columns, {row: value}
-dicts, since the chain matrices there have a few nonzeros per column: one
-lowest-nonzero column reduction gives ranks, column bases and solutions.
-`sparse_columns` turns a row-major matrix into such columns.  Integer Smith
-normal form lives in fpgroups, which certifies it.
+Dense matrices over Z are sequences of rows (lists or tuples) of Python ints;
+vectors are sequences of entries.  For elimination, over GF(p) and over Q
+alike, a matrix is a list of sparse columns, {row: value} dicts, since the
+chain matrices and derivation images here have a few nonzeros per column:
+one lowest-nonzero column reduction gives ranks, column bases, solutions and
+kernels.  `sparse_columns` turns a row-major matrix into such columns.
+Integer Smith normal form lives in fpgroups, which certifies it.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def identity(n: int) -> list[list[int]]:
@@ -65,125 +67,88 @@ def det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _kernel_basis(red, pivots, ncols) -> list[list]:
-    """Right-nullspace basis read off a reduced echelon form (free var = 1)."""
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
-        basis.append(v)
-    return basis
-
-
 # ---------------------------------------------------------------------------
-# over Q
+# sparse columns over GF(p), or over Q when p is None
 
 
-def rref_q(rows) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over Q; returns every row (the first
-    len(pivots) are the pivot rows) and the pivot columns."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _entries(col: dict, p) -> dict:
+    """The nonzero entries of a sparse column, reduced mod p unless p is None."""
+    if p is None:
+        return {i: x for i, x in col.items() if x}
+    return {i: y for i, x in col.items() if (y := x % p)}
 
 
-def nullspace_q(rows, ncols: int) -> list[list]:
-    """Basis of the right nullspace over Q in reduced echelon form.
-
-    The rows must hold Fractions (or be empty), so that division is exact.
-    """
-    if not rows:
-        return identity(ncols)
-    return _kernel_basis(*rref_q(rows), ncols)
+def _ratio(a, b, p):
+    """a / b in GF(p), or in Q when p is None."""
+    return Fraction(a, b) if p is None else a * pow(b, -1, p) % p
 
 
-# ---------------------------------------------------------------------------
-# over GF(p)
-
-
-def sparse_columns(matrix, p, ncols=None) -> list[dict[int, int]]:
-    """The columns of a row-major matrix as {row: value} dicts mod p.
+def sparse_columns(matrix, p, ncols=None) -> list[dict]:
+    """The columns of a row-major matrix as {row: value} dicts, mod p
+    unless p is None.
 
     `ncols` is needed only when the matrix may have no rows."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+    cols: list[dict] = [{} for _ in range(ncols)]
     for i, row in enumerate(matrix):
         for j, x in enumerate(row):
-            if x % p:
-                cols[j][i] = x % p
-    return cols
+            if x:
+                cols[j][i] = x
+    return [_entries(col, p) for col in cols]
 
 
-def _add_multiple(dst: dict, src: dict, f: int, p: int):
-    """dst += f * src (mod p) on sparse vectors, dropping the zeros."""
+def _add_multiple(dst: dict, src: dict, f, p):
+    """dst += f * src (mod p unless p is None) on sparse vectors, dropping
+    the zeros.  The reduction is inline: a helper call per entry would
+    double the cost of this, the innermost loop of every elimination."""
     for i, x in src.items():
-        y = (dst.get(i, 0) + f * x) % p
+        y = dst.get(i, 0) + f * x
+        if p is not None:
+            y %= p
         if y:
             dst[i] = y
         else:
             del dst[i]
 
 
-def apply_columns_mod(cols, vec, p) -> dict[int, int]:
+def apply_columns_mod(cols, vec, p) -> dict:
     """The matrix with sparse columns `cols` applied to the sparse vector
     `vec` over GF(p), as a sparse vector."""
-    out: dict[int, int] = {}
+    out: dict = {}
     for j, y in vec.items():
         _add_multiple(out, cols[j], y, p)
     return out
 
 
 def reduce_columns_mod(cols, p, track=False):
-    """Lowest-nonzero column reduction over GF(p), left to right.
+    """Lowest-nonzero column reduction over GF(p), or over Q (Fraction
+    entries) when p is None, left to right.
 
-    `cols` are sparse columns ({row: value} dicts).  Each column in turn has
-    multiples of earlier reduced columns subtracted until its lowest
-    nonzero row is owned by no earlier column, or it is zero.  Returns
-    (reduced, combos, lows):
+    `cols` are sparse columns ({row: value} dicts; the rows may be any
+    mutually comparable keys).  Each column in turn has multiples of earlier
+    reduced columns subtracted until its lowest nonzero row is owned by no
+    earlier column, or it is zero.  Returns (reduced, combos, lows):
 
     - reduced[j] is the reduced column j; it is zero exactly when input
       column j lies in the span of the columns before it, so the nonzero
       reduced columns form a basis of the column space;
     - with `track`, combos[j] is the {column: coefficient} combination of
       input columns that gives reduced[j], with coefficient 1 on column j
-      itself (without `track`, combos is None);
+      itself and otherwise nonzero only on earlier nonzero reduced columns
+      (without `track`, combos is None).  So the combinations of the zero
+      reduced columns are the kernel basis of the reduced echelon form,
+      free column by free column;
     - lows maps each pivot row to the column whose lowest nonzero it is.
 
     This is the reduction of persistent homology (Edelsbrunner, Letscher
     and Zomorodian 2002; Zomorodian and Carlsson 2005).
     """
-    reduced: list[dict[int, int]] = []
-    combos: list[dict[int, int]] | None = [] if track else None
-    lows: dict[int, int] = {}
+    reduced: list[dict] = []
+    combos: list[dict] | None = [] if track else None
+    lows: dict = {}
     for j, col in enumerate(cols):
-        col = {i: x % p for i, x in col.items() if x % p}
+        col = _entries(col, p)
         combo = {j: 1}
         while col:
             low = max(col)
@@ -192,7 +157,7 @@ def reduce_columns_mod(cols, p, track=False):
                 lows[low] = j
                 break
             other = reduced[owner]
-            f = -col[low] * pow(other[low], -1, p) % p
+            f = -_ratio(col[low], other[low], p)
             _add_multiple(col, other, f, p)
             if track:
                 _add_multiple(combo, combos[owner], f, p)
@@ -202,7 +167,7 @@ def reduce_columns_mod(cols, p, track=False):
     return reduced, combos, lows
 
 
-def mul_columns_mod(a, b, p) -> list[dict[int, int]]:
+def mul_columns_mod(a, b, p) -> list[dict]:
     """a @ b over GF(p) on sparse columns: a applied to each column of b."""
     return [apply_columns_mod(a, col, p) for col in b]
 
@@ -216,31 +181,32 @@ def rank_mod(cols, p) -> int:
 
 def solve_columns_mod(basis, targets, p) -> list:
     """Sparse solutions {basis column: coefficient} of basis @ x = target
-    over GF(p), one per target; None where the target is not in the column
-    span.  The basis is reduced once, with the combinations tracked; each
-    target is then reduced against the lowest nonzeros of the reduced basis
-    only, and the multiples taken give its solution."""
+    over GF(p) (over Q when p is None), one per target; None where the
+    target is not in the column span.  The basis is reduced once, with the
+    combinations tracked; each target is then reduced against the lowest
+    nonzeros of the reduced basis only, and the multiples taken give its
+    solution."""
     if not targets:
         return []
     reduced, combos, lows = reduce_columns_mod(basis, p, track=True)
     solutions = []
     for target in targets:
-        col = {i: x % p for i, x in target.items() if x % p}
-        x: dict[int, int] = {}
+        col = _entries(target, p)
+        x: dict = {}
         while col:
             low = max(col)
             owner = lows.get(low)
             if owner is None:
                 break
             other = reduced[owner]
-            f = col[low] * pow(other[low], -1, p) % p
+            f = _ratio(col[low], other[low], p)
             _add_multiple(col, other, -f, p)
             _add_multiple(x, combos[owner], f, p)
         solutions.append(None if col else x)
     return solutions
 
 
-def column_space_basis_mod(cols, p) -> list[dict[int, int]]:
+def column_space_basis_mod(cols, p) -> list[dict]:
     """The sparse columns that span the column space over GF(p): those
     independent of the columns before them."""
     reduced, _, _ = reduce_columns_mod(cols, p)

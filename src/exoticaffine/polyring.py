@@ -426,10 +426,6 @@ def arith(a: Polynomial, b: Polynomial | None, op: str, n: int | None = None) ->
     raise ValueError(f"unknown op {op!r}")
 
 
-def substitute(p: Polynomial, images: Mapping[str, Polynomial]) -> Polynomial:
-    return p.substitute(images)
-
-
 def divmod_poly(
     p: Polynomial, d: Polynomial, order: MonomialOrder = GRLEX
 ) -> tuple[Polynomial, Polynomial]:

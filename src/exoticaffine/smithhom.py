@@ -304,7 +304,8 @@ def barycentric_subdivide(
 
     The r-simplices are the flags s_0 < ... < s_r of simplices of k, on
     their barycenters.  Every sub-chain of a flag is a flag, so the flags of
-    each length are already closed under faces.
+    each length are already closed under faces.  The action is validated
+    by its orbit walk, which also names the image of each simplex.
     """
     flags_at: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     levels: list[list[tuple[str, ...]]] = [[] for _ in k.simplices]
@@ -319,7 +320,11 @@ def barycentric_subdivide(
     new_k = SimplicialComplex(tuple(tuple(sorted(set(level))) for level in levels))
     if a is None:
         return new_k, None
-    perm = {_bary_name(s): _bary_name(a.map_simplex(s)) for s in k.all_simplices()}
+    perm = {
+        _bary_name(s): _bary_name(level[row])
+        for level, images in zip(k.simplices, _orbits(k, a).t)
+        for s, (row, _) in zip(level, images)
+    }
     return new_k, CyclicAction(a.order, perm)
 
 

@@ -1,6 +1,6 @@
-"""Dense GF(p) elimination, kept as the oracle for the sparse column kernels
-of exoticaffine.linalg, and the one helper that reads sparse columns as a
-dense matrix."""
+"""Dense Gauss-Jordan elimination over GF(p) and over Q, kept as the oracle
+for the sparse column reduction of exoticaffine.linalg, and the one helper
+that reads sparse columns as a dense matrix."""
 
 
 def dense(cols, nrows=None) -> list[list[int]]:
@@ -68,3 +68,49 @@ def solve_many_mod(matrix, rhs_cols, p) -> list:
             x[pc] = aug[ri][col]
         solutions.append(x)
     return solutions
+
+
+def rref_q(rows) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q; returns every row (the first
+    len(pivots) are the pivot rows) and the pivot columns.  The rows must
+    hold Fractions, so that division is exact."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def nullspace_q(rows, ncols: int) -> list[list]:
+    """Basis of the right nullspace over Q in reduced echelon form: one
+    vector per free column, in column order, with 1 on that column and
+    zeros on the other free columns."""
+    if not rows:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    red, pivots = rref_q(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for ri, pc in enumerate(pivots):
+            v[pc] = -red[ri][fc]
+        basis.append(v)
+    return basis

@@ -468,3 +468,52 @@ class TestPinnedSmithOutput:
             json.dumps({"error": "SmithError: image of simplex ('a', 'c') is not a simplex"})
             + "\n"
         }
+
+    @pytest.mark.parametrize("argv", [("subdivide",), ("orbit",), ("orbit", "--subdivide", "1")])
+    def test_action_validated_before_subdivision(self, capsys, argv):
+        # "b" has no image: the same domain error whether or not the
+        # complex is subdivided first
+        data = {"simplices": [["a", "b"]], "action": {"order": 2, "perm": {"a": "b"}}}
+        code, out = run_cli(capsys, "smith", *argv, "--json", json.dumps(data))
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "SmithError: permutation domain differs from the vertex set"
+        }
+
+
+LND_IMAGES = {
+    "delta1": ("russell", {"x": "0", "y": "0-2*z", "z": "x^2", "t": "0"}),
+    "delta2": ("russell", {"x": "0", "y": "0-3*t^2", "z": "0", "t": "x^2"}),
+    "nagata": ("C3", {"x": "x^2*z - y*z^2", "y": "2*x^3 - 2*x*y*z", "z": "0"}),
+}
+
+# sha256 of the stdout of `exotic lnd <verb> --degree-bound <bound>` on the
+# Russell deltas and Nagata's derivation, pinned when the kernels moved from
+# dense Gauss-Jordan on Fractions to the sparse column reduction
+PINNED_LND_STDOUT = {
+    ("kernel", "delta1", 2): "f8340af0a5c4e016f8a9808aa024425dc26d1187c90bc97eeb49169e574c80db",
+    ("kernel", "delta1", 3): "e30a8ed764705894963e9c702e1ac15dc8bd66970752c7e90ec173f3a85d8ec2",
+    ("kernel", "delta2", 2): "2e24748f9b3a16c47a7b9f68fd8cb0fd504cdd83c32809e87eca1b3e0ed7a2eb",
+    ("kernel", "delta2", 3): "ce88e3b8fdea39ff9d59a2b0dc956e0951bb0e13241bdb3195a2ef3e7b9c23ff",
+    ("kernel", "nagata", 2): "07a10cf2a604436353e80fd84bc6b2a2e486c2168ae33ba28e5f53bdf3dafb7f",
+    ("kernel", "nagata", 3): "3852257d4d65521b68519bc6e977d416a4fcf33288c0a4834a66a1562c904f31",
+    ("invariants", "delta1", 2): "4b8a8368a512bbed7fb8b2e122145040274501a2df48e130966fd2f2fd50038d",
+    ("invariants", "delta1", 3): "c4992d148338501ffc4c2a1dea93aab13342db20308aa31e4602dc218711daf9",
+    ("invariants", "delta2", 2): "7e314a46ca1766ad0abf73658e9a2025c3b777d8e4c7bb6eff4db879b36220ae",
+    ("invariants", "delta2", 3): "cda44fd4969d9f1eb687bf5d252533eb86131928346c4af7c7230c2ad4654530",
+    ("invariants", "nagata", 2): "3dd6ace330de01984f290d3e6fca34c297fe6e91d10167d8932a9590d9a86789",
+    ("invariants", "nagata", 3): "a255bca4e53affdcc5ee3b55064bcebfb75372571e5020f187c9a5fb65427b29",
+}
+
+
+class TestPinnedLndOutput:
+    """lnd kernel and lnd invariants print byte for byte what dense
+    Gauss-Jordan printed."""
+
+    @pytest.mark.parametrize("verb, name, bound", sorted(PINNED_LND_STDOUT))
+    def test_stdout_sha256(self, capsys, verb, name, bound):
+        ring, images = LND_IMAGES[name]
+        code, out = run_cli(capsys, "lnd", verb, "--ring", ring, "--images",
+                            json.dumps(images), "--degree-bound", str(bound))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LND_STDOUT[verb, name, bound]

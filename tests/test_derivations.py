@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+from exoticaffine import derivations
 from exoticaffine.derivations import (
     Derivation,
     InvariantCandidates,
@@ -31,6 +33,7 @@ from exoticaffine.grading import (
     russell_quotient,
 )
 from exoticaffine.polyring import Polynomial, parse_polynomial, varset
+from gfp_oracle import nullspace_q
 
 VS = varset("x", "y", "z", "t")
 W = RUSSELL_WEIGHTS
@@ -433,3 +436,98 @@ class TestInvariantCandidates:
         assert {str(p) for p in result.ml_basis} == {
             str(p) for p in kernel_elements(d, cert, 2)
         }
+
+
+# ---------------------------------------------------------------------------
+# kernels against the dense route: image rows on the monomials, Gauss-Jordan
+# over Fractions, every kernel vector made primitive
+
+
+def dense_image_rows(d, monos):
+    """The matrix of d on the monomials, one dense row per image monomial."""
+    images = [apply(d, Polynomial.monomial(d.ambient, e)) for e in monos]
+    out = sorted({e for img in images for e in img.terms})
+    rows = [[Fraction(0)] * len(monos) for _ in out]
+    for j, img in enumerate(images):
+        for e, c in img.terms.items():
+            rows[out.index(e)][j] = c
+    return rows
+
+
+def dense_kernel(rows, monos, vs):
+    polys = []
+    for v in nullspace_q(rows, len(monos)):
+        p = Polynomial.from_terms(vs, dict(zip(monos, v)))
+        p = p.scale(lcm(*(c.denominator for c in p.terms.values())))
+        p = p.scale(Fraction(1, gcd(*(c.numerator for c in p.terms.values()))))
+        polys.append(-p if p.terms[max(p.terms)] < 0 else p)
+    return sorted(polys, key=lambda p: sorted(p.terms))
+
+
+def dense_invariants(ds, bound):
+    monos = derivations._canonical_monomials(ds[0], bound)
+    vs = ds[0].ambient
+    ml = dense_kernel([row for d in ds for row in dense_image_rows(d, monos)], monos, vs)
+    dk = []
+    for d in ds:
+        for p in dense_kernel(dense_image_rows(d, monos), monos, vs):
+            if p not in dk:
+                dk.append(p)
+    return ml, dk
+
+
+def random_triangular(rng):
+    """x -> 0, y -> f(x), z -> g(x, y): locally nilpotent on C[x, y, z]."""
+
+    def poly(names, degree):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(0, degree)):
+                e["xyz".index(rng.choice(names))] += 1
+            terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        return Polynomial.from_terms(XYZ, terms)
+
+    return make_derivation(
+        XYZ, {"x": Polynomial.zero(XYZ), "y": poly("x", 2), "z": poly("xy", 2)}
+    )
+
+
+class TestKernelsAgainstDenseRoute:
+    """kernel_elements and invariant_candidates give, element for element and
+    in the same order, what dense Gauss-Jordan on the image rows gives."""
+
+    def check(self, ds, bound):
+        certs = [nilpotency_test(d) for d in ds]
+        ml, dk = dense_invariants(ds, bound)
+        result = invariant_candidates(ds, certs, bound)
+        assert result.ml_basis == ml
+        assert result.dk_generators == dk
+        for d, cert in zip(ds, certs):
+            monos = derivations._canonical_monomials(d, bound)
+            expect = dense_kernel(dense_image_rows(d, monos), monos, d.ambient)
+            assert kernel_elements(d, cert, bound) == expect
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_russell_deltas(self, bound):
+        self.check([delta1()], bound)
+        self.check([delta2()], bound)
+        self.check([delta1(), delta2()], bound)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_nagata(self, bound):
+        self.check([nagata()], bound)
+
+    def test_seeded_triangular(self):
+        rng = random.Random(2013)
+        for _ in range(12):
+            d1, d2 = random_triangular(rng), random_triangular(rng)
+            bound = rng.randint(1, 4)
+            self.check([d1], bound)
+            self.check([d1, d2], bound)
+            self.check([d1, nagata()], bound)
+
+    def test_one_certificate_per_derivation(self):
+        d = delta1()
+        with pytest.raises(derivations.DerivationError):
+            invariant_candidates([d, delta2()], [nilpotency_test(d)], 2)

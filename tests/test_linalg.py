@@ -4,8 +4,9 @@ Ranks read off the Smith normal form are checked against Fraction
 elimination, the Bareiss determinant against cofactor expansion, the sparse
 GF(p) solver against the dense one and brute force, the sparse GF(p) column
 reduction against dense row reduction, brute-force spans and Fraction ranks,
-and Z homology against GF(p) homology through the universal coefficient
-theorem.
+the kernels the same reduction gives over Q against dense Gauss-Jordan on
+Fractions, and Z homology against GF(p) homology through the universal
+coefficient theorem.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from exoticaffine.linalg import (
     solve_columns_mod,
     sparse_columns,
 )
-from gfp_oracle import dense, rref_mod, solve_many_mod
+from gfp_oracle import dense, nullspace_q, rref_mod, solve_many_mod
 from exoticaffine import smithhom
 from exoticaffine.smithhom import (
     ChainComplex,
@@ -190,6 +191,93 @@ class TestColumnReduction:
         assert column_space_basis_mod([], 3) == []
         assert sparse_columns([], 3, 2) == [{}, {}]
         assert reduce_columns_mod([], 5, track=True) == ([], [], {})
+
+
+def q_kernel(cols, ncols):
+    """The kernel over Q as dense vectors: the tracked combination of each
+    column that reduces to zero."""
+    reduced, combos, _ = reduce_columns_mod(cols, None, track=True)
+    return [
+        [combo.get(j, 0) for j in range(ncols)]
+        for col, combo in zip(reduced, combos)
+        if not col
+    ]
+
+
+def rational_matrix(rng, rows, cols):
+    """Fraction entries with small denominators; every third row combines
+    the two before it and about one column in five is zero."""
+    m = [
+        [Fraction(x, rng.randint(1, 4)) for x in row]
+        for row in dependent_matrix(rng, rows, cols)
+    ]
+    for j in range(cols):
+        if rng.random() < 0.2:
+            for row in m:
+                row[j] = Fraction(0)
+    return m
+
+
+class TestRationalKernel:
+    """reduce_columns_mod with p = None: the kernel read off the tracked
+    combinations is the reduced echelon kernel of Gauss-Jordan over Q."""
+
+    def test_matches_dense_oracle_in_order(self):
+        rng = random.Random(2010)
+        for _ in range(400):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 8)
+            m = rational_matrix(rng, rows, cols)
+            got = q_kernel(sparse_columns(m, None), cols)
+            assert got == nullspace_q(m, cols), m
+            assert all(isinstance(x, (int, Fraction)) for v in got for x in v)
+            for v in got:
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+
+    def test_empty_shapes(self):
+        assert reduce_columns_mod([], None, track=True) == ([], [], {})
+        assert q_kernel([], 0) == nullspace_q([], 0) == []
+        # no rows: every column is free, the kernel is the identity
+        assert q_kernel(sparse_columns([], None, 3), 3) == nullspace_q([], 3)
+        assert nullspace_q([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_zero_columns(self):
+        m = [[Fraction(0), Fraction(2), Fraction(0)], [Fraction(0), Fraction(-1), Fraction(0)]]
+        assert q_kernel(sparse_columns(m, None), 3) == [[1, 0, 0], [0, 0, 1]]
+        assert q_kernel(sparse_columns(m, None), 3) == nullspace_q(m, 3)
+
+    def test_dependent_rational_columns(self):
+        # c2 = 3/2 c0 - 1/3 c1 and c3 = c1 / 5
+        c0, c1 = [Fraction(1, 2), Fraction(2), Fraction(0)], [Fraction(3), Fraction(0), Fraction(-7, 4)]
+        c2 = [Fraction(3, 2) * a - Fraction(1, 3) * b for a, b in zip(c0, c1)]
+        c3 = [b / 5 for b in c1]
+        m = [list(row) for row in zip(c0, c1, c2, c3)]
+        expect = [
+            [Fraction(-3, 2), Fraction(1, 3), 1, 0],
+            [0, Fraction(-1, 5), 0, 1],
+        ]
+        assert q_kernel(sparse_columns(m, None), 4) == expect == nullspace_q(m, 4)
+
+    def test_rows_keyed_by_tuples(self):
+        # rows may be any comparable keys, as in the derivation image columns
+        rng = random.Random(2011)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = rational_matrix(rng, rows, cols)
+            keys = sorted(rng.sample([(a, b) for a in range(3) for b in range(5)], rows))
+            tuple_cols = [{keys[i]: m[i][j] for i in range(rows) if m[i][j]} for j in range(cols)]
+            assert q_kernel(tuple_cols, cols) == nullspace_q(m, cols), m
+
+    def test_solutions_over_q(self):
+        rng = random.Random(2012)
+        for _ in range(100):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            m = rational_matrix(rng, rows, cols)
+            basis = sparse_columns(m, None)
+            x = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(cols)}
+            target = {i: sum(m[i][j] * c for j, c in x.items()) for i in range(rows)}
+            (sol,) = solve_columns_mod(basis, [target], None)
+            got = [sum(m[i][j] * c for j, c in sol.items()) for i in range(rows)]
+            assert got == [target[i] for i in range(rows)], m
 
 
 class TestSnfRank:
