@@ -432,6 +432,10 @@ def _smith_model(name: str):
 
 
 def _cmd_smith(args):
+    if args.verb == "homology" and (args.subdivide or args.repair):
+        raise CliError(
+            f"verb homology takes no {'--subdivide' if args.subdivide else '--repair'}"
+        )
     k, action = _smith_complex(args)
     if args.verb == "homology":
         coeff = "Z" if args.mod is None else args.mod

@@ -5,8 +5,7 @@ vectors are sequences of entries.  For elimination, over GF(p) and over Q
 alike, a matrix is a list of sparse columns, {row: value} dicts, since the
 chain matrices and derivation images here have a few nonzeros per column:
 one lowest-nonzero column reduction gives ranks, column bases, solutions and
-kernels.  `sparse_columns` turns a row-major matrix into such columns.
-Integer Smith normal form lives in fpgroups, which certifies it.
+kernels.  Integer Smith normal form lives in fpgroups, which certifies it.
 """
 
 from __future__ import annotations
@@ -81,21 +80,6 @@ def _entries(col: dict, p) -> dict:
 def _ratio(a, b, p):
     """a / b in GF(p), or in Q when p is None."""
     return Fraction(a, b) if p is None else a * pow(b, -1, p) % p
-
-
-def sparse_columns(matrix, p, ncols=None) -> list[dict]:
-    """The columns of a row-major matrix as {row: value} dicts, mod p
-    unless p is None.
-
-    `ncols` is needed only when the matrix may have no rows."""
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return [_entries(col, p) for col in cols]
 
 
 def _add_multiple(dst: dict, src: dict, f, p):

@@ -3,11 +3,11 @@
 Simplices are sorted tuples of string vertex ids; orientation signs come from
 sorting permutations, so all chain matrices are deterministic.  Homology is
 exact: Smith normal form over Z (via fpgroups), sparse column reduction over
-the field with p elements (via linalg) for mod-p questions.  Over Z a chain
-matrix is a list of dense rows (boundary_matrix, ChainComplex).  Over GF(p)
-every matrix is a list of sparse {row: value} columns, as linalg computes on
-them: the boundaries, sigma and tau, subcomplex bases, homology
-representatives, induced maps and the transfer.
+the field with p elements (via linalg) for mod-p questions.  Every matrix is
+a list of sparse {row: value} columns, as linalg computes on them: the
+boundaries of the one ChainComplex over Z or GF(p) (Z homology copies each
+into dense rows only for its certified Smith normal form), sigma and tau,
+subcomplex bases, homology representatives, induced maps and the transfer.
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -30,12 +30,10 @@ from .fpgroups import AbelianGroup, snf_diagonal
 from .linalg import (
     apply_columns_mod,
     column_space_basis_mod,
-    mat_mul,
     mul_columns_mod,
     rank_mod,
     reduce_columns_mod,
     solve_columns_mod,
-    sparse_columns,
 )
 
 
@@ -124,8 +122,16 @@ class SimplicialComplex:
         return sum((-1) ** k * len(level) for k, level in enumerate(self.simplices))
 
 
+def _vertex_id(v) -> str:
+    if not isinstance(v, str):
+        raise SmithError(f"vertex id {v!r} is not a string")
+    return v
+
+
 def complex_from_json(data) -> SimplicialComplex:
-    return SimplicialComplex.build([tuple(s) for s in data["simplices"]])
+    return SimplicialComplex.build(
+        [tuple(_vertex_id(v) for v in s) for s in data["simplices"]]
+    )
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
@@ -175,12 +181,6 @@ class CyclicAction:
         if self.order < 1:
             raise SmithError(f"group order {self.order} is not positive")
 
-    def map_simplex(self, s: tuple[str, ...], k: int = 1) -> tuple[str, ...]:
-        out = list(s)
-        for _ in range(k % self.order):
-            out = [self.perm[v] for v in out]
-        return tuple(sorted(out))
-
     def orbit_of_vertex(self, v: str) -> tuple[str, ...]:
         out = [v]
         cur = self.perm[v]
@@ -191,7 +191,8 @@ class CyclicAction:
 
 
 def action_from_json(data) -> CyclicAction:
-    return CyclicAction(int(data["order"]), dict(data["perm"]))
+    perm = {_vertex_id(u): _vertex_id(v) for u, v in dict(data["perm"]).items()}
+    return CyclicAction(int(data["order"]), perm)
 
 
 def action_to_json(a: CyclicAction) -> dict:
@@ -356,16 +357,13 @@ class ChainComplex:
 
     coefficients: object  # "Z" or a prime int
     dims: tuple[int, ...]
-    boundaries: tuple  # boundaries[k]: tuple of rows, shape dims[k-1] x dims[k]
+    boundaries: tuple  # boundaries[k]: dims[k] sparse columns on dims[k-1] rows
 
     def __post_init__(self):
         p = None if self.coefficients == "Z" else int(self.coefficients)
-        for k in range(1, len(self.dims) - 1):
-            prod = mat_mul(self.boundaries[k], self.boundaries[k + 1])
-            for row in prod:
-                for x in row:
-                    if (x if p is None else x % p) != 0:
-                        raise NotAComplex("boundary squared is nonzero")
+        for k in range(2, len(self.boundaries)):
+            if any(mul_columns_mod(self.boundaries[k - 1], self.boundaries[k], p)):
+                raise NotAComplex("boundary squared is nonzero")
 
 
 def _sort_sign(values) -> int:
@@ -388,27 +386,6 @@ def boundary_columns(k: SimplicialComplex, dim: int) -> list[dict[int, int]]:
     ]
 
 
-def boundary_matrix(k: SimplicialComplex, dim: int) -> list[list[int]]:
-    matrix = [[0] * k.n_simplices(dim) for _ in range(k.n_simplices(dim - 1))]
-    for j, col in enumerate(boundary_columns(k, dim)):
-        for i, x in col.items():
-            matrix[i][j] = x
-    return matrix
-
-
-def _boundaries_mod(k: SimplicialComplex, p: int) -> list[list[dict[int, int]]]:
-    """Per dimension the boundary columns over GF(p) ([] in dimension 0),
-    with boundary^2 = 0 checked."""
-    boundaries = [[]] + [
-        [{i: x % p for i, x in col.items()} for col in boundary_columns(k, d)]
-        for d in range(1, k.dimension + 1)
-    ]
-    for d in range(2, len(boundaries)):
-        if any(mul_columns_mod(boundaries[d - 1], boundaries[d], p)):
-            raise NotAComplex("boundary squared is nonzero")
-    return boundaries
-
-
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
@@ -420,18 +397,15 @@ def _prime(p) -> int:
     return p
 
 
-def _dims(k: SimplicialComplex) -> list[int]:
-    return [k.n_simplices(d) for d in range(k.dimension + 1)]
-
-
 def chain_complex(k: SimplicialComplex, coefficients="Z") -> ChainComplex:
-    """The chain complex as dense boundary matrices, over Z or reduced mod p."""
+    """The chain complex as sparse boundary columns ([] in dimension 0),
+    over Z or reduced mod p."""
     p = None if coefficients == "Z" else _prime(coefficients)
-    boundaries: list = [()]
-    for d in range(1, k.dimension + 1):
-        m = boundary_matrix(k, d)
-        boundaries.append(tuple(tuple(x if p is None else x % p for x in row) for row in m))
-    return ChainComplex(coefficients, tuple(_dims(k)), tuple(boundaries))
+    boundaries = [[]] + [boundary_columns(k, d) for d in range(1, k.dimension + 1)]
+    if p is not None:
+        boundaries = [[{i: x % p for i, x in col.items()} for col in b] for b in boundaries]
+    dims = tuple(k.n_simplices(d) for d in range(k.dimension + 1))
+    return ChainComplex(coefficients, dims, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +414,31 @@ def chain_complex(k: SimplicialComplex, coefficients="Z") -> ChainComplex:
 
 def homology(c: ChainComplex):
     """Over Z: list of AbelianGroup; over Z_p: list of vector-space dims."""
-    top = len(c.dims) - 1
-    if c.coefficients == "Z":
-        # one Smith normal form per boundary gives its rank and torsion
-        diags = [
-            snf_diagonal(b) if k >= 1 and b and b[0] else []
-            for k, b in enumerate(c.boundaries)
-        ] + [[]]
-        ranks = [sum(1 for d in diag if d != 0) for diag in diags]
-        return [
-            AbelianGroup(
-                c.dims[k] - ranks[k] - ranks[k + 1],
-                tuple(d for d in diags[k + 1] if d > 1),
-            )
-            for k in range(top + 1)
-        ]
-    p = int(c.coefficients)
-    return _dims_mod(
-        c.dims, [sparse_columns(b, p, n) for b, n in zip(c.boundaries, c.dims)], p
-    )
+    if c.coefficients != "Z":
+        return _dims_mod(c.dims, c.boundaries, int(c.coefficients))
+    # one certified Smith normal form per boundary, on a dense copy made for
+    # it alone, gives its rank and torsion
+    diags = [
+        snf_diagonal(_rows(b, c.dims[k - 1])) if k >= 1 and b and c.dims[k - 1] else []
+        for k, b in enumerate(c.boundaries)
+    ] + [[]]
+    ranks = [sum(1 for d in diag if d != 0) for diag in diags]
+    return [
+        AbelianGroup(
+            c.dims[k] - ranks[k] - ranks[k + 1],
+            tuple(d for d in diags[k + 1] if d > 1),
+        )
+        for k in range(len(c.dims))
+    ]
+
+
+def _rows(cols, nrows) -> list[list[int]]:
+    """The row-major matrix with the given sparse columns."""
+    matrix = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            matrix[i][j] = x
+    return matrix
 
 
 def _dims_mod(dims, boundaries, p) -> list[int]:
@@ -468,12 +448,8 @@ def _dims_mod(dims, boundaries, p) -> list[int]:
 
 
 def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
-    """Over Z: list of AbelianGroup; over Z_p: list of vector-space dims,
-    from the sparse boundary columns."""
-    if coefficients == "Z":
-        return homology(chain_complex(k))
-    p = _prime(coefficients)
-    return _dims_mod(_dims(k), _boundaries_mod(k, p), p)
+    """Over Z: list of AbelianGroup; over Z_p: list of vector-space dims."""
+    return homology(chain_complex(k, coefficients))
 
 
 def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
@@ -823,15 +799,15 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
         for d in range(k.dimension + 1)
     )
 
-    bd_y = _boundaries_mod(k, q)
-    bd_x = _boundaries_mod(x, q)
+    cy, cx = chain_complex(k, q), chain_complex(x, q)
+    bd_y, bd_x = cy.boundaries, cx.boundaries
     mu_chain_map = all(
         mul_columns_mod(bd_y[d], mu[d], q) == mul_columns_mod(mu[d - 1], bd_x[d], q)
         for d in range(1, k.dimension + 1)
     )
 
-    hy = _homology_basis(_dims(k), bd_y, q)
-    hx = _homology_basis(_dims(x), bd_x, q)
+    hy = _homology_basis(cy.dims, bd_y, q)
+    hx = _homology_basis(cx.dims, bd_x, q)
     pi_star = _induced_on_homology(hy, hx, pi)
     mu_star = _induced_on_homology(hx, hy, mu)
     pimu_ok = all(
@@ -873,7 +849,7 @@ def special_smith_homology(k: SimplicialComplex, a: CyclicAction, i: int) -> lis
     if not 1 <= i <= p - 1:
         raise SmithError("rho = tau^i needs 1 <= i <= p-1")
     rho = ops.sigma if i == p - 1 else operator_power(ops, i)
-    sub = _image_subcomplex(rho, p, _boundaries_mod(k, p))
+    sub = _image_subcomplex(rho, p, chain_complex(k, p).boundaries)
     return _dims_mod(sub.dims(), sub.boundaries, p)
 
 
@@ -885,7 +861,7 @@ def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
         for level in k.simplices
     ]
     # A is a subcomplex, so these boundaries square to zero as those of K do
-    amb = _boundaries_mod(k, p)
+    amb = chain_complex(k, p).boundaries
     boundaries: list = [[]]
     for d in range(1, k.dimension + 1):
         rows = {i: r for r, i in enumerate(keep[d - 1])}
@@ -931,7 +907,8 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     # and in _ensure_regular for each subdivision
     p = _prime_order(a)
     ops = _smith_operators(k, a)
-    amb = _boundaries_mod(k, p)
+    c = chain_complex(k, p)
+    amb = c.boundaries
     fixed_inc = _fixed_inclusion_bases(k, a)
     # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0 and the image
     # subcomplex of each, built once
@@ -948,7 +925,7 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
         )
         # the image basis of rho has rank(rho) columns
         r_inc, rank_rho = a_j.dims(), images[j].dims()
-        for d, n in enumerate(_dims(k)):
+        for d, n in enumerate(c.dims):
             inc = a_j.bases[d]
             if rank_mod(inc, p) != r_inc[d]:
                 ses_ok = False
@@ -965,7 +942,7 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     kq, aq, rounds = _ensure_regular(k, a)
     if rounds:
         sigma_q = _smith_operators(kq, aq).sigma
-        sigma_c = _image_subcomplex(sigma_q, p, _boundaries_mod(kq, p))
+        sigma_c = _image_subcomplex(sigma_q, p, chain_complex(kq, p).boundaries)
     else:
         sigma_c = images[p - 1]
     sigma_dims = _dims_mod(sigma_c.dims(), sigma_c.boundaries, p)

@@ -1,6 +1,22 @@
 """Dense Gauss-Jordan elimination over GF(p) and over Q, kept as the oracle
-for the sparse column reduction of exoticaffine.linalg, and the one helper
-that reads sparse columns as a dense matrix."""
+for the sparse column reduction of exoticaffine.linalg, and the two helpers
+that turn sparse columns into a dense matrix and back."""
+
+
+def sparse_columns(matrix, p, ncols=None) -> list[dict]:
+    """The columns of a row-major matrix as {row: value} dicts, mod p
+    unless p is None.
+
+    `ncols` is needed only when the matrix may have no rows."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            y = x if p is None else x % p
+            if y:
+                cols[j][i] = y
+    return cols
 
 
 def dense(cols, nrows=None) -> list[list[int]]:

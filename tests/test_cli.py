@@ -469,6 +469,32 @@ class TestPinnedSmithOutput:
             + "\n"
         }
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(("--subdivide", "2"), "--subdivide"), (("--repair",), "--repair")],
+        ids=["subdivide", "repair"],
+    )
+    @pytest.mark.parametrize("mod", [(), ("--mod", "3")], ids=["Z", "mod3"])
+    def test_homology_refuses_subdivision_flags(self, capsys, flags, name, mod):
+        code, out = run_cli(capsys, "smith", "homology", "--model", "sphere:5", *flags, *mod)
+        assert code == 1
+        assert json.loads(out) == {"error": f"CliError: verb homology takes no {name}"}
+
+    @pytest.mark.parametrize(
+        "verb, data, bad",
+        [
+            ("homology", {"simplices": [[1, "a"]]}, 1),
+            ("homology", {"simplices": [[0, 1], [1, 2]]}, 0),
+            ("orbit", {"simplices": [["a", "b"]],
+                       "action": {"order": 2, "perm": {"a": 1, "b": "a"}}}, 1),
+        ],
+        ids=["mixed", "integers", "perm-value"],
+    )
+    def test_vertex_ids_must_be_strings(self, capsys, verb, data, bad):
+        code, out = run_cli(capsys, "smith", verb, "--json", json.dumps(data))
+        assert code == 1
+        assert json.loads(out) == {"error": f"SmithError: vertex id {bad} is not a string"}
+
     @pytest.mark.parametrize("argv", [("subdivide",), ("orbit",), ("orbit", "--subdivide", "1")])
     def test_action_validated_before_subdivision(self, capsys, argv):
         # "b" has no image: the same domain error whether or not the

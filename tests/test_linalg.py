@@ -21,14 +21,14 @@ from exoticaffine.linalg import (
     rank_mod,
     reduce_columns_mod,
     solve_columns_mod,
-    sparse_columns,
 )
-from gfp_oracle import dense, nullspace_q, rref_mod, solve_many_mod
+from gfp_oracle import dense, nullspace_q, rref_mod, solve_many_mod, sparse_columns
 from exoticaffine import smithhom
 from exoticaffine.smithhom import (
     ChainComplex,
     SimplicialComplex,
     barycentric_subdivide,
+    chain_complex,
     cone_complex,
     homology,
     polygon,
@@ -289,7 +289,7 @@ class TestSnfRank:
             rank = fraction_rank(m)
             assert sum(1 for d in snf_diagonal(m) if d != 0) == rank, m
             # homology of C_1 --m--> C_0 reads its ranks from the same SNF
-            h0, h1 = homology(ChainComplex("Z", (rows, cols), ((), m)))
+            h0, h1 = homology(ChainComplex("Z", (rows, cols), ([], sparse_columns(m, None))))
             assert (h0.free_rank, h1.free_rank) == (rows - rank, cols - rank), m
 
     def test_unit_and_zero_matrices(self):
@@ -391,19 +391,36 @@ def _klein():
     return SimplicialComplex.build(faces)
 
 
+RP2_FACES = [
+    ("1", "2", "3"), ("1", "3", "4"), ("1", "4", "5"), ("1", "5", "6"), ("1", "2", "6"),
+    ("2", "3", "5"), ("2", "4", "5"), ("2", "4", "6"), ("3", "4", "6"), ("3", "5", "6"),
+]
+
+
 def _rp2():
-    faces = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]
-    return SimplicialComplex.build([tuple(str(v) for v in s) for s in faces])
+    return SimplicialComplex.build(RP2_FACES)
+
+
+def _random_complex(rng):
+    """The six-vertex RP^2 with each triangle kept with probability 0.95,
+    plus up to three random simplices on its vertices and two more: Z/2
+    torsion in about half, a second component or free H_1 in others."""
+    vertices = [str(v) for v in range(1, 9)]
+    faces = [s for s in RP2_FACES if rng.random() < 0.95]
+    faces += [rng.sample(vertices, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    return SimplicialComplex.build(faces)
+
+
+def _alternating(values) -> int:
+    return sum((-1) ** d * x for d, x in enumerate(values))
 
 
 def _cellular(*boundaries):
     """Cellular chain complex with one cell per dimension and integer
-    boundaries d_1, d_2, ...: torsion Z/d wherever d_k = d > 1."""
+    boundaries d_1, d_2, ... as sparse columns: torsion Z/d wherever
+    d_k = d > 1."""
     dims = (1,) * (len(boundaries) + 1)
-    return dims, ((),) + tuple(((d,),) for d in boundaries)
+    return dims, ([],) + tuple([{0: d} if d else {}] for d in boundaries)
 
 
 CELLULAR = {
@@ -447,15 +464,39 @@ class TestUniversalCoefficients:
         for name, k in self.COMPLEXES.items():
             h_z = simplicial_homology(k)
             for p in (2, 3, 5):
-                dims = [k.n_simplices(d) for d in range(k.dimension + 1)]
-                h = smithhom._homology_basis(dims, smithhom._boundaries_mod(k, p), p)
+                c = chain_complex(k, p)
+                h = smithhom._homology_basis(c.dims, c.boundaries, p)
                 assert h.dims == _uct_expected(h_z, p), (name, p)
+
+    def test_random_complexes_and_subdivisions(self):
+        """On seeded random complexes and their first barycentric
+        subdivision: the universal coefficient theorem, the Euler
+        characteristic as the alternating sum of Betti numbers over Z and
+        over GF(p), and homology unchanged by subdivision."""
+        rng = random.Random(2014)
+        with_torsion = 0
+        for _ in range(12):
+            k = _random_complex(rng)
+            sub, _ = barycentric_subdivide(k)
+            h_z = simplicial_homology(k)
+            assert simplicial_homology(sub) == h_z, k
+            with_torsion += any(g.torsion for g in h_z)
+            chi = k.euler_characteristic()
+            assert sub.euler_characteristic() == chi, k
+            assert _alternating(g.free_rank for g in h_z) == chi, k
+            for p in (2, 3, 5):
+                dims = simplicial_homology(k, p)
+                assert dims == _uct_expected(h_z, p), (k, p)
+                assert _alternating(dims) == chi, (k, p)
+                assert simplicial_homology(sub, p) == dims, (k, p)
+        assert with_torsion
 
     def test_cellular_torsion(self):
         for name, (dims, boundaries) in CELLULAR.items():
             h_z = homology(ChainComplex("Z", dims, boundaries))
             assert any(g.torsion for g in h_z), name
             for p in (2, 3):
-                mod_p = tuple(tuple(tuple(x % p for x in row) for row in b) for b in boundaries)
+                mod_p = tuple([{i: x % p for i, x in col.items() if x % p} for col in b]
+                              for b in boundaries)
                 dims_p = homology(ChainComplex(p, dims, mod_p))
                 assert dims_p == _uct_expected(h_z, p), (name, p)

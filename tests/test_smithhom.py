@@ -7,9 +7,9 @@ from math import lcm
 
 import pytest
 
-from exoticaffine import cli, linalg, smithhom
+from exoticaffine import cli, fpgroups, linalg, smithhom
 from exoticaffine.fpgroups import AbelianGroup
-from exoticaffine.linalg import identity, mat_mul, mat_vec, sparse_columns
+from exoticaffine.linalg import identity, mat_mul, mat_vec
 from exoticaffine.smithhom import (
     BadPrime,
     CyclicAction,
@@ -41,7 +41,7 @@ from exoticaffine.smithhom import (
     trivial_action,
     verify_smith_sequences,
 )
-from gfp_oracle import dense, rref_mod, solve_many_mod
+from gfp_oracle import dense, rref_mod, solve_many_mod, sparse_columns
 
 
 def disc(n=3, p_order=None):
@@ -131,10 +131,16 @@ class TestHomology:
         assert simplicial_homology(rp2, 3) == [1, 0, 0]
 
     def test_boundary_squared_validated(self):
-        with pytest.raises(NotAComplex):
-            from exoticaffine.smithhom import ChainComplex
+        from exoticaffine.smithhom import ChainComplex
 
-            ChainComplex("Z", (1, 1, 1), ((), ((1,),), ((1,),)))
+        with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
+            ChainComplex("Z", (1, 1, 1), ([], [{0: 1}], [{0: 1}]))
+        # boundary^2 = 1 + 2 = 3: zero mod 3 only
+        boundaries = ([], [{0: 1}, {0: 1}], [{0: 1, 1: 2}])
+        for coefficients in ("Z", 5):
+            with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
+                ChainComplex(coefficients, (1, 2, 1), boundaries)
+        ChainComplex(3, (1, 2, 1), boundaries)
 
     def test_corrupted_sparse_boundary_refused(self, monkeypatch):
         original = smithhom.boundary_columns
@@ -148,8 +154,9 @@ class TestHomology:
 
         monkeypatch.setattr(smithhom, "boundary_columns", corrupted)
         k, a = sphere()
-        with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
-            simplicial_homology(k, 3)
+        for coefficients in ("Z", 3):
+            with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
+                simplicial_homology(k, coefficients)
         with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
             verify_smith_sequences(k, a)
 
@@ -233,14 +240,6 @@ class TestRegularity:
         for order in (0, -3):
             with pytest.raises(SmithError, match=f"group order {order} is not positive"):
                 CyclicAction(order, involution)
-
-    def test_map_simplex_matches_power(self):
-        # oracle: the whole vertex permutation of the k-th power
-        k, a = sphere(5)
-        for power in range(-1, 2 * a.order + 1):
-            g = power_map(a, power)
-            for s in k.all_simplices():
-                assert a.map_simplex(s, power) == tuple(sorted(g[v] for v in s))
 
     def test_ensure_regular_refusal_names_violations(self):
         k, a = disc()
@@ -479,7 +478,7 @@ class TestLongExactSequence:
 
     @staticmethod
     def ambient(k, p):
-        return smithhom._boundaries_mod(k, p)
+        return chain_complex(k, p).boundaries
 
     @staticmethod
     def whole(k, p, amb):
@@ -540,6 +539,32 @@ class TestLongExactSequence:
 
 # ---------------------------------------------------------------------------
 # homology bases over GF(p) against the dense oracle
+
+
+def count_dense_calls(monkeypatch) -> list:
+    """Count every call of the dense mat_mul and mat_vec, wherever
+    smithhom, fpgroups or linalg bind them; returns the list of names."""
+    calls = []
+    for name in ("mat_mul", "mat_vec"):
+        original = getattr(linalg, name)
+
+        def counting(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        for module in (linalg, smithhom, fpgroups):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def assert_snf_certificate_counted(calls, c):
+    """The counter fires on the one dense product behind Z homology: the
+    certificate U M V = S of each nonzero boundary's Smith normal form."""
+    nonzero = sum(1 for b in c.boundaries if any(b))
+    assert nonzero
+    smithhom.homology(c)
+    assert calls == ["mat_mul"] * (2 * nonzero)
 
 
 def dense_nullspace(matrix, n, p):
@@ -624,11 +649,11 @@ def _model_complexes():
     return out
 
 
-def _assert_homology_basis(dims, boundaries, p, label):
-    """Check the sparse homology basis of the dense boundaries against the
+def _assert_homology_basis(dims, sparse, p, label):
+    """Check the homology basis of the sparse boundary columns against the
     dense one; return it."""
-    sparse = [sparse_columns(b, p, n) for b, n in zip(boundaries, dims)]
     h = smithhom._homology_basis(dims, sparse, p)
+    boundaries = [[]] + [dense(b, dims[d - 1]) for d, b in enumerate(sparse) if d >= 1]
     reps_o, bnds_o, cycles_o = dense_homology_basis(dims, boundaries, p)
     assert h.dims == [len(r) for r in reps_o], label
     for d, n in enumerate(dims):
@@ -675,29 +700,22 @@ class TestHomologyBasis:
         for t in range(90):
             p = (2, 3, 5)[t % 3]
             dims, boundaries = _dense_chain_complex(rng, p)
-            _assert_homology_basis(dims, boundaries, p, (boundaries, p))
+            sparse = [sparse_columns(b, p, n) for b, n in zip(boundaries, dims)]
+            _assert_homology_basis(dims, sparse, p, (boundaries, p))
 
     def test_no_dense_elimination(self, monkeypatch):
-        """The Smith sequences and the transfer run on sparse columns only:
-        no dense product, no dense mat-vec, no dense-to-sparse conversion."""
-        calls = []
-        for name in ("mat_mul", "mat_vec", "sparse_columns"):
-            original = getattr(linalg, name)
-
-            def counting(*args, original=original, name=name):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(linalg, name, counting)
-            if hasattr(smithhom, name):
-                monkeypatch.setattr(smithhom, name, counting)
+        """The Smith sequences, the transfer and the chain complex with its
+        homology over GF(p) and over Z run on sparse columns only: no dense
+        product and no dense mat-vec."""
+        calls = count_dense_calls(monkeypatch)
         assert verify_smith_sequences(*sphere(5)).all_exact
         kq, aq, _ = ensure_regular(*sphere(3))
         assert transfer_check(kq, aq, 2).all_identities_hold
+        assert smithhom.homology(chain_complex(kq, 3)) == [1, 0, 1]
+        k, _ = sphere(5)
+        c = chain_complex(k)  # boundary^2 = 0 checked over Z
         assert calls == []
-        # the counters see the dense entry of the public ChainComplex
-        smithhom.homology(chain_complex(kq, 3))
-        assert {"mat_mul", "sparse_columns"} <= set(calls)
+        assert_snf_certificate_counted(calls, c)
 
 
 # ---------------------------------------------------------------------------
@@ -897,23 +915,17 @@ class TestOperatorOracle:
             assert verify_smith_sequences(k, a).all_exact, (k, a)
 
     def test_no_dense_products(self, monkeypatch):
-        calls = []
-        original = linalg.mat_mul
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(linalg, "mat_mul", counting)
-        monkeypatch.setattr(smithhom, "mat_mul", counting)
+        calls = count_dense_calls(monkeypatch)
         kq, aq, _ = ensure_regular(*sphere(5))
-        calls.clear()
         ops = smith_operators(kq, aq)
         for i in range(ops.p + 1):
             operator_power(ops, i)
+        chain_complex(kq, 5)  # boundary^2 = 0 checked on sparse columns
+        chain_complex(kq)
         assert calls == []
-        chain_complex(kq, 5)  # the counter sees the check on boundary^2
-        assert calls
+        # Z homology of kq would run the dense SNF for seconds; the counter
+        # is shown to fire on the unsubdivided sphere instead
+        assert_snf_certificate_counted(calls, chain_complex(sphere(5)[0]))
 
 
 def dense_chain_map(src, dst, vmap):
@@ -1084,10 +1096,11 @@ def oracle_check_regularity(k, a):
             break
     seen: set[tuple] = set()
     done: set[tuple] = set()
+    powers = [power_map(a, j) for j in range(a.order)]
     for s in k.all_simplices():
         if s in done:
             continue
-        orbit = {a.map_simplex(s, j) for j in range(a.order)}
+        orbit = {tuple(sorted(g[v] for v in s)) for g in powers}
         done |= orbit
         key = tuple(sorted({orbit_rep[v] for v in s}))
         if key in seen:
@@ -1114,8 +1127,9 @@ def oracle_subdivide(k, a=None):
         )
     new_a = None
     if a is not None:
+        g = power_map(a, 1)
         perm = {
-            smithhom._bary_name(s): smithhom._bary_name(a.map_simplex(s))
+            smithhom._bary_name(s): smithhom._bary_name(tuple(sorted(g[v] for v in s)))
             for s in k.all_simplices()
         }
         new_a = CyclicAction(a.order, perm)
