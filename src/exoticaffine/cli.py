@@ -9,6 +9,7 @@ byte-identical for identical inputs; timing goes to stderr only under
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -464,38 +465,11 @@ def _cmd_smith(args):
             "euler": str(x.euler_characteristic()),
         }
     if args.verb == "transfer":
-        report = smithhom.transfer_check(k, action, args.q)
-        return _stringify(
-            {
-                "group_order": report.group_order,
-                "prime": report.prime,
-                "mu_is_chain_map": report.mu_is_chain_map,
-                "chain_level_pi_mu_is_s": report.chain_level_pi_mu_is_s,
-                "action_homologically_trivial": report.action_homologically_trivial,
-                "pi_mu_is_s_on_homology": report.pi_mu_is_s_on_homology,
-                "mu_pi_is_sigma_on_homology": report.mu_pi_is_sigma_on_homology,
-                "projection_iso_on_homology": report.projection_iso_on_homology,
-                "homology_dims_y": report.homology_dims_y,
-                "homology_dims_x": report.homology_dims_x,
-            }
-        )
+        return _stringify(dataclasses.asdict(smithhom.transfer_check(k, action, args.q)))
     if args.verb == "sequences":
         report = smithhom.verify_smith_sequences(k, action)
-        return _stringify(
-            {
-                "p": report.p,
-                "subdivisions_for_quotient": report.subdivisions_for_quotient,
-                "ses_exact": report.ses_exact,
-                "les_rho_exact": report.les_rho_exact,
-                "les_tau_exact": report.les_tau_exact,
-                "special_matches_pair": report.special_matches_pair,
-                "special_dims_sigma": report.special_dims_sigma,
-                "pair_dims": report.pair_dims,
-                "prop4_premises": report.prop4_premises,
-                "prop4_conclusion": report.prop4_conclusion,
-                "prop4_implication_holds": report.prop4_implication_holds,
-            }
-        )
+        implication = {"prop4_implication_holds": report.prop4_implication_holds}
+        return _stringify(dataclasses.asdict(report) | implication)
     raise CliError(f"unknown smith verb {args.verb}")
 
 
@@ -669,19 +643,13 @@ def _scenario_groups():
 def _scenario_smith():
     checks = []
     for name in ("disc:3", "sphere:3", "circle:3", "disc:5", "sphere:5", "circle:5"):
-        k, action = _smith_model(name)
-        report = smithhom.verify_smith_sequences(k, action)
+        report = smithhom.verify_smith_sequences(*_smith_model(name))
         checks.append(
             (f"sequences exact for {name}", report.all_exact and report.special_matches_pair)
         )
-    k, action = _smith_model("disc:3")
-    report = smithhom.verify_smith_sequences(k, action)
-    checks.append(
-        (
-            "prop4 instance on the disc",
-            report.prop4_premises and report.prop4_conclusion,
-        )
-    )
+        if name == "disc:3":
+            disc = report
+    checks.append(("prop4 instance on the disc", disc.prop4_premises and disc.prop4_conclusion))
     return checks
 
 

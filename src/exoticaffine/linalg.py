@@ -92,7 +92,7 @@ def _add_multiple(dst: dict, src: dict, f, p):
             y %= p
         if y:
             dst[i] = y
-        else:
+        elif i in dst:
             del dst[i]
 
 
@@ -189,9 +189,3 @@ def solve_columns_mod(basis, targets, p) -> list:
         solutions.append(None if col else x)
     return solutions
 
-
-def column_space_basis_mod(cols, p) -> list[dict]:
-    """The sparse columns that span the column space over GF(p): those
-    independent of the columns before them."""
-    reduced, _, _ = reduce_columns_mod(cols, p)
-    return [col for col, red in zip(cols, reduced) if red]

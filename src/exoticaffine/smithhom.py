@@ -3,11 +3,12 @@
 Simplices are sorted tuples of string vertex ids; orientation signs come from
 sorting permutations, so all chain matrices are deterministic.  Homology is
 exact: Smith normal form over Z (via fpgroups), sparse column reduction over
-the field with p elements (via linalg) for mod-p questions.  Every matrix is
-a list of sparse {row: value} columns, as linalg computes on them: the
-boundaries of the one ChainComplex over Z or GF(p) (Z homology copies each
-into dense rows only for its certified Smith normal form), sigma and tau,
-subcomplex bases, homology representatives, induced maps and the transfer.
+GF(p) (via linalg).  Every matrix is a list of sparse {row: value} columns:
+the boundaries of the one ChainComplex over Z or GF(p) (Z homology copies
+each into dense rows only for its certified Smith normal form), sigma, tau,
+homology representatives, induced maps and the transfer.  The Smith
+sequences run in orbit-shift coordinates, where each subcomplex they use is
+a set of coordinates and tau a shift (see _OrbitShiftComplex).
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -22,14 +23,13 @@ the repair tool: the second subdivision of any simplicial action is regular.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, gcd, isqrt, lcm
 
 from .fpgroups import AbelianGroup, snf_diagonal
 from .linalg import (
     apply_columns_mod,
-    column_space_basis_mod,
     mul_columns_mod,
     rank_mod,
     reduce_columns_mod,
@@ -587,49 +587,114 @@ def operator_power(ops: SmithOperators, i: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcomplexes of C(Y; Z_p)
+# C(Y; Z_p) in orbit-shift coordinates
 
 
 @dataclass
-class _SubComplex:
-    """Subcomplex given per dimension by a basis of sparse ambient columns."""
+class _OrbitShiftComplex:
+    """C(Y; Z_p) of a regular Z_p action in orbit-shift coordinates.
+
+    In dimension d the nf fixed simplices come first, one coordinate each.
+    Then each of the F free orbits, o-th in the order of its smallest simplex
+    e, has u_i = tau^i e (i < p) at index nf + (p - 1 - i) * F + o.  tau
+    sends u_i to u_{i+1} (u_p = 0) and kills the fixed simplices, so tau^j
+    is a shift by j levels, and each subcomplex of the Smith sequences is a
+    range of coordinates per dimension, starting at 0 or at nf (see levels).
+    """
 
     p: int
-    bases: list  # bases[d]: sparse columns in C_d(Y)
-    boundaries: list  # induced boundary, sparse columns in basis coordinates
+    counts: list  # counts[d]: (nf, F)
+    chains: ChainComplex  # the boundaries in these coordinates
+    _homologies: dict = field(default_factory=dict)
 
-    def dims(self):
-        return [len(b) for b in self.bases]
+    def levels(self, j, fixed=False) -> tuple[range, ...]:
+        """Per dimension, the coordinates of level >= j, and the fixed ones
+        when asked: im tau^j is levels(j) for j >= 1, sigma C is
+        levels(p - 1), and rhobar C + C(Y^w) for rho = tau^j is
+        levels(p - j, fixed=True)."""
+        return tuple(range(0 if fixed else nf, nf + (self.p - j) * f) for nf, f in self.counts)
+
+    def shift(self, d, vec, j) -> dict:
+        return _shift(vec, j, self.p, *self.counts[d])
+
+    def restricted(self, coords) -> list:
+        """The boundary columns of a coordinate set, rows named as in the
+        whole complex; refused when they leave the set."""
+        out = [b[r.start : r.stop] for b, r in zip(self.chains.boundaries, coords)]
+        for rows, cols in zip(coords, out[1:]):
+            if any(col and (min(col) < rows.start or max(col) >= rows.stop) for col in cols):
+                raise SmithError("subspace is not closed under the boundary")
+        return out
+
+    def homology(self, coords) -> _HomologyBasis:
+        """Homology of a coordinate set, in the coordinates of the whole
+        complex; built once per set.
+
+        A range from 0 is reduced by the start of the reduction of all the
+        columns.  So is a closed range from nf: it has no fixed rows, and a
+        fixed column has only fixed rows, so owns none of the range's lows.
+        """
+        if coords not in self._homologies:
+            self.restricted(coords)  # refuses a set the boundary leaves
+            self._homologies[coords] = _homology_of(coords, self._reductions, self.p)
+        return self._homologies[coords]
 
     @cached_property
-    def homology(self) -> _HomologyBasis:
-        """Homology with representatives in basis coordinates, built once."""
-        return _homology_basis(self.dims(), self.boundaries, self.p)
+    def _reductions(self) -> list:
+        return [reduce_columns_mod(b, self.p, track=True) for b in self.chains.boundaries]
 
 
-def _induced_boundaries(bases, p, ambient_boundaries) -> _SubComplex:
-    boundaries: list = [[]]
-    for d in range(1, len(bases)):
-        images = mul_columns_mod(ambient_boundaries[d], bases[d], p)
-        induced = solve_columns_mod(bases[d - 1], images, p)
-        if any(x is None for x in induced):
-            raise SmithError("subspace is not closed under the boundary")
-        boundaries.append(induced)
-    return _SubComplex(p, bases, boundaries)
+def _shift(vec, j, p, nf, f) -> dict:
+    """tau^j of a sparse vector in orbit-shift coordinates with nf fixed and
+    f free coordinates per level: a shift by j levels (j < 0 shifts back)
+    that drops what leaves the levels; the fixed coordinates stay only when
+    j = 0."""
+    if j == 0:
+        return dict(vec)
+    step, end = j * f, nf + p * f
+    return {i - step: x for i, x in vec.items() if i >= nf and nf <= i - step < end}
 
 
-def _image_subcomplex(matrices, p, ambient_boundaries) -> _SubComplex:
-    bases = [column_space_basis_mod(m, p) for m in matrices]
-    return _induced_boundaries(bases, p, ambient_boundaries)
+def _orbit_shift_complex(k: SimplicialComplex, a: CyclicAction) -> _OrbitShiftComplex:
+    """C(k; Z_p) in orbit-shift coordinates, from the orbit walk of (k, a),
+    once _smith_operators has refused what they do not describe: after it,
+    an orbit that is not fixed has p simplices, and p steps bring each back
+    with sign +1.
 
-
-def _fixed_inclusion_bases(k: SimplicialComplex, a: CyclicAction):
-    """Per dimension, the basis columns of the fixed subcomplex C(Y^w)."""
-    fixed_vertices = {v for v in k.vertices() if a.perm[v] == v}
-    return [
-        [{j: 1} for j, s in enumerate(level) if fixed_vertices.issuperset(s)]
-        for level in k.simplices
-    ]
+    A simplex on a free orbit is c t^m e for its orbit's e and a sign c, and
+    t^m e = (1 - tau)^m e = sum_i C(m, i) (-1)^i u_i.  The boundary commutes
+    with tau, so the boundary of u_i is tau^i of that of e: the boundary of
+    each representative, rewritten so, gives its whole orbit's columns.
+    """
+    p = _smith_operators(k, a).p
+    binomials = [[(-1) ** i * comb(m, i) for i in range(m + 1)] for m in range(p)]
+    counts, boundaries, below = [], [], {}
+    for d, t in enumerate(_orbits(k, a).t):
+        fixed = [j for j, (i, _) in enumerate(t) if i == j]
+        nf, f = len(fixed), (len(t) - len(fixed)) // p
+        coords = {j: {m: 1} for m, j in enumerate(fixed)}  # each simplex in coordinates
+        reps = []
+        for j in range(len(t)):
+            if j not in coords:
+                for m, (i, c) in enumerate(_orbit(t, j, p)):
+                    coords[i] = {
+                        nf + (p - 1 - l) * f + len(reps): c * b for l, b in enumerate(binomials[m])
+                    }
+                reps.append(j)
+        cols = []
+        if d:
+            faces = boundary_columns(k, d)
+            cols = [
+                _column(((y, x * v) for i, x in faces[e].items() for y, v in below[i].items()), p)
+                for e in fixed + reps
+            ]
+            levels = reversed(range(p))
+            cols[nf:] = [_shift(col, l, p, *counts[-1]) for l in levels for col in cols[nf:]]
+        boundaries.append(cols)
+        counts.append((nf, f))
+        below = coords
+    dims = tuple(nf + p * f for nf, f in counts)
+    return _OrbitShiftComplex(p, counts, ChainComplex(p, dims, tuple(boundaries)))
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +720,14 @@ class _HomologyBasis:
 
 
 def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
-    """Cycles, boundaries and class representatives from one sparse column
-    reduction of each boundary.
+    reductions = [reduce_columns_mod(b, p, track=True) for b in boundaries]
+    return _homology_of([range(n) for n in dims], reductions, p)
+
+
+def _homology_of(coords, reductions, p) -> _HomologyBasis:
+    """Homology of the subcomplex on the columns coords[d] of each boundary,
+    where reductions[d], the tracked reduction of boundary d, restricted to
+    those columns is their own reduction.
 
     The cycles of C_d are the combinations behind the zero columns of
     reduced boundary_d; the nonzero reduced columns of boundary_{d+1} are a
@@ -665,23 +736,21 @@ def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
     such a low complete that image basis to a basis of the cycles: they
     represent homology.
     """
-    top = len(dims) - 1
-    reductions = [None] + [
-        reduce_columns_mod(boundaries[d], p, track=True) for d in range(1, top + 1)
-    ]
     reps, bnd_bases = [], []
-    for d in range(top + 1):
+    for d, cols in enumerate(coords):
+        reduced, combos, _ = reductions[d]
         if d >= 1:
-            reduced, combos, _ = reductions[d]
-            cycles = {j: combos[j] for j, col in enumerate(reduced) if not col}
+            cycles = {j: combos[j] for j in cols if not reduced[j]}
         else:
-            cycles = {j: {j: 1} for j in range(dims[0])}
-        if d + 1 <= top:
+            cycles = {j: {j: 1} for j in cols}
+        if d + 1 < len(coords):
+            up = coords[d + 1]
             reduced_up, _, lows_up = reductions[d + 1]
-            bnd = [col for col in reduced_up if col]
+            bnd = [col for col in reduced_up[up.start : up.stop] if col]
+            pivots = {i for i, j in lows_up.items() if j in up}
         else:
-            lows_up, bnd = {}, []
-        reps.append([z for j, z in cycles.items() if j not in lows_up])
+            pivots, bnd = set(), []
+        reps.append([z for j, z in cycles.items() if j not in pivots])
         bnd_bases.append(bnd)
     return _HomologyBasis(p, [len(r) for r in reps], reps, bnd_bases)
 
@@ -844,13 +913,12 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
 
 def special_smith_homology(k: SimplicialComplex, a: CyclicAction, i: int) -> list:
     """Dimensions of H^rho(Y; Z_p) for rho = tau^i (tau^{p-1} = sigma)."""
-    ops = smith_operators(k, a)
-    p = ops.p
+    p = _prime_order(a)
+    cx = _orbit_shift_complex(k, a)
     if not 1 <= i <= p - 1:
         raise SmithError("rho = tau^i needs 1 <= i <= p-1")
-    rho = ops.sigma if i == p - 1 else operator_power(ops, i)
-    sub = _image_subcomplex(rho, p, chain_complex(k, p).boundaries)
-    return _dims_mod(sub.dims(), sub.boundaries, p)
+    rho_c = cx.levels(i)
+    return _dims_mod([len(r) for r in rho_c], cx.restricted(rho_c), p)
 
 
 def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
@@ -899,53 +967,35 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     For each rho = tau^j the chain-level short exact sequence
     0 -> rhobar C + C(Y^w) -> C(Y) -> rho C -> 0 and its long homology
     sequence; for each j the sequence 0 -> sigma C -> tau^j C -> tau^{j+1} C
-    -> 0 likewise.  Also compares H^sigma with the pair homology of the
-    quotient (on a regular subdivision when the quotient needs one) and
-    instantiates the Z_p-acyclicity transfer statement.
+    -> 0 likewise.  Every subcomplex is a set of orbit-shift coordinates.
+    Also compares H^sigma with the pair homology of the quotient (on a
+    regular subdivision when the quotient needs one) and instantiates the
+    Z_p-acyclicity transfer statement.
     """
     # regularity is checked once per complex and action, here for (k, a)
     # and in _ensure_regular for each subdivision
     p = _prime_order(a)
-    ops = _smith_operators(k, a)
-    c = chain_complex(k, p)
-    amb = c.boundaries
-    fixed_inc = _fixed_inclusion_bases(k, a)
-    # the tower tau^0 = 1, ..., tau^{p-1} = sigma, tau^p = 0 and the image
-    # subcomplex of each, built once
-    taus = [operator_power(ops, j) for j in range(p + 1)]
-    images = [_image_subcomplex(t, p, amb) for t in taus]
+    cx = _orbit_shift_complex(k, a)
 
     ses_ok = les_rho_ok = les_tau_ok = True
     for j in range(1, p):
-        # rho = tau^j: A_j = rhobar C + C(Y^w), basis [rhobar basis | fixed]
-        a_j = _induced_boundaries(
-            [rbar + fixed for rbar, fixed in zip(images[p - j].bases, fixed_inc)],
-            p,
-            amb,
-        )
-        # the image basis of rho has rank(rho) columns
-        r_inc, rank_rho = a_j.dims(), images[j].dims()
-        for d, n in enumerate(c.dims):
-            inc = a_j.bases[d]
-            if rank_mod(inc, p) != r_inc[d]:
-                ses_ok = False
-            if r_inc[d] + rank_rho[d] != n:
-                ses_ok = False
-            if any(mul_columns_mod(taus[j][d], inc, p)):
-                ses_ok = False
-        les_rho_ok &= _les_exact(a_j, images[0], images[j], taus[j], amb, p)
-        les_tau_ok &= _les_exact(
-            images[p - 1], images[j], images[j + 1], ops.tau, amb, p
-        )
+        # rho = tau^j: A_j = rhobar C + C(Y^w) is the kernel of the shift by j
+        a_j, rho_c = cx.levels(p - j, fixed=True), cx.levels(j)
+        for d, n in enumerate(cx.chains.dims):
+            inc = [{x: 1} for x in a_j[d]]
+            ses_ok &= (
+                rank_mod(inc, p) == len(inc)
+                and len(inc) + len(rho_c[d]) == n
+                and not any(cx.shift(d, col, j) for col in inc)
+            )
+        les_rho_ok &= _les_exact(cx, a_j, cx.levels(0, fixed=True), rho_c, j)
+        les_tau_ok &= _les_exact(cx, cx.levels(p - 1), cx.levels(j), cx.levels(j + 1), 1)
 
-    # H^sigma of the regular subdivision; without one, sigma C is images[p - 1]
+    # H^sigma of the regular subdivision, or of k when it is regular
     kq, aq, rounds = _ensure_regular(k, a)
-    if rounds:
-        sigma_q = _smith_operators(kq, aq).sigma
-        sigma_c = _image_subcomplex(sigma_q, p, chain_complex(kq, p).boundaries)
-    else:
-        sigma_c = images[p - 1]
-    sigma_dims = _dims_mod(sigma_c.dims(), sigma_c.boundaries, p)
+    cq = _orbit_shift_complex(kq, aq) if rounds else cx
+    sigma_c = cq.levels(p - 1)
+    sigma_dims = _dims_mod([len(r) for r in sigma_c], cq.restricted(sigma_c), p)
     xq, vrep = _orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
     pair = relative_homology_dims(xq, fixed_image, p)
@@ -959,8 +1009,6 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
         and reduced_is_trivial(SimplicialComplex.build(fixed_simplices), p)
         and reduced_is_trivial(xq, p)
     )
-    conclusion = reduced_is_trivial(k, p)
-
     return SequenceReport(
         p=p,
         subdivisions_for_quotient=rounds,
@@ -971,58 +1019,46 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
         special_dims_sigma=sigma_dims,
         pair_dims=pair,
         prop4_premises=premises,
-        prop4_conclusion=conclusion,
+        prop4_conclusion=reduced_is_trivial(k, p),
     )
 
 
-def _les_exact(a, b, c, q, amb, p) -> bool:
+def _les_exact(cx: _OrbitShiftComplex, a, b, c, j) -> bool:
     """... -> H_n(A) -> H_n(B) -> H_n(C) -> H_{n-1}(A) -> ... is exact.
 
-    0 -> A -> B -> C -> 0 is a short exact sequence of subcomplexes of
-    C(Y; Z_p), each given by its ambient basis; A -> B is the inclusion and
-    q[d] is the chain map B -> C in ambient coordinates.
+    0 -> A -> B -> C -> 0 is a short exact sequence of coordinate sets of
+    cx: A -> B is the inclusion and B -> C is tau^j, a shift by j levels.
     """
-    h_a, h_b, h_c = a.homology, b.homology, c.homology
-    ndim = len(b.bases)
-    i_maps, q_maps, q_on_bases = [], [], []
+    p = cx.p
+    h_a, h_b, h_c = cx.homology(a), cx.homology(b), cx.homology(c)
+    ndim = len(b)
+    i_star, q_star, delta_star = [], [], []
     for d in range(ndim):
-        q_on_b = mul_columns_mod(q[d], b.bases[d], p)
-        i_cols = solve_columns_mod(b.bases[d], a.bases[d], p)
-        q_cols = solve_columns_mod(c.bases[d], q_on_b, p)
-        if any(x is None for x in i_cols + q_cols):
-            return False
-        i_maps.append(i_cols)
-        q_maps.append(q_cols)
-        q_on_bases.append(q_on_b)
-
-    i_star = _induced_on_homology(h_a, h_b, i_maps)
-    q_star = _induced_on_homology(h_b, h_c, q_maps)
-
-    # connecting map: lift each class of C through q, take the boundary of
-    # the lift and read it in A
-    delta_star = []
-    for d in range(ndim):
-        vecs = mul_columns_mod(c.bases[d], h_c.reps[d], p)
-        lifts = solve_columns_mod(q_on_bases[d], vecs, p)
-        if any(x is None for x in lifts):
-            return False
+        images = cx.shift(d, dict.fromkeys(b[d], 1), j)
+        if any(x not in b[d] for x in a[d]) or any(y not in c[d] for y in images):
+            return False  # A is not in B, or the shift does not map B into C
+        i_star.append(h_b.classify_many(d, h_a.reps[d]))
+        q_star.append(h_c.classify_many(d, [cx.shift(d, z, j) for z in h_b.reps[d]]))
+        # connecting map: lift each class of C back through the shift, take
+        # the boundary of the lift and read it in A
+        lifts = [cx.shift(d, z, -j) for z in h_c.reps[d]]
+        if any(len(lift) < len(z) or any(x not in b[d] for x in lift)
+               for lift, z in zip(lifts, h_c.reps[d])):
+            return False  # a class of C that the shift does not reach from B
         if d == 0:
             delta_star.append([{} for _ in lifts])  # H_{-1}(A) = 0
             continue
-        chains = mul_columns_mod(b.bases[d], lifts, p)
-        coords = solve_columns_mod(a.bases[d - 1], mul_columns_mod(amb[d], chains, p), p)
-        if any(x is None for x in coords):
+        chains = mul_columns_mod(cx.chains.boundaries[d], lifts, p)
+        if any(i not in a[d - 1] for col in chains for i in col):
             return False
-        delta_star.append(h_a.classify_many(d - 1, coords))
+        delta_star.append(h_a.classify_many(d - 1, chains))
 
     for d in range(ndim):
         if not _exact_at(i_star[d], q_star[d], h_b.dims[d], p):
             return False
         if not _exact_at(q_star[d], delta_star[d], h_c.dims[d], p):
             return False
-        if d >= 1:
-            if not _exact_at(delta_star[d], i_star[d - 1], h_a.dims[d - 1], p):
-                return False
+        if d >= 1 and not _exact_at(delta_star[d], i_star[d - 1], h_a.dims[d - 1], p):
+            return False
     # at the very top of the ladder nothing comes in: i_* must be injective
-    top = ndim - 1
-    return rank_mod(i_star[top], p) == h_a.dims[top]
+    return rank_mod(i_star[-1], p) == h_a.dims[-1]

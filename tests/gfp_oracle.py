@@ -1,6 +1,9 @@
 """Dense Gauss-Jordan elimination over GF(p) and over Q, kept as the oracle
-for the sparse column reduction of exoticaffine.linalg, and the two helpers
-that turn sparse columns into a dense matrix and back."""
+for the sparse column reduction of exoticaffine.linalg, the two helpers
+that turn sparse columns into a dense matrix and back, and the column-space
+basis that the ambient-basis Smith oracle builds its subcomplexes from."""
+
+from exoticaffine.linalg import reduce_columns_mod
 
 
 def sparse_columns(matrix, p, ncols=None) -> list[dict]:
@@ -17,6 +20,13 @@ def sparse_columns(matrix, p, ncols=None) -> list[dict]:
             if y:
                 cols[j][i] = y
     return cols
+
+
+def column_space_basis_mod(cols, p) -> list[dict]:
+    """The sparse columns that span the column space over GF(p): those
+    independent of the columns before them."""
+    reduced, _, _ = reduce_columns_mod(cols, p)
+    return [col for col, red in zip(cols, reduced) if red]
 
 
 def dense(cols, nrows=None) -> list[list[int]]:

@@ -432,12 +432,22 @@ PINNED_SMITH_STDOUT = {
     ("subdivide", "circle:5"): "4811d42ecdbcf8ccea10d308c9109eaec427b159973ee32b4b3392aec9f67671",
     ("orbit", "circle:5"): "0988bda827c1101e0c95c3ab5cb68b50c3100759902fae56a3e98908d34ff181",
     ("transfer", "circle:5"): "35f07c1a07ca4c55020e6de63c5453727a6818af29813b72c14f003517ae2e1b",
+    # `smith sequences --repair`, pinned before the sequences moved to
+    # orbit-shift coordinates
+    ("sequences", "disc:3"): "cb859ed1362c5ad40b170a09d2799521772f4d5fd36ed6f17f1f14e89830aeae",
+    ("sequences", "disc:5"): "d34a25257fe2b32722153eb646ad6e5786328167c8414c69849db2eca424948b",
+    ("sequences", "sphere:3"): "ca583369e6cabdbb63cd887390bdcd6e2126755e4d2968a7633b4152cdb189c4",
+    ("sequences", "sphere:5"): "a08568878082bba9339369c320c4b76271541e12ce390fdec1eeeac64eaeb1c4",
+    ("sequences", "sphere:7"): "674a16b149607102aa09a11a5349c67594709e0bf047ddb9a52f74be4142c614",
+    ("sequences", "circle:3"): "bae04e011acd9fa757d5ff528aad955f08aa35660804cce750ccde5cb32fa690",
+    ("sequences", "circle:5"): "cc0ab9a97fe5723d3476419dc99ac0ae2693c6c5c5d3d465e7c424c34f0147de",
 }
 
 
 class TestPinnedSmithOutput:
-    """subdivide, orbit --repair and transfer --repair print byte for byte
-    what they printed before the orbit-walk regularity check."""
+    """subdivide, orbit --repair, transfer --repair and sequences --repair
+    print byte for byte what they printed before the rewrite named with
+    each pin."""
 
     @pytest.mark.parametrize("verb, model", sorted(PINNED_SMITH_STDOUT))
     def test_stdout_sha256(self, capsys, verb, model):

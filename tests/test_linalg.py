@@ -15,14 +15,15 @@ from fractions import Fraction
 
 from exoticaffine.fpgroups import snf_diagonal
 from exoticaffine.linalg import (
-    column_space_basis_mod,
+    apply_columns_mod,
     det,
     mat_vec,
+    mul_columns_mod,
     rank_mod,
     reduce_columns_mod,
     solve_columns_mod,
 )
-from gfp_oracle import dense, nullspace_q, rref_mod, solve_many_mod, sparse_columns
+from gfp_oracle import column_space_basis_mod, dense, nullspace_q, rref_mod, solve_many_mod, sparse_columns
 from exoticaffine import smithhom
 from exoticaffine.smithhom import (
     ChainComplex,
@@ -191,6 +192,16 @@ class TestColumnReduction:
         assert column_space_basis_mod([], 3) == []
         assert sparse_columns([], 3, 2) == [{}, {}]
         assert reduce_columns_mod([], 5, track=True) == ([], [], {})
+
+    def test_products_that_vanish(self):
+        """A product that is zero (mod p, or a literal 0 over Z and Q) on a
+        row the sum has not reached yet adds nothing; one that cancels a
+        row already there removes it."""
+        # 1 * 2 = 0 mod 2: boundary squared vanishes
+        smithhom.ChainComplex(2, (1, 1, 1), ([], [{0: 1}], [{0: 2}]))
+        assert apply_columns_mod([{0: 1}], {0: 3}, 3) == {}
+        assert mul_columns_mod([{0: 0}], [{0: 1}], None) == [{}]
+        assert apply_columns_mod([{0: 1}, {0: 2}], {0: 1, 1: 1}, 3) == {}
 
 
 def q_kernel(cols, ncols):

@@ -42,6 +42,7 @@ from exoticaffine.smithhom import (
     verify_smith_sequences,
 )
 from gfp_oracle import dense, rref_mod, solve_many_mod, sparse_columns
+import smith_oracle
 
 
 def disc(n=3, p_order=None):
@@ -474,67 +475,65 @@ class TestSmithSequences:
 
 
 class TestLongExactSequence:
-    """The one long-exact-sequence checker, on sequences that are not exact."""
-
-    @staticmethod
-    def ambient(k, p):
-        return chain_complex(k, p).boundaries
-
-    @staticmethod
-    def whole(k, p, amb):
-        """C(Y) with the identity basis."""
-        mats = [sparse_columns(identity(k.n_simplices(d)), p) for d in range(k.dimension + 1)]
-        return smithhom._image_subcomplex(mats, p, amb)
+    """The one long-exact-sequence checker on coordinate sets of the
+    orbit-shift complex, on sequences that are not exact."""
 
     def test_zero_into_whole_complex(self):
-        k, _ = sphere()
-        p = 3
-        amb = self.ambient(k, p)
-        ns = [k.n_simplices(d) for d in range(k.dimension + 1)]
-        zero_maps = [sparse_columns([[0] * n for _ in range(n)], p) for n in ns]
-        zero = smithhom._image_subcomplex(zero_maps, p, amb)
-        whole = self.whole(k, p, amb)
-        ones = [sparse_columns(identity(n), p) for n in ns]
-        # 0 -> 0 -> C(Y) -> C(Y) -> 0 with q = 1 is exact, with q = 0 not
-        assert smithhom._les_exact(zero, whole, whole, ones, amb, p)
-        assert not smithhom._les_exact(zero, whole, whole, zero_maps, amb, p)
+        cx = smithhom._orbit_shift_complex(*sphere())
+        p = cx.p
+        zero, whole = cx.levels(p), cx.levels(0, fixed=True)
+        assert all(len(r) == 0 for r in zero)
+        # 0 -> 0 -> C(Y) -> C(Y) -> 0 with q = tau^0 = 1 is exact, with
+        # q = tau^p = 0 not
+        assert smithhom._les_exact(cx, zero, whole, whole, 0)
+        assert not smithhom._les_exact(cx, zero, whole, whole, p)
 
     @pytest.mark.parametrize(
         "k, a", [sphere(), free_circle(3)], ids=["sphere:3", "circle:3"]
     )
     def test_rho_ladder_needs_rhobar(self, k, a):
-        ops = smith_operators(k, a)
-        p = ops.p
-        amb = self.ambient(k, p)
-        fixed_inc = smithhom._fixed_inclusion_bases(k, a)
-        fixed = smithhom._induced_boundaries(fixed_inc, p, amb)
-        whole = self.whole(k, p, amb)
+        cx = smithhom._orbit_shift_complex(k, a)
+        p = cx.p
+        whole = cx.levels(0, fixed=True)
+        fixed = cx.levels(p, fixed=True)  # C(Y^w) alone
         for j in range(1, p):
-            rho = operator_power(ops, j)
-            rho_c = smithhom._image_subcomplex(rho, p, amb)
-            rbar_c = smithhom._image_subcomplex(operator_power(ops, p - j), p, amb)
-            full = smithhom._induced_boundaries(
-                [rbar + fix for rbar, fix in zip(rbar_c.bases, fixed_inc)], p, amb
-            )
+            rho_c = cx.levels(j)
+            full = cx.levels(p - j, fixed=True)
             # 0 -> rhobar C + C(Y^w) -> C(Y) -> rho C -> 0 is exact; with
             # rhobar C dropped, C(Y^w) alone is not the kernel of rho
-            assert smithhom._les_exact(full, whole, rho_c, rho, amb, p)
-            assert not smithhom._les_exact(fixed, whole, rho_c, rho, amb, p)
+            assert smithhom._les_exact(cx, full, whole, rho_c, j)
+            assert not smithhom._les_exact(cx, fixed, whole, rho_c, j)
 
-    def test_each_image_subcomplex_built_once(self, monkeypatch):
+    def test_open_coordinate_set_refused(self):
+        # level 0 alone is not a subcomplex: the boundary of u_0 = e has
+        # entries on higher levels wherever a face is t^m of its orbit's e
+        cx = smithhom._orbit_shift_complex(*sphere())
+        bottom = tuple(range(r.stop - f, r.stop) for r, (_, f) in zip(cx.levels(0), cx.counts))
+        with pytest.raises(SmithError, match="not closed under the boundary"):
+            cx.homology(bottom)
+
+    def test_each_subcomplex_built_once(self, monkeypatch):
+        """One homology basis per subcomplex: C(Y), im tau^j for j = 1..p and
+        rhobar C + C(Y^w) for j = 1..p-1, 2p in all; and all of them from
+        one tracked reduction per dimension."""
         k, a = sphere(5)
-        built = []
-        original = smithhom._image_subcomplex
+        built, reductions = [], []
+        homology_of, reduce_columns = smithhom._homology_of, smithhom.reduce_columns_mod
 
-        def counting(*args):
-            built.append(args)
-            return original(*args)
+        def counting(coords, *args):
+            built.append(coords)
+            return homology_of(coords, *args)
 
-        monkeypatch.setattr(smithhom, "_image_subcomplex", counting)
+        def counting_reductions(*args, **kwargs):
+            reductions.append(args)
+            return reduce_columns(*args, **kwargs)
+
+        monkeypatch.setattr(smithhom, "_homology_of", counting)
+        monkeypatch.setattr(smithhom, "reduce_columns_mod", counting_reductions)
         report = verify_smith_sequences(k, a)
-        assert report.all_exact
-        # tau^0, ..., tau^p once each, plus H^sigma on the regular subdivision
-        assert len(built) <= a.order + 2
+        assert report.all_exact and report.subdivisions_for_quotient
+        assert len(built) == len(set(built)) == 2 * a.order
+        assert len(reductions) == k.dimension + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1222,3 +1221,158 @@ class TestSubdivisionOracle:
             else:
                 assert new_a.order == old_a.order
                 assert list(new_a.perm.items()) == list(old_a.perm.items())
+
+
+# ---------------------------------------------------------------------------
+# the Smith sequences in orbit-shift coordinates against the ambient route
+
+
+def random_fixed_action(rng, p):
+    """p copies of random simplices on four vertices, each joined to a face
+    (perhaps empty) of a random simplex of a random complex on three fixed
+    vertices: a regular action whose fixed set is a point, an edge, a
+    triangle or a few of them."""
+    fixed = [rng.sample(range(3), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    base = [rng.sample(range(4), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+    simplices = [tuple(f"f{v}" for v in s) for s in fixed]
+    for s in base:
+        join = tuple(f"f{v}" for v in rng.choice(fixed)[: rng.randint(0, 2)])
+        simplices += [tuple(f"v{v}.{i}" for v in s) + join for i in range(p)]
+    k = SimplicialComplex.build(simplices)
+    perm = {v: v for v in k.vertices()}
+    perm.update({f"v{v}.{i}": f"v{v}.{(i + 1) % p}" for s in base for v in s for i in range(p)})
+    return k, CyclicAction(p, perm)
+
+
+def random_repair_action(rng, p):
+    """The orbits of one to three random simplices on one or two vertex
+    orbits of length p and up to two fixed vertices: an action that may
+    break (R1), (R3) or (R4), and so may need ensure_regular.  Every moved
+    vertex has orbit length p, so (R2) holds."""
+    cycles = [[f"c{o}.{i}" for i in range(p)] for o in range(rng.randint(1, 2))]
+    perm = {v: cycle[(i + 1) % p] for cycle in cycles for i, v in enumerate(cycle)}
+    perm.update({f"f{i}": f"f{i}" for i in range(rng.randint(0, 2))})
+    a = CyclicAction(p, perm)
+    base = [rng.sample(list(perm), rng.randint(1, min(3, len(perm)))) for _ in range(rng.randint(1, 3))]
+    powers = [power_map(a, j) for j in range(p)]
+    simplices = [[g[v] for v in s] for s in base for g in powers] + [[v] for v in perm]
+    return SimplicialComplex.build(simplices), a
+
+
+def orbit_shift_basis(ops):
+    """Per dimension, the ambient column of each orbit-shift coordinate as
+    the coordinates are laid out: the fixed simplices, then tau^i e for the
+    smallest simplex e of each free orbit, level p - 1 first."""
+    p = ops.p
+    taus = [operator_power(ops, i) for i in range(p)]
+    out = []
+    for d, t in enumerate(ops.t):
+        fixed = [j for j, (i, _) in enumerate(t) if i == j]
+        reps, seen = [], set()
+        for j, (i, _) in enumerate(t):
+            if i != j and j not in seen:
+                reps.append(j)
+                seen.update(r for r, _ in smithhom._orbit(t, j, p))
+        out.append([{j: 1} for j in fixed] + [taus[i][d][e] for i in reversed(range(p)) for e in reps])
+    return out
+
+
+def assert_same_span(cols, other, p, label):
+    rank = linalg.rank_mod(cols, p)
+    assert rank == linalg.rank_mod(other, p) == linalg.rank_mod(cols + other, p), label
+
+
+def assert_matches_oracle(k, a, label, special=True):
+    report = verify_smith_sequences(k, a)
+    assert dataclasses.asdict(report) == dataclasses.asdict(
+        smith_oracle.verify_smith_sequences(k, a)
+    ), label
+    assert report.all_exact and report.special_matches_pair, label
+    if special:
+        for i in range(1, a.order):
+            assert special_smith_homology(k, a, i) == smith_oracle.special_smith_homology(
+                k, a, i
+            ), (label, i)
+    return report
+
+
+class TestOrbitShiftCoordinates:
+    """The orbit-shift coordinates against operator_power, and the Smith
+    sequences on them against the ambient-basis route of smith_oracle."""
+
+    def test_coordinates_are_operator_images(self):
+        """The coordinates are a basis of C(Y; Z_p) in which the boundary is
+        the ambient one, and each subcomplex of the sequences is the span of
+        its operator's image."""
+        cases = list(operator_models(subdivided_primes=(2, 3)).items())
+        rng = random.Random(1212)
+        cases += [(("fixed", n), random_fixed_action(rng, (2, 3, 5)[n % 3])) for n in range(12)]
+        for label, (k, a) in cases:
+            ops = smith_operators(k, a)
+            p = ops.p
+            cx = smithhom._orbit_shift_complex(k, a)
+            basis = orbit_shift_basis(ops)
+            amb = chain_complex(k, p).boundaries
+            for d, cols in enumerate(basis):
+                assert len(cols) == cx.chains.dims[d] == linalg.rank_mod(cols, p), (label, d)
+                if d:
+                    assert linalg.mul_columns_mod(amb[d], cols, p) == linalg.mul_columns_mod(
+                        basis[d - 1], cx.chains.boundaries[d], p
+                    ), (label, d)
+            fixed = [[{j: 1} for j, (i, _) in enumerate(t) if i == j] for t in ops.t]
+            for j in range(1, p + 1):
+                tau_j = operator_power(ops, j)
+                rhobar = operator_power(ops, p - j)
+                for d, cols in enumerate(basis):
+                    im, a_j = cx.levels(j)[d], cx.levels(p - j, fixed=True)[d]
+                    assert_same_span([cols[x] for x in im], tau_j[d], p, (label, j, d))
+                    assert_same_span(
+                        [cols[x] for x in a_j], rhobar[d] + fixed[d], p, (label, j, d)
+                    )
+                    shifted = [cx.shift(d, {x: 1}, j) for x in range(len(cols))]
+                    assert [
+                        linalg.apply_columns_mod(cols, v, p) for v in shifted
+                    ] == linalg.mul_columns_mod(tau_j[d], cols, p), (label, j, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_models_and_two_subdivisions(self, p):
+        for name, (k, a) in operator_models(subdivided_primes=()).items():
+            if not name.endswith(f":{p}"):
+                continue
+            for rounds in range(3):
+                assert_matches_oracle(k, a, (name, rounds), special=rounds < 2)
+                k, a = barycentric_subdivide(k, a)
+
+    def test_random_actions(self):
+        rng = random.Random(1213)
+        for n in range(30):
+            p = (2, 3, 5)[n % 3]
+            k, a = random_action(rng, p)
+            assert_matches_oracle(k, a, (k, a))
+
+    def test_random_fixed_subcomplexes(self):
+        rng = random.Random(1214)
+        fixed_dims = set()
+        for n in range(24):
+            p = (2, 3, 5)[n % 3]
+            k, a = random_fixed_action(rng, p)
+            fixed = [s for s in k.all_simplices() if all(a.perm[v] == v for v in s)]
+            fixed_dims.add(max(len(s) for s in fixed) - 1)
+            assert_matches_oracle(k, a, (k, a))
+        assert fixed_dims == {0, 1, 2}
+
+    def test_random_actions_that_need_repair(self):
+        """Actions that break (R1), (R3) or (R4), run as `smith sequences
+        --repair` runs them: on the first subdivision that ensure_regular
+        finds regular."""
+        rng = random.Random(1215)
+        rounds_seen, broken = set(), set()
+        for n in range(24):
+            p = (2, 3)[n % 2]
+            k, a = random_repair_action(rng, p)
+            broken.update(v[:2] for v in check_regularity(k, a))
+            kq, aq, rounds = ensure_regular(k, a)
+            rounds_seen.add(rounds)
+            assert_matches_oracle(kq, aq, (k, a), special=False)
+        assert rounds_seen == {0, 1, 2}
+        assert broken == {"R1", "R3", "R4"}
