@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .grading import (
@@ -378,8 +379,42 @@ def _canonical_monomials(d: Derivation, degree_bound: int) -> list[tuple[int, ..
 
 def _image_columns(d: Derivation, monos) -> list[dict]:
     """d on the monomials as sparse columns over Q: column j holds the terms
-    of d(monos[j]), its rows keyed by exponent tuple."""
-    return [apply(d, Polynomial.monomial(d.ambient, e)).terms for e in monos]
+    of d(monos[j]), its rows keyed by exponent tuple.
+
+    Built by the Leibniz rule d(x_i m) = d(x_i) m + x_i d(m) from the column
+    of m, not by apply on each monomial.  The monomials are sorted, so m
+    comes before x_i m; the truncation and (on the quotient) the canonical
+    monomials, those the leading monomial does not divide, are closed under
+    division, so m is among them.  Multiplying by a monomial shifts exponent
+    keys.  On a quotient the sum is congruent to d(x_i m) modulo the
+    relation, and one canonical reduction per column gives its normal form,
+    which is what apply returns.
+    """
+    vs = d.ambient
+    images = [d.images[name].terms for name in vs.names]
+    # x_i is, among the variables of the monomial, the one whose image has
+    # the fewest terms: d(x_i) m then costs the least
+    by_size = sorted(range(len(vs)), key=lambda i: len(images[i]))
+    index = {}
+    cols = []
+    for j, e in enumerate(monos):
+        index[e] = j
+        i = next((i for i in by_size if e[i]), None)
+        if i is None:
+            col = Polynomial.zero(vs)
+        else:
+            m = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            x = (0,) * i + (1,) + (0,) * (len(e) - i - 1)
+            col = Polynomial(vs, _shifted(images[i], m)) + Polynomial(
+                vs, _shifted(cols[index[m]], x)
+            )
+        cols.append(d.reduce(col).terms)
+    return cols
+
+
+def _shifted(terms: dict, e) -> dict:
+    """The terms times the monomial with exponent e: each key shifted by e."""
+    return {tuple(map(add, k, e)): c for k, c in terms.items()}
 
 
 def _kernel(cols, monos, vs) -> list[Polynomial]:

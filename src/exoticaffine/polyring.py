@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, ge, mul, sub
 from typing import Iterable, Mapping
 
 Exponent = tuple[int, ...]
@@ -132,7 +133,7 @@ class MonomialOrder:
             w = self.weights
             if w is None or len(w) != len(e):
                 raise DimensionMismatch("weight vector does not match exponent length")
-            return (sum(wi * ei for wi, ei in zip(w, e)), e)
+            return (sum(map(mul, w, e)), e)
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     def is_well_order_certain(self) -> bool:
@@ -248,11 +249,12 @@ class Polynomial:
         self._check_same_varset(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
         return Polynomial(self.varset, out)
 
     def __neg__(self) -> "Polynomial":
@@ -270,12 +272,15 @@ class Polynomial:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
+                e = tuple(map(add, e1, e2))
+                if e in out:
+                    c = out[e] + c1 * c2
+                    if c:
+                        out[e] = c
+                    else:
+                        del out[e]
                 else:
-                    out.pop(e, None)
+                    out[e] = c1 * c2
         return Polynomial(self.varset, out)
 
     def __rmul__(self, other) -> "Polynomial":
@@ -303,19 +308,11 @@ class Polynomial:
 
     def partial(self, name: str) -> "Polynomial":
         i = self.varset.index(name)
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            ne = tuple(ne)
-            s = out.get(ne, Fraction(0)) + c * e[i]
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return Polynomial(self.varset, out)
+        # e -> e - unit_i is one-to-one, so no two terms meet and none cancels
+        return Polynomial(
+            self.varset,
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]},
+        )
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Compose with the map sending each used variable to its image.
@@ -366,8 +363,8 @@ class Polynomial:
                             f"{self.varset.names[i]!r} missing from target varset"
                         )
                     ne[positions[i]] = ei
-            out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c
-        return Polynomial.from_terms(vs, out)
+            out[tuple(ne)] = c  # distinct names have distinct positions: one-to-one
+        return Polynomial(vs, out)
 
     # -- printing ----------------------------------------------------------
 
@@ -485,21 +482,30 @@ def normal_form(
     p._check_same_varset(d)
     lm = d.leading_monomial(order)
     lc = d.terms[lm]
-    work = p
+    work = dict(p.terms)
     steps = 0
     while True:
-        reducible = [e for e in work.terms if all(a >= b for a, b in zip(e, lm))]
+        reducible = [e for e in work if all(map(ge, e, lm))]
         if not reducible:
-            return work
+            return Polynomial(p.varset, work)
         e = max(reducible, key=order.key)
         steps += 1
         if steps > step_budget:
             raise NonTerminatingOrder(
                 f"reduction exceeded {step_budget} steps; order is not a well-order here"
             )
-        shift = tuple(a - b for a, b in zip(e, lm))
-        t = Polynomial.monomial(work.varset, shift, work.terms[e] / lc)
-        work = work - t * d
+        # work -= (work[e] / lc) x^(e - lm) d in place; the term at e cancels
+        shift = tuple(map(sub, e, lm))
+        coef = work[e] / lc
+        for ed, cd in d.terms.items():
+            k = tuple(map(add, shift, ed))
+            c = -(coef * cd)
+            if k in work:
+                c += work[k]
+                if not c:
+                    del work[k]
+                    continue
+            work[k] = c
 
 
 def jacobian_matrix(fs: list[Polynomial]) -> list[list[Polynomial]]:
@@ -668,8 +674,8 @@ def poly_from_json(data: Mapping) -> Polynomial:
             raise ParseError("negative exponent in JSON polynomial")
         c = Fraction(entry["c"])
         if c:
-            terms[e] = terms.get(e, Fraction(0)) + c
-    return Polynomial.from_terms(vs, terms)
+            terms[e] = terms[e] + c if e in terms else c
+    return Polynomial(vs, {e: c for e, c in terms.items() if c})
 
 
 def binomial(n: int, k: int) -> int:

@@ -29,7 +29,6 @@ from math import comb, gcd, isqrt, lcm
 
 from .fpgroups import AbelianGroup, snf_diagonal
 from .linalg import (
-    apply_columns_mod,
     mul_columns_mod,
     rank_mod,
     reduce_columns_mod,
@@ -546,27 +545,25 @@ def _smith_operators(k, a) -> SmithOperators:
     for t in orbits.t:
         sig = [_column(_orbit(t, j, p), p) for j in range(len(t))]
         ta = [_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)]
-        _check_operator_identities(p, sig, ta)
+        _check_operator_identities(p, t)
         sigma.append(sig)
         tau.append(ta)
     return SmithOperators(p, tuple(sigma), tuple(tau), orbits.t)
 
 
-def _check_operator_identities(p, sigma, tau):
-    """sigma*tau = tau*sigma = 0 and sigma = tau^{p-1} on the sparse columns
-    of one dimension.  Built from t, both products are 1 - t^p: they fail
-    exactly where walking a simplex's orbit p steps does not bring it back
-    with sign +1."""
-    if any(apply_columns_mod(sigma, col, p) for col in tau):
-        raise SmithError("sigma * tau != 0")
-    if any(apply_columns_mod(tau, col, p) for col in sigma):
-        raise SmithError("tau * sigma != 0")
-    for j, col in enumerate(sigma):
-        power = {j: 1}
-        for _ in range(p - 1):
-            power = apply_columns_mod(tau, power, p)
-        if power != col:
-            raise SmithError("sigma != tau^(p-1)")
+def _check_operator_identities(p, t):
+    """sigma*tau = tau*sigma = 0 and sigma = tau^{p-1} for the operators
+    that _smith_operators builds from the signed permutation t of one
+    dimension: sigma = 1 + t + ... + t^{p-1} and tau = 1 - t.
+
+    Both products are 1 - t^p, and tau^{p-1} = sum_m C(p-1, m) (-1)^m t^m
+    is sigma, since C(p-1, m) (-1)^m = 1 mod p.  So the identities hold
+    exactly when p steps of each simplex's orbit bring it back to itself
+    with a sign = 1 mod p (at p = 2 a sign of -1 passes)."""
+    for j in range(len(t)):
+        *_, (i, c) = _orbit(t, j, p + 1)
+        if i != j or (c - 1) % p:
+            raise SmithError("sigma * tau != 0")
 
 
 def operator_power(ops: SmithOperators, i: int) -> list:

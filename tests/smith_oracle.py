@@ -5,14 +5,17 @@ Every subcomplex of C(Y; Z_p) is given by a basis of ambient columns (the
 independent columns of an operator power), its boundary is solved for on
 that basis, and every map of the long exact sequences (the inclusion, the
 quotient, the lift and the connecting map) is solved for in ambient
-coordinates."""
+coordinates.
+
+It also keeps the sparse-product check of the Smith operator identities,
+the oracle for the orbit-walk check."""
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from exoticaffine import smithhom
-from exoticaffine.linalg import mul_columns_mod, rank_mod, solve_columns_mod
+from exoticaffine.linalg import apply_columns_mod, mul_columns_mod, rank_mod, solve_columns_mod
 from exoticaffine.smithhom import SequenceReport, SmithError, chain_complex, operator_power
 from gfp_oracle import column_space_basis_mod
 
@@ -31,6 +34,22 @@ class SubComplex:
     @cached_property
     def homology(self):
         return smithhom._homology_basis(self.dims(), self.boundaries, self.p)
+
+
+def check_operator_identities(p, sigma, tau):
+    """sigma*tau = tau*sigma = 0 and sigma = tau^{p-1} by sparse products on
+    the columns of one dimension, tau applied p - 1 times to each unit
+    column: the oracle for the orbit-walk check of smithhom."""
+    if any(apply_columns_mod(sigma, col, p) for col in tau):
+        raise SmithError("sigma * tau != 0")
+    if any(apply_columns_mod(tau, col, p) for col in sigma):
+        raise SmithError("tau * sigma != 0")
+    for j, col in enumerate(sigma):
+        power = {j: 1}
+        for _ in range(p - 1):
+            power = apply_columns_mod(tau, power, p)
+        if power != col:
+            raise SmithError("sigma != tau^(p-1)")
 
 
 def induced_boundaries(bases, p, ambient_boundaries) -> SubComplex:

@@ -26,6 +26,7 @@ from exoticaffine.derivations import (
 )
 from exoticaffine.grading import (
     NEG_INF,
+    QuotientRing,
     RUSSELL_WEIGHTS,
     graded_component_membership,
     quotient_degree,
@@ -476,21 +477,23 @@ def dense_invariants(ds, bound):
     return ml, dk
 
 
-def random_triangular(rng):
-    """x -> 0, y -> f(x), z -> g(x, y): locally nilpotent on C[x, y, z]."""
+def random_triangular(rng, vs=XYZ):
+    """x -> 0 and each later variable to a random polynomial in the ones
+    before it (x, y, z on C[x, y, z]): locally nilpotent."""
 
     def poly(names, degree):
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            e = [0, 0, 0]
+            e = [0] * len(vs)
             for _ in range(rng.randint(0, degree)):
-                e["xyz".index(rng.choice(names))] += 1
+                e[vs.index(rng.choice(names))] += 1
             terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
-        return Polynomial.from_terms(XYZ, terms)
+        return Polynomial.from_terms(vs, terms)
 
-    return make_derivation(
-        XYZ, {"x": Polynomial.zero(XYZ), "y": poly("x", 2), "z": poly("xy", 2)}
-    )
+    images = {vs.names[0]: Polynomial.zero(vs)}
+    for i in range(1, len(vs)):
+        images[vs.names[i]] = poly("".join(vs.names[:i]), 2)
+    return make_derivation(vs, images)
 
 
 class TestKernelsAgainstDenseRoute:
@@ -531,3 +534,65 @@ class TestKernelsAgainstDenseRoute:
         d = delta1()
         with pytest.raises(derivations.DerivationError):
             invariant_candidates([d, delta2()], [nilpotency_test(d)], 2)
+
+
+# ---------------------------------------------------------------------------
+# image columns by the Leibniz rule against apply on each monomial
+
+
+def leibniz_cases():
+    rng = random.Random(2014)
+    cases = [("delta1", delta1()), ("delta2", delta2()), ("nagata", nagata())]
+    cases += [(f"C3 triangular {n}", random_triangular(rng)) for n in range(6)]
+    cases += [(f"C4 triangular {n}", random_triangular(rng, VS)) for n in range(6)]
+    return cases
+
+
+class TestImageColumns:
+    """_image_columns builds column x_i m from the column of m by the
+    Leibniz rule; apply on each monomial is the oracle."""
+
+    @pytest.mark.parametrize("bound", range(6))
+    def test_columns_equal_apply_per_monomial(self, bound):
+        for name, d in leibniz_cases():
+            monos = derivations._canonical_monomials(d, bound)
+            expect = [apply(d, Polynomial.monomial(d.ambient, e)).terms for e in monos]
+            assert derivations._image_columns(d, monos) == expect, (name, bound)
+            if bound == 0:
+                assert expect == [{}]
+
+    def test_image_columns_never_call_apply(self, monkeypatch):
+        calls = []
+        original = derivations.apply
+
+        def counting(d, f):
+            calls.append(f)
+            return original(d, f)
+
+        cases = leibniz_cases()
+        certs = [nilpotency_test(d) for _, d in cases]
+        monkeypatch.setattr(derivations, "apply", counting)
+        for _, d in cases:
+            derivations._image_columns(d, derivations._canonical_monomials(d, 3))
+        assert calls == []
+        # kernel_elements re-checks each kernel element by apply, once
+        for (name, d), cert in zip(cases, certs):
+            calls.clear()
+            basis = kernel_elements(d, cert, 3)
+            assert calls == basis, name
+
+    def test_one_canonical_reduction_per_column(self, monkeypatch):
+        calls = []
+        original = QuotientRing.canonical
+
+        def counting(self, f):
+            calls.append(f)
+            return original(self, f)
+
+        for d in (delta1(), delta2()):
+            monos = derivations._canonical_monomials(d, 4)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(QuotientRing, "canonical", counting)
+                derivations._image_columns(d, monos)
+            assert len(calls) == len(monos)

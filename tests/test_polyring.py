@@ -291,3 +291,72 @@ class TestParserAndJson:
         p = P("x + y^5")
         assert p.leading_monomial(LEX) == (1, 0, 0, 0)
         assert p.leading_monomial(GRLEX) == (0, 5, 0, 0)
+
+
+def assert_stored_coefficients(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values()), p.terms
+
+
+class TestStoredCoefficients:
+    """Every stored coefficient is a nonzero Fraction.  == compares values,
+    so an int or a cancelled zero left in terms would pass unseen."""
+
+    RUSSELL = "x + x^2*y + z^2 + t^3"
+
+    def test_operations_on_sampled_polynomials(self):
+        rng = random.Random(43)
+        russell = P(self.RUSSELL)
+        order = weighted_order((1, 3, 0, 0))
+        wider = XYZT.extend(["w"])
+        for _ in range(30):
+            a, b = random_poly(XYZT, rng), random_poly(XYZT, rng)
+            results = [
+                a + b,
+                a - b,
+                a * b,
+                a ** rng.randint(0, 3),
+                a.scale(rng.randint(-2, 2)),
+                a.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
+                a * rng.randint(-2, 2),
+                a.partial(rng.choice(XYZT.names)),
+                a.rename_into(wider),
+                Polynomial.from_terms(XYZT, {e: int(c * 6) for e, c in a.terms.items()}),
+                poly_from_json(poly_to_json(a)),
+                normal_form(a * b, russell, order),
+            ]
+            for p in results:
+                assert_stored_coefficients(p)
+
+    def test_cancelling_cases(self):
+        a = P("3/2*x^2*y - z + 1")
+        order = weighted_order((1, 3, 0, 0))
+        json_terms = [
+            {"c": "1", "e": [1, 0, 0, 0]},
+            {"c": "-1", "e": [1, 0, 0, 0]},
+            {"c": "0", "e": [0, 1, 0, 0]},
+            {"c": "2", "e": [0, 0, 1, 0]},
+        ]
+        cases = {
+            "(x+1)(x-1)": (P("(x+1)*(x-1)"), P("x^2 - 1")),
+            "a - a": (a - a, Polynomial.zero(XYZT)),
+            "a + -a": (a + (-a), Polynomial.zero(XYZT)),
+            "(x-y)(x+y) + y^2": (P("(x-y)*(x+y)") + P("y^2"), P("x^2")),
+            "from_terms with zeros": (
+                Polynomial.from_terms(XYZT, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 0}),
+                P("2*x"),
+            ),
+            "json duplicates": (
+                poly_from_json({"vars": list(XYZT.names), "terms": json_terms}),
+                P("2*z"),
+            ),
+            "normal form of a multiple": (
+                normal_form(P(self.RUSSELL) * P("y*z - 2"), P(self.RUSSELL), order),
+                Polynomial.zero(XYZT),
+            ),
+            "partial of a constant": (P("5").partial("x"), Polynomial.zero(XYZT)),
+            "zero power": ((a - a) ** 2, Polynomial.zero(XYZT)),
+            "scale by zero": (a.scale(0), Polynomial.zero(XYZT)),
+        }
+        for name, (p, expected) in cases.items():
+            assert p == expected, name
+            assert_stored_coefficients(p)

@@ -774,8 +774,15 @@ def verdict(check, *args):
 
 
 def sparse_check(ops):
+    """The sparse-product oracle, dimension by dimension."""
     for sig, ta in zip(ops.sigma, ops.tau):
-        smithhom._check_operator_identities(ops.p, sig, ta)
+        smith_oracle.check_operator_identities(ops.p, sig, ta)
+
+
+def walk_check(p, ts):
+    """The orbit-walk check of smithhom, dimension by dimension."""
+    for t in ts:
+        smithhom._check_operator_identities(p, t)
 
 
 def operator_models(subdivided_primes=(2, 3, 5, 7)):
@@ -814,6 +821,17 @@ def random_action(rng, p):
         simplices = [s + ("apex",) for s in simplices]
         perm["apex"] = "apex"
     return SimplicialComplex.build(simplices), CyclicAction(p, perm)
+
+
+def relabelled(rng, k, a):
+    """k and a with the vertices renamed in a random order, so that t sends
+    some simplices to minus a simplex (an orientation-reversing step)."""
+    vertices = sorted(k.vertices())
+    order = rng.sample(range(len(vertices)), len(vertices))
+    names = {v: f"w{i:03d}" for v, i in zip(vertices, order)}
+    simplices = [[names[v] for v in s] for s in k.all_simplices()]
+    perm = {names[v]: names[w] for v, w in a.perm.items()}
+    return SimplicialComplex.build(simplices), CyclicAction(a.order, perm)
 
 
 def free_column(t):
@@ -883,6 +901,36 @@ class TestOperatorOracle:
             with monkeypatch.context() as m:
                 m.setattr(smithhom, "_simplex_images", flipped)
                 assert verdict(smith_operators, k, a) == expected, name
+
+    def test_walk_check_matches_sparse_oracle(self):
+        """The orbit-walk check on t against the sparse products on sigma
+        and tau built from t, on random actions with orientation-reversing
+        steps, and on their generators with one sign flipped or one simplex
+        sent to another: a flipped sign is refused at odd p only."""
+        rng = random.Random(3004)
+        verdicts = {}
+        reversing = 0
+        for n in range(60):
+            p = (2, 3, 5, 7)[n % 4]
+            k, a = relabelled(rng, *random_action(rng, p))
+            ops = smith_operators(k, a)  # the walk check runs inside
+            reversing += any(sign < 0 for t in ops.t for _, sign in t)
+            d = rng.randrange(len(ops.t))
+            j = rng.randrange(len(ops.t[d]))
+            i, sign = ops.t[d][j]
+            flipped = [list(t) for t in ops.t]
+            flipped[d][j] = (i, -sign)
+            moved = [list(t) for t in ops.t]
+            moved[d][j] = (rng.randrange(len(moved[d])), sign)
+            for kind, ts in (("action", ops.t), ("flipped", flipped), ("moved", moved)):
+                expected = verdict(sparse_check, dense_operators(p, ts))
+                assert verdict(walk_check, p, ts) == expected, (kind, k, a)
+                verdicts.setdefault((kind, p == 2), set()).add(expected)
+        assert reversing > 20
+        assert verdicts[("action", True)] == verdicts[("action", False)] == {None}
+        assert verdicts[("flipped", True)] == {None}
+        assert verdicts[("flipped", False)] == {"sigma * tau != 0"}
+        assert verdicts[("moved", False)] == {None, "sigma * tau != 0"}
 
     def test_operator_power_matches_dense_products(self):
         for name, (k, a) in operator_models(subdivided_primes=(2, 3)).items():
