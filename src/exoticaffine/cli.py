@@ -299,9 +299,7 @@ def _cmd_graph(args):
             "determinant": str(dualgraph.intersection_matrix(rc.graph).determinant),
         }
     if args.verb == "xt":
-        entries = [int(x) for x in args.entries.split(",")]
-        t = dualgraph.xt_matrix(*entries)
-        cert = dualgraph.xt_certificate(t)
+        cert = dualgraph.xt_certificate(_xt_arg(args.entries))
         return {"verdict": cert.verdict, "determinant": str(cert.determinant)}
     if args.verb == "tdp":
         m1, n1, m2, n2 = (int(x) for x in args.entries.split(","))
@@ -363,7 +361,7 @@ def _cmd_group(args):
             if value is not None:
                 params[key] = value
         if args.entries:
-            params["t"] = fpgroups_xt(args.entries)
+            params["t"] = _xt_arg(args.entries)
         p = fpgroups.named_presentation(args.name, **params)
         return {
             "gens": list(p.generators),
@@ -377,7 +375,7 @@ def _cmd_group(args):
             "homology_sphere": fpgroups.homology_sphere_check(args.k, args.l, args.s)
         }
     if args.verb == "xt":
-        t = fpgroups_xt(args.entries)
+        t = _xt_arg(args.entries)
         return {"exponent": str(fpgroups.xt_exponent(t))}
     if args.verb == "bezout":
         p, q, word = fpgroups.bezout_alpha(args.k, args.l)
@@ -386,7 +384,7 @@ def _cmd_group(args):
     raise CliError(f"unknown group verb {args.verb}")
 
 
-def fpgroups_xt(entries: str):
+def _xt_arg(entries: str):
     values = [int(x) for x in entries.split(",")]
     return dualgraph.xt_matrix(*values)
 

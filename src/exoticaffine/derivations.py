@@ -105,20 +105,20 @@ def make_derivation(ring: VarSet | QuotientRing, images: Mapping[str, Polynomial
         if img.varset != ambient:
             raise VarSetMismatch(f"image of {name} lives in the wrong ring")
         imgs[name] = img
-    d = Derivation(ring, imgs)
     if isinstance(ring, QuotientRing):
-        residue = ring.canonical(_apply_raw(d, ring.relation))
+        residue = ring.canonical(_leibniz(ambient, imgs, ring.relation))
         if not residue.is_zero():
             raise NotWellDefinedOnQuotient(residue)
         imgs = {n: ring.canonical(p) for n, p in imgs.items()}
-        d = Derivation(ring, imgs)
-    return d
+    return Derivation(ring, imgs)
 
 
-def _apply_raw(d: Derivation, f: Polynomial) -> Polynomial:
-    out = Polynomial.zero(d.ambient)
-    for name in d.ambient.names:
-        img = d.images[name]
+def _leibniz(vs: VarSet, images: Mapping[str, Polynomial], f: Polynomial) -> Polynomial:
+    """The Leibniz extension of the generator images to f: the sum over
+    the generators x of (df/dx) * images[x], without reduction."""
+    out = Polynomial.zero(vs)
+    for name in vs.names:
+        img = images[name]
         if img.is_zero():
             continue
         pf = f.partial(name)
@@ -131,7 +131,7 @@ def apply(d: Derivation, f: Polynomial) -> Polynomial:
     """Leibniz extension of the generator images; canonical form on quotients."""
     if f.varset != d.ambient:
         raise VarSetMismatch("polynomial lives in a different ring than the derivation")
-    return d.reduce(_apply_raw(d, d.reduce(f)))
+    return d.reduce(_leibniz(d.ambient, d.images, d.reduce(f)))
 
 
 def linear_derivation(matrix: Sequence[Sequence], vs: VarSet) -> Derivation:
@@ -304,15 +304,7 @@ class GradedDerivation:
     shift: int  # k0 = deg of the derivation
 
     def apply(self, fhat: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.graded.ambient)
-        for name in self.graded.ambient.names:
-            img = self.images[name]
-            if img.is_zero():
-                continue
-            pf = fhat.partial(name)
-            if not pf.is_zero():
-                out = out + pf * img
-        return self.graded.canonical(out)
+        return self.graded.canonical(_leibniz(self.graded.ambient, self.images, fhat))
 
 
 def graded_derivation(

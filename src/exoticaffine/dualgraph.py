@@ -361,9 +361,12 @@ class XtCertificate:
 
 
 def xt_certificate(t) -> XtCertificate:
-    """Acyclic iff |det T| = 1 for the covering data matrix T."""
-    _xt_validate(t)
-    determinant = det(t)
+    """Acyclic iff |det T| = 1 for the covering data matrix T.
+
+    Cofactor expansion of the sparsity pattern leaves two products:
+    det T = m01 n11 m10 n00 - m00 n10 m11 n01."""
+    m00, n00, m10, n10, m01, n01, m11, n11 = _xt_validate(t)
+    determinant = m01 * n11 * m10 * n00 - m00 * n10 * m11 * n01
     return XtCertificate("Acyclic" if abs(determinant) == 1 else "NotUnimodular", determinant)
 
 

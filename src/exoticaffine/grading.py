@@ -25,12 +25,10 @@ from .polyring import (
     PolyError,
     VarSet,
     VarSetMismatch,
-    exact_divide,
     normal_form,
     parse_polynomial,
     varset,
     weighted_order,
-    NotDivisible,
 )
 
 NEG_INF = float("-inf")  # sentinel for the degree of 0, never used in arithmetic
@@ -398,9 +396,7 @@ def associated_graded_hypersurface(
     return GradedHypersurface(p.varset, pd, w, status, order)
 
 
-def quotient_degree(
-    f: Polynomial, q: QuotientRing, w: WeightFunction, accept_unverified: bool = True
-):
+def quotient_degree(f: Polynomial, q: QuotientRing, w: WeightFunction):
     """Degree of the canonical representative, with a stability guard.
 
     The canonical form's principal component must avoid the graded ideal
@@ -409,20 +405,16 @@ def quotient_degree(
     status = check_appropriate(q.relation, w)
     if status.failed:
         raise UncertifiedGrading(f"weight fails appropriateness: {status.reason}")
-    if not status.certified and not accept_unverified:
-        raise UncertifiedGrading(f"appropriateness unverified: {status.reason}")
     nf = q.canonical(f)
     if nf.is_zero():
         return NEG_INF
     _, pd = quasi_homogeneous_decompose(q.relation, w)
     _, nf_top = quasi_homogeneous_decompose(nf, w)
-    try:
-        exact_divide(nf_top, pd)
-    except NotDivisible:
-        return weight_degree(nf, w)
-    raise DegreeNotStable(
-        "principal part of the canonical form lies in the graded ideal"
-    )
+    if normal_form(nf_top, pd).is_zero():
+        raise DegreeNotStable(
+            "principal part of the canonical form lies in the graded ideal"
+        )
+    return weight_degree(nf, w)
 
 
 def canonical_form_decomposition(

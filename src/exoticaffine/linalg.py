@@ -4,8 +4,10 @@ Dense matrices over Z are sequences of rows (lists or tuples) of Python ints;
 vectors are sequences of entries.  For elimination, over GF(p) and over Q
 alike, a matrix is a list of sparse columns, {row: value} dicts, since the
 chain matrices and derivation images here have a few nonzeros per column:
-one lowest-nonzero column reduction gives ranks, column bases, solutions and
-kernels.  Integer Smith normal form lives in fpgroups, which certifies it.
+one lowest-nonzero column reduction gives ranks, column bases and kernels,
+and a column is eliminated against the lowest nonzeros of columns in that
+echelon form.  Integer Smith normal form lives in fpgroups, which certifies
+it.
 """
 
 from __future__ import annotations
@@ -163,29 +165,23 @@ def rank_mod(cols, p) -> int:
     return sum(1 for col in reduced if col)
 
 
-def solve_columns_mod(basis, targets, p) -> list:
-    """Sparse solutions {basis column: coefficient} of basis @ x = target
-    over GF(p) (over Q when p is None), one per target; None where the
-    target is not in the column span.  The basis is reduced once, with the
-    combinations tracked; each target is then reduced against the lowest
-    nonzeros of the reduced basis only, and the multiples taken give its
-    solution."""
-    if not targets:
-        return []
-    reduced, combos, lows = reduce_columns_mod(basis, p, track=True)
-    solutions = []
-    for target in targets:
-        col = _entries(target, p)
-        x: dict = {}
-        while col:
-            low = max(col)
-            owner = lows.get(low)
-            if owner is None:
-                break
-            other = reduced[owner]
-            f = _ratio(col[low], other[low], p)
-            _add_multiple(col, other, -f, p)
-            _add_multiple(x, combos[owner], f, p)
-        solutions.append(None if col else x)
-    return solutions
+def eliminate_mod(col, owners, p) -> tuple[dict, dict]:
+    """Eliminate a sparse column against sparse columns with distinct
+    lowest nonzero rows, over GF(p) (over Q when p is None).
 
+    `owners` maps the lowest nonzero row of each column to (name, column).
+    While the lowest nonzero left has an owner, the multiple of that column
+    which cancels it is subtracted.  Returns what is left, zero exactly when
+    col lies in the span of the columns, and {name: multiple} of the columns
+    subtracted."""
+    col = _entries(col, p)
+    taken: dict = {}
+    while col:
+        low = max(col)
+        if low not in owners:
+            break
+        name, other = owners[low]
+        f = _ratio(col[low], other[low], p)
+        _add_multiple(col, other, -f, p)
+        taken[name] = f
+    return col, taken

@@ -423,46 +423,18 @@ def arith(a: Polynomial, b: Polynomial | None, op: str, n: int | None = None) ->
     raise ValueError(f"unknown op {op!r}")
 
 
-def divmod_poly(
-    p: Polynomial, d: Polynomial, order: MonomialOrder = GRLEX
-) -> tuple[Polynomial, Polynomial]:
-    """Division with remainder by a single divisor under the given order.
-
-    Returns (q, r) with p = q*d + r and no monomial of r divisible by the
-    leading monomial of d.
-    """
-    if d.is_zero():
-        raise DivisionByZero("division by the zero polynomial")
-    p._check_same_varset(d)
-    lm = d.leading_monomial(order)
-    lc = d.terms[lm]
-    q = Polynomial.zero(p.varset)
-    r = Polynomial.zero(p.varset)
-    work = p
-    while not work.is_zero():
-        wm = work.leading_monomial(order)
-        if all(a >= b for a, b in zip(wm, lm)):
-            shift = tuple(a - b for a, b in zip(wm, lm))
-            coeff = work.terms[wm] / lc
-            t = Polynomial.monomial(p.varset, shift, coeff)
-            q = q + t
-            work = work - t * d
-        else:
-            t = Polynomial.monomial(p.varset, wm, work.terms[wm])
-            r = r + t
-            work = work - t
-    return q, r
-
-
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Quotient p/d when the division is exact; NotDivisible otherwise.
 
     The witness remainder reported on failure is computed under gradedlex.
     """
-    q, r = divmod_poly(p, d, GRLEX)
-    if not r.is_zero():
-        raise NotDivisible(r)
-    return q
+    if d.is_zero():
+        raise DivisionByZero("division by the zero polynomial")
+    # gradedlex is a well-order: the reduction ends, so it needs no budget
+    quotient, remainder = _reduce(p, d, GRLEX, math.inf)
+    if remainder:
+        raise NotDivisible(Polynomial(p.varset, remainder))
+    return Polynomial(p.varset, quotient)
 
 
 def normal_form(
@@ -479,15 +451,25 @@ def normal_form(
     """
     if d.is_zero():
         raise DivisionByZero("normal form modulo the zero polynomial")
+    return Polynomial(p.varset, _reduce(p, d, order, step_budget)[1])
+
+
+def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget):
+    """Full reduction of p by the nonzero d: (quotient, remainder) as term
+    dicts, with p = quotient * d + remainder and no term of the remainder
+    divisible by the leading monomial of d.  Both are unique, since a single
+    polynomial is a Groebner basis.
+    """
     p._check_same_varset(d)
     lm = d.leading_monomial(order)
     lc = d.terms[lm]
+    quotient: dict[Exponent, Fraction] = {}
     work = dict(p.terms)
     steps = 0
     while True:
         reducible = [e for e in work if all(map(ge, e, lm))]
         if not reducible:
-            return Polynomial(p.varset, work)
+            return quotient, work
         e = max(reducible, key=order.key)
         steps += 1
         if steps > step_budget:
@@ -496,7 +478,7 @@ def normal_form(
             )
         # work -= (work[e] / lc) x^(e - lm) d in place; the term at e cancels
         shift = tuple(map(sub, e, lm))
-        coef = work[e] / lc
+        coef = quotient[shift] = work[e] / lc
         for ed, cd in d.terms.items():
             k = tuple(map(add, shift, ed))
             c = -(coef * cd)
@@ -676,7 +658,3 @@ def poly_from_json(data: Mapping) -> Polynomial:
         if c:
             terms[e] = terms[e] + c if e in terms else c
     return Polynomial(vs, {e: c for e, c in terms.items() if c})
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

@@ -28,12 +28,7 @@ from functools import cached_property
 from math import comb, gcd, isqrt, lcm
 
 from .fpgroups import AbelianGroup, snf_diagonal
-from .linalg import (
-    mul_columns_mod,
-    rank_mod,
-    reduce_columns_mod,
-    solve_columns_mod,
-)
+from .linalg import eliminate_mod, mul_columns_mod, rank_mod, reduce_columns_mod
 
 
 class SmithError(Exception):
@@ -536,19 +531,23 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
 
 def _smith_operators(k, a) -> SmithOperators:
     """smith_operators on the walk of the regularity check of (k, a)."""
+    p, ts = a.order, _operator_walk(k, a)
+    sigma = tuple([_column(_orbit(t, j, p), p) for j in range(len(t))] for t in ts)
+    tau = tuple([_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)] for t in ts)
+    return SmithOperators(p, sigma, tau, ts)
+
+
+def _operator_walk(k, a) -> tuple:
+    """The signed permutations t of the walk of (k, a), per dimension, once
+    the Smith operators they define are known to be sound: (R1)-(R2) hold
+    and the ring identities are checked."""
     orbits = _orbits(k, a)
     violations = [v for v in orbits.violations if v.startswith(("R1", "R2"))]
     if violations:
         raise NotRegular(violations)
-    p = a.order
-    sigma, tau = [], []
     for t in orbits.t:
-        sig = [_column(_orbit(t, j, p), p) for j in range(len(t))]
-        ta = [_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)]
-        _check_operator_identities(p, t)
-        sigma.append(sig)
-        tau.append(ta)
-    return SmithOperators(p, tuple(sigma), tuple(tau), orbits.t)
+        _check_operator_identities(a.order, t)
+    return orbits.t
 
 
 def _check_operator_identities(p, t):
@@ -654,19 +653,19 @@ def _shift(vec, j, p, nf, f) -> dict:
 
 def _orbit_shift_complex(k: SimplicialComplex, a: CyclicAction) -> _OrbitShiftComplex:
     """C(k; Z_p) in orbit-shift coordinates, from the orbit walk of (k, a),
-    once _smith_operators has refused what they do not describe: after it,
-    an orbit that is not fixed has p simplices, and p steps bring each back
-    with sign +1.
+    once _operator_walk has refused what the Smith operators do not
+    describe: after it, an orbit that is not fixed has p simplices, and p
+    steps bring each back with sign +1.
 
     A simplex on a free orbit is c t^m e for its orbit's e and a sign c, and
     t^m e = (1 - tau)^m e = sum_i C(m, i) (-1)^i u_i.  The boundary commutes
     with tau, so the boundary of u_i is tau^i of that of e: the boundary of
     each representative, rewritten so, gives its whole orbit's columns.
     """
-    p = _smith_operators(k, a).p
+    p = a.order
     binomials = [[(-1) ** i * comb(m, i) for i in range(m + 1)] for m in range(p)]
     counts, boundaries, below = [], [], {}
-    for d, t in enumerate(_orbits(k, a).t):
+    for d, t in enumerate(_operator_walk(k, a)):
         fixed = [j for j, (i, _) in enumerate(t) if i == j]
         nf, f = len(fixed), (len(t) - len(fixed)) // p
         coords = {j: {m: 1} for m, j in enumerate(fixed)}  # each simplex in coordinates
@@ -704,15 +703,20 @@ class _HomologyBasis:
     dims: list
     reps: list  # reps[d]: sparse cycles spanning H_d
     boundary_basis: list  # sparse basis of im(boundary_{d+1})
+    # owners[d]: the lowest nonzero row of each column of reps[d] +
+    # boundary_basis[d] -> (its index there, the column); all distinct
+    owners: list
 
     def classify_many(self, d: int, vecs) -> list:
-        """The class of each cycle, as sparse coordinates on reps[d]."""
-        reps = self.reps[d]
+        """The class of each cycle, as sparse coordinates on reps[d]: the
+        multiples of the reps taken in eliminating it against the owners."""
+        n = len(self.reps[d])
         out = []
-        for x in solve_columns_mod(reps + self.boundary_basis[d], vecs, self.p):
-            if x is None:
+        for vec in vecs:
+            left, taken = eliminate_mod(vec, self.owners[d], self.p)
+            if left:
                 raise SmithError("vector is not a cycle in this complex")
-            out.append({i: c for i, c in x.items() if i < len(reps)})
+            out.append({i: c for i, c in taken.items() if i < n})
         return out
 
 
@@ -727,29 +731,31 @@ def _homology_of(coords, reductions, p) -> _HomologyBasis:
     those columns is their own reduction.
 
     The cycles of C_d are the combinations behind the zero columns of
-    reduced boundary_d; the nonzero reduced columns of boundary_{d+1} are a
-    basis of its image, and each has its lowest nonzero on a cycle's own
-    column.  Lowest entries are distinct, so the cycles whose column is not
-    such a low complete that image basis to a basis of the cycles: they
-    represent homology.
+    reduced boundary_d, each with its lowest nonzero, a 1, on its own
+    column.  The nonzero reduced columns of boundary_{d+1} are a basis of
+    its image, and each has its lowest nonzero on a cycle's own column.
+    Lowest entries are distinct, so the cycles whose column is not such a
+    low complete that image basis to a basis of the cycles: they represent
+    homology.  Together with the image basis they are in echelon form, so a
+    cycle's class needs no further reduction of them (classify_many).
     """
-    reps, bnd_bases = [], []
+    reps, bnd_bases, owners = [], [], []
     for d, cols in enumerate(coords):
         reduced, combos, _ = reductions[d]
         if d >= 1:
             cycles = {j: combos[j] for j in cols if not reduced[j]}
         else:
             cycles = {j: {j: 1} for j in cols}
+        pivots = {}  # lowest row -> reduced column of boundary_{d+1}, in column order
         if d + 1 < len(coords):
             up = coords[d + 1]
             reduced_up, _, lows_up = reductions[d + 1]
-            bnd = [col for col in reduced_up[up.start : up.stop] if col]
-            pivots = {i for i, j in lows_up.items() if j in up}
-        else:
-            pivots, bnd = set(), []
-        reps.append([z for j, z in cycles.items() if j not in pivots])
-        bnd_bases.append(bnd)
-    return _HomologyBasis(p, [len(r) for r in reps], reps, bnd_bases)
+            pivots = {i: reduced_up[j] for i, j in lows_up.items() if j in up}
+        rep_lows = [j for j in cycles if j not in pivots]
+        reps.append([cycles[j] for j in rep_lows])
+        bnd_bases.append(list(pivots.values()))
+        owners.append(dict(zip(rep_lows + list(pivots), enumerate(reps[-1] + bnd_bases[-1]))))
+    return _HomologyBasis(p, [len(r) for r in reps], reps, bnd_bases, owners)
 
 
 def _induced_on_homology(src: _HomologyBasis, dst: _HomologyBasis, maps):

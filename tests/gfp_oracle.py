@@ -1,9 +1,10 @@
 """Dense Gauss-Jordan elimination over GF(p) and over Q, kept as the oracle
 for the sparse column reduction of exoticaffine.linalg, the two helpers
 that turn sparse columns into a dense matrix and back, and the column-space
-basis that the ambient-basis Smith oracle builds its subcomplexes from."""
+basis and the sparse solver that the ambient-basis Smith oracle builds its
+subcomplexes and maps from."""
 
-from exoticaffine.linalg import reduce_columns_mod
+from exoticaffine.linalg import _add_multiple, _entries, _ratio, reduce_columns_mod
 
 
 def sparse_columns(matrix, p, ncols=None) -> list[dict]:
@@ -27,6 +28,34 @@ def column_space_basis_mod(cols, p) -> list[dict]:
     independent of the columns before them."""
     reduced, _, _ = reduce_columns_mod(cols, p)
     return [col for col, red in zip(cols, reduced) if red]
+
+
+def solve_columns_mod(basis, targets, p) -> list:
+    """Sparse solutions {basis column: coefficient} of basis @ x = target
+    over GF(p) (over Q when p is None), one per target; None where the
+    target is not in the column span.  The basis is reduced once, with the
+    combinations tracked; each target is then reduced against the lowest
+    nonzeros of the reduced basis only, and the multiples taken give its
+    solution."""
+    if not targets:
+        return []
+    reduced, combos, lows = reduce_columns_mod(basis, p, track=True)
+    solutions = []
+    for target in targets:
+        col = _entries(target, p)
+        x: dict = {}
+        while col:
+            low = max(col)
+            owner = lows.get(low)
+            if owner is None:
+                break
+            other = reduced[owner]
+            f = _ratio(col[low], other[low], p)
+            _add_multiple(col, other, -f, p)
+            _add_multiple(x, combos[owner], f, p)
+        solutions.append(None if col else x)
+    return solutions
+
 
 
 def dense(cols, nrows=None) -> list[list[int]]:

@@ -11,13 +11,16 @@ It also keeps the sparse-product check of the Smith operator identities,
 the oracle for the orbit-walk check."""
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
+import pytest
+
 from exoticaffine import smithhom
-from exoticaffine.linalg import apply_columns_mod, mul_columns_mod, rank_mod, solve_columns_mod
+from exoticaffine.linalg import apply_columns_mod, mul_columns_mod, rank_mod
 from exoticaffine.smithhom import SequenceReport, SmithError, chain_complex, operator_power
-from gfp_oracle import column_space_basis_mod
+from gfp_oracle import column_space_basis_mod, solve_columns_mod
 
 
 @dataclass
@@ -50,6 +53,43 @@ def check_operator_identities(p, sigma, tau):
             power = apply_columns_mod(tau, power, p)
         if power != col:
             raise SmithError("sigma != tau^(p-1)")
+
+
+def assert_classes_match_solver(h, d, rows, rng: random.Random, label) -> int:
+    """classify_many of the homology basis h in dimension d against
+    solve_columns_mod on reps[d] + boundary_basis[d], for the unit vectors
+    of `rows` (C_d of h's complex) and random combinations of the basis
+    columns with and without a unit vector added: the same coordinates on the
+    reps for a cycle, SmithError for any other vector.  Also checks that
+    each basis column owns its lowest nonzero row.  Returns the number of
+    vectors that were not cycles."""
+    p, cols = h.p, h.reps[d] + h.boundary_basis[d]
+    assert sorted(i for i, _ in h.owners[d].values()) == list(range(len(cols))), label
+    for low, (i, col) in h.owners[d].items():
+        assert col is cols[i] and max(col) == low, label
+    units = [{j: 1} for j in rows]
+    combos = [
+        apply_columns_mod(cols, {i: rng.randrange(p) for i in range(len(cols))}, p)
+        for _ in range(4)
+    ]
+    mixed = [
+        apply_columns_mod([combo, unit], {0: 1, 1: 1}, p)
+        for combo, unit in zip(combos, rng.sample(units, min(4, len(units))))
+    ]
+    vecs = units + combos + mixed
+    n = len(h.reps[d])
+    solutions = solve_columns_mod(cols, vecs, p)
+    for vec, x in zip(vecs, solutions):
+        if x is None:
+            with pytest.raises(SmithError, match="^vector is not a cycle in this complex$"):
+                h.classify_many(d, [vec])
+        else:
+            assert h.classify_many(d, [vec]) == [{i: c for i, c in x.items() if i < n}], label
+    cycles = [vec for vec, x in zip(vecs, solutions) if x is not None]
+    assert h.classify_many(d, cycles) == [
+        {i: c for i, c in x.items() if i < n} for x in solutions if x is not None
+    ], label
+    return solutions.count(None)
 
 
 def induced_boundaries(bases, p, ambient_boundaries) -> SubComplex:

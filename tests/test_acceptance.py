@@ -22,12 +22,12 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from exoticaffine import constructions, derivations, dualgraph, fpgroups, grading
 from exoticaffine.grading import NEG_INF
 from exoticaffine.linalg import det
-from exoticaffine.polyring import Polynomial, binomial, parse_polynomial, varset
+from exoticaffine.polyring import Polynomial, parse_polynomial, varset
 from exoticaffine.smithhom import (
     cone_complex,
     ensure_regular,
@@ -260,9 +260,9 @@ def test_criterion_08_tdp():
                 lhs = z * surface.defining + z
                 rhs = Polynomial.zero(xyz)
                 for i in range(k + 1):
-                    rhs = rhs + xz**i * binomial(k, i)
+                    rhs = rhs + xz**i * comb(k, i)
                 for i in range(l + 1):
-                    rhs = rhs - yz**i * binomial(l, i)
+                    rhs = rhs - yz**i * comb(l, i)
                 assert lhs == rhs
         for m1 in range(1, 7):
             for n1 in range(1, 7):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,7 +26,6 @@ from exoticaffine.constructions import (
 from exoticaffine.polyring import (
     MissingImage,
     Polynomial,
-    binomial,
     parse_polynomial,
     varset,
 )
@@ -179,9 +179,9 @@ class TestFamilies:
             xz, yz = parse_polynomial("x*z", XYZ), parse_polynomial("y*z", XYZ)
             rhs = Polynomial.zero(XYZ)
             for i in range(k + 1):
-                rhs = rhs + xz**i * binomial(k, i)
+                rhs = rhs + xz**i * comb(k, i)
             for i in range(l + 1):
-                rhs = rhs - yz**i * binomial(l, i)
+                rhs = rhs - yz**i * comb(l, i)
             assert lhs == rhs
 
     def test_tdp_general_expansion(self):

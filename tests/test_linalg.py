@@ -21,10 +21,18 @@ from exoticaffine.linalg import (
     mul_columns_mod,
     rank_mod,
     reduce_columns_mod,
-    solve_columns_mod,
 )
-from gfp_oracle import column_space_basis_mod, dense, nullspace_q, rref_mod, solve_many_mod, sparse_columns
+from gfp_oracle import (
+    column_space_basis_mod,
+    dense,
+    nullspace_q,
+    rref_mod,
+    solve_columns_mod,
+    solve_many_mod,
+    sparse_columns,
+)
 from exoticaffine import smithhom
+import smith_oracle
 from exoticaffine.smithhom import (
     ChainComplex,
     SimplicialComplex,
@@ -501,6 +509,23 @@ class TestUniversalCoefficients:
                 assert _alternating(dims) == chi, (k, p)
                 assert simplicial_homology(sub, p) == dims, (k, p)
         assert with_torsion
+
+    def test_classes_match_the_solver(self):
+        """classify_many on the homology bases of the seeded random
+        complexes of the test above and of the named ones, against solving
+        on the reps and the boundary basis, non-cycles included."""
+        rng = random.Random(2014)
+        complexes = [_random_complex(rng) for _ in range(12)] + list(self.COMPLEXES.values())
+        probe = random.Random(1403)
+        refused = 0
+        for k in complexes:
+            for p in (2, 3, 5):
+                c = chain_complex(k, p)
+                h = smithhom._homology_basis(c.dims, c.boundaries, p)
+                for d, n in enumerate(c.dims):
+                    label = (k, p, d)
+                    refused += smith_oracle.assert_classes_match_solver(h, d, range(n), probe, label)
+        assert refused
 
     def test_cellular_torsion(self):
         for name, (dims, boundaries) in CELLULAR.items():

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from exoticaffine.polyring import (
     GRLEX,
     LEX,
+    DivisionByZero,
     MissingImage,
     NonTerminatingOrder,
     NotDivisible,
@@ -15,7 +17,6 @@ from exoticaffine.polyring import (
     VarSet,
     VarSetMismatch,
     arith,
-    binomial,
     exact_divide,
     jacobian_det,
     normal_form,
@@ -54,7 +55,7 @@ class TestArith:
         cube = arith(xz1, None, "pow", 3)
         expected = Polynomial.zero(XYZT)
         for k in range(4):
-            expected = expected + P("x*z") ** k * binomial(3, k)
+            expected = expected + P("x*z") ** k * comb(3, k)
         assert cube == expected
         assert cube == P("x^3*z^3+3*x^2*z^2+3*x*z+1")
 
@@ -152,6 +153,56 @@ class TestExactDivide:
             if d.is_zero():
                 continue
             assert exact_divide(p * d, d) == p
+
+    def test_matches_leading_term_division(self):
+        """exact_divide against the naive leading-term division on seeded
+        pairs: the same quotient where p*d + r is divisible, and otherwise
+        the same remainder in NotDivisible and in its message."""
+        rng = random.Random(1401)
+        divisible = 0
+        for t in range(300):
+            d = random_poly(XYZT, rng)
+            if d.is_zero():
+                continue
+            q = random_poly(XYZT, rng)
+            p = q * d + (random_poly(XYZT, rng, max_terms=2) if t % 2 else Polynomial.zero(XYZT))
+            want_q, want_r = leading_term_division(p, d)
+            if want_r.is_zero():
+                divisible += 1
+                got = exact_divide(p, d)
+                assert got == want_q and list(got.terms) == list(want_q.terms), (p, d)
+            else:
+                with pytest.raises(NotDivisible) as exc:
+                    exact_divide(p, d)
+                assert exc.value.remainder == want_r, (p, d)
+                assert str(exc.value) == f"not exactly divisible; remainder {want_r}"
+        assert 100 < divisible < 250
+
+    def test_zero_divisor(self):
+        with pytest.raises(DivisionByZero, match="^division by the zero polynomial$"):
+            exact_divide(P("x^2+1"), Polynomial.zero(XYZT))
+
+
+def leading_term_division(p, d):
+    """Division by one divisor under gradedlex, one leading term at a time:
+    (q, r) with p = q*d + r and no term of r divisible by the leading
+    monomial of d.  The oracle for exact_divide."""
+    lm = d.leading_monomial(GRLEX)
+    lc = d.terms[lm]
+    q = r = Polynomial.zero(p.varset)
+    work = p
+    while not work.is_zero():
+        wm = work.leading_monomial(GRLEX)
+        if all(a >= b for a, b in zip(wm, lm)):
+            shift = tuple(a - b for a, b in zip(wm, lm))
+            t = Polynomial.monomial(p.varset, shift, work.terms[wm] / lc)
+            q = q + t
+            work = work - t * d
+        else:
+            t = Polynomial.monomial(p.varset, wm, work.terms[wm])
+            r = r + t
+            work = work - t
+    return q, r
 
 
 class TestJacobian:

@@ -277,6 +277,32 @@ class TestSmithOperators:
         with pytest.raises(NotPrime):
             smith_operators(k, a)
 
+    def test_orbit_shift_complex_builds_no_operators(self, monkeypatch):
+        """The orbit-shift complex, and with it the sequences and special
+        homology, builds no sigma or tau column: it runs the identity check
+        of the walk once per dimension and refuses what (R1)-(R2) refuse."""
+        checked = []
+        check = smithhom._check_operator_identities
+
+        def refuse(*args):
+            raise AssertionError("Smith operator columns built")
+
+        def counting(p, t):
+            checked.append(p)
+            return check(p, t)
+
+        monkeypatch.setattr(smithhom, "_smith_operators", refuse)
+        monkeypatch.setattr(smithhom, "SmithOperators", refuse)
+        monkeypatch.setattr(smithhom, "_check_operator_identities", counting)
+        k, a = sphere(5)
+        cx = smithhom._orbit_shift_complex(k, a)
+        assert cx.p == 5 and checked == [5] * (k.dimension + 1)
+        assert special_smith_homology(*disc(3), 2) == [0, 0, 0]
+        assert verify_smith_sequences(*free_circle(3)).all_exact
+        k = SimplicialComplex.build([("a", "b")])
+        with pytest.raises(NotRegular, match="R1"):
+            smithhom._orbit_shift_complex(k, CyclicAction(2, {"a": "b", "b": "a"}))
+
 
 class TestSpecialHomology:
     def test_trivial_action_tau_kills_everything(self):
@@ -534,6 +560,56 @@ class TestLongExactSequence:
         assert report.all_exact and report.subdivisions_for_quotient
         assert len(built) == len(set(built)) == 2 * a.order
         assert len(reductions) == k.dimension + 1
+
+    def test_classes_match_the_solver(self):
+        """classify_many on every orbit-shift subcomplex of sphere:5 against
+        solving on the reps and the boundary basis, non-cycles included."""
+        cx = smithhom._orbit_shift_complex(*sphere(5))
+        p = cx.p
+        subcomplexes = [cx.levels(j, fixed=True) for j in range(p + 1)]
+        subcomplexes += [cx.levels(j) for j in range(1, p + 1)]
+        rng = random.Random(1404)
+        refused = 0
+        for coords in subcomplexes:
+            h = cx.homology(coords)
+            for d, rows in enumerate(coords):
+                label = (coords, d)
+                refused += smith_oracle.assert_classes_match_solver(h, d, rows, rng, label)
+        assert refused
+
+    def test_classes_need_no_reduction(self, monkeypatch):
+        """classify_many reads classes off the echelon basis _homology_of
+        built: no column reduction and no solve inside it, in the Smith
+        sequences of sphere:5 or the transfer of the repaired sphere:3."""
+        assert not hasattr(linalg, "solve_columns_mod")
+        assert not hasattr(smithhom, "solve_columns_mod")
+        inside, classified, reductions = [], [], []
+        classify = smithhom._HomologyBasis.classify_many
+
+        def tracked(self, d, vecs):
+            classified.append(d)
+            inside.append(d)
+            try:
+                return classify(self, d, vecs)
+            finally:
+                inside.pop()
+
+        def counting(reduce):
+            def wrapper(*args, **kwargs):
+                if inside:
+                    reductions.append(args)
+                return reduce(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(smithhom._HomologyBasis, "classify_many", tracked)
+        for module in (linalg, smithhom):
+            monkeypatch.setattr(module, "reduce_columns_mod", counting(module.reduce_columns_mod))
+        assert verify_smith_sequences(*sphere(5)).all_exact
+        after_sequences = len(classified)
+        kq, aq, _ = ensure_regular(*sphere(3))
+        assert transfer_check(kq, aq, 2).all_identities_hold
+        assert 0 < after_sequences < len(classified)
+        assert reductions == []
 
 
 # ---------------------------------------------------------------------------
