@@ -22,7 +22,7 @@ from .grading import (
     WeightFunction,
     associated_graded_hypersurface,
     quasi_homogeneous_decompose,
-    quotient_degree,
+    stable_degree,
 )
 from .polyring import (
     DimensionMismatch,
@@ -175,7 +175,6 @@ def nilpotency_test(d: Derivation, bound: int = DEFAULT_NILPOTENCY_BOUND) -> Nil
     orders: dict[str, int] = {}
     for name in d.ambient.names:
         seq = [d.reduce(Polynomial.variable(d.ambient, name))]
-        order = None
         for k in range(1, bound + 2):
             nxt = apply(d, seq[-1])
             if nxt.is_zero():
@@ -190,9 +189,7 @@ def nilpotency_test(d: Derivation, bound: int = DEFAULT_NILPOTENCY_BOUND) -> Nil
                     evidence=f"delta^{k}({name}) = {c} * delta^{i}({name})",
                 )
             seq.append(nxt)
-            if k > bound:
-                return NilpotencyCertificate("Inconclusive", bound=bound)
-        if order is None:
+        else:  # no iterate within the bound died (none is checked if bound < 0)
             return NilpotencyCertificate("Inconclusive", bound=bound)
         orders[name] = order
     return NilpotencyCertificate("NilpotentOnGenerators", orders=orders)
@@ -219,28 +216,35 @@ def _require_nilpotent(cert: NilpotencyCertificate):
         raise NotCertifiedNilpotent(f"certificate verdict is {cert.verdict}")
 
 
-def partial_degree(d: Derivation, cert: NilpotencyCertificate, f: Polynomial):
-    """deg_delta(f): the n with delta^{n+1} f = 0, delta^n f != 0; -inf at 0."""
-    _require_nilpotent(cert)
+def _orbit(d: Derivation, cert: NilpotencyCertificate, f: Polynomial) -> list[Polynomial]:
+    """f, delta f, delta^2 f, ... up to the last nonzero iterate (reduced).
+
+    deg_delta of a monomial is bounded by the weighted exponent sum of the
+    certified orders (for a generator v, by cert.orders[v]); an orbit that
+    outruns that bound means the certificate does not describe d.
+    """
     g = d.reduce(f)
     if g.is_zero():
-        return NEG_INF
-    # deg_delta of a monomial is bounded by the weighted exponent sum of orders
-    limit = max(
-        sum(e[i] * cert.orders[d.ambient.names[i]] for i in range(len(e)))
-        for e in g.terms
-    )
-    n = 0
+        return []
+    names = d.ambient.names
+    limit = max(sum(k * cert.orders[names[i]] for i, k in enumerate(e)) for e in g.terms)
+    orbit = [g]
     while True:
-        nxt = apply(d, g)
+        nxt = apply(d, orbit[-1])
         if nxt.is_zero():
-            return n
-        g = nxt
-        n += 1
-        if n > limit + 1:
+            return orbit
+        orbit.append(nxt)
+        if len(orbit) > limit + 2:
             raise DerivationError(
                 "orbit exceeded the certified bound; certificate inconsistent"
             )
+
+
+def partial_degree(d: Derivation, cert: NilpotencyCertificate, f: Polynomial):
+    """deg_delta(f): the n with delta^{n+1} f = 0, delta^n f != 0; -inf at 0."""
+    _require_nilpotent(cert)
+    orbit = _orbit(d, cert, f)
+    return len(orbit) - 1 if orbit else NEG_INF
 
 
 def exp_flow(
@@ -265,19 +269,12 @@ def exp_flow(
         tpoly = Polynomial.constant(target, Fraction(t))
     flow: dict[str, Polynomial] = {}
     for name in ambient.names:
-        term = d.reduce(Polynomial.variable(ambient, name))
-        acc = term.rename_into(target)
-        i = 0
-        fact = 1
-        tpow = Polynomial.constant(target, 1)
-        while True:
-            term = apply(d, term)
-            if term.is_zero():
-                break
-            i += 1
-            fact *= i
-            tpow = tpow * tpoly
-            acc = acc + term.rename_into(target) * tpow.scale(Fraction(1, fact))
+        acc = Polynomial.zero(target)
+        tpow = Polynomial.constant(target, 1)  # t^i / i!
+        for i, term in enumerate(_orbit(d, cert, Polynomial.variable(ambient, name))):
+            if i:
+                tpow = tpow * tpoly.scale(Fraction(1, i))
+            acc = acc + term.rename_into(target) * tpow
         flow[name] = acc
     return flow
 
@@ -320,25 +317,23 @@ def graded_derivation(
         raise DerivationError("graded derivations are computed on quotient rings here")
     q: QuotientRing = d.ring
     graded = associated_graded_hypersurface(q.relation, w, q.order)
-    shifts = []
-    degs = {}
-    for name in d.ambient.names:
-        gen = Polynomial.variable(d.ambient, name)
-        degs[name] = quotient_degree(gen, q, w)
-        img = d.images[name]
-        if img.is_zero():
-            continue
-        shifts.append(quotient_degree(img, q, w) - degs[name])
+    names = d.ambient.names
+    degs = {
+        name: stable_degree(q.canonical(Polynomial.variable(d.ambient, name)), graded)
+        for name in names
+    }
+    canonical = {
+        name: q.canonical(d.images[name]) for name in names if not d.images[name].is_zero()
+    }
+    shifts = [stable_degree(nf, graded) - degs[name] for name, nf in canonical.items()]
     k0 = max(shifts) if shifts else 0
     images = {}
-    for name in d.ambient.names:
-        img = d.images[name]
-        if img.is_zero():
+    for name in names:
+        if name not in canonical:
             images[name] = Polynomial.zero(d.ambient)
             continue
-        comps, _ = quasi_homogeneous_decompose(q.canonical(img), w)
-        wanted = degs[name] + k0
-        images[name] = comps.get(wanted, Polynomial.zero(d.ambient))
+        comps, _ = quasi_homogeneous_decompose(canonical[name], w)
+        images[name] = comps.get(degs[name] + k0, Polynomial.zero(d.ambient))
     gd = GradedDerivation(graded, images, int(k0))
     residue = gd.apply(graded.relation_top)
     if not residue.is_zero():

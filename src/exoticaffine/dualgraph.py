@@ -88,33 +88,11 @@ class WeightedGraph:
         return frozenset((u, v)) in self.edges
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = set()
-        stack = [next(iter(sorted(self.vertices)))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self.neighbors(v))
-        return len(seen) == len(self.vertices)
+        return _component_count(self.vertices, self.neighbors) <= 1
 
     def has_cycle(self) -> bool:
         # a simple graph is a forest iff |E| = |V| - #components
-        components = 0
-        seen: set = set()
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            components += 1
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(self.neighbors(v))
+        components = _component_count(self.vertices, self.neighbors)
         return len(self.edges) != len(self.vertices) - components
 
     def fresh_id(self, stem: str = "e") -> str:
@@ -122,6 +100,25 @@ class WeightedGraph:
         while f"{stem}{k}" in self.vertices:
             k += 1
         return f"{stem}{k}"
+
+
+def _component_count(nodes, neighbors) -> int:
+    """Number of connected components of the graph on `nodes` whose
+    adjacency is `neighbors(node)`."""
+    seen: set = set()
+    components = 0
+    for start in nodes:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for w in neighbors(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return components
 
 
 def graph(vertices, edges=()) -> WeightedGraph:
@@ -167,17 +164,26 @@ def blow_up(g: WeightedGraph, site) -> WeightedGraph:
     return WeightedGraph(vertices, frozenset(edges))
 
 
+def _contraction_refusal(g: WeightedGraph, v: str) -> str | None:
+    """Why Castelnuovo contraction of v is refused, or None if it is not."""
+    if g.weight(v) != -1:
+        return "weight"
+    nbrs = g.neighbors(v)
+    if len(nbrs) > 2:
+        return "valence"
+    if len(nbrs) == 2 and g.has_edge(nbrs[0], nbrs[1]):
+        return "multi-edge"
+    return None
+
+
 def contract(g: WeightedGraph, v: str) -> WeightedGraph:
     """Castelnuovo contraction of a (-1)-vertex of valence <= 2."""
     if v not in g.vertices:
         raise UnknownSite(f"vertex {v!r} not in graph")
-    if g.weight(v) != -1:
-        raise NotContractible("weight")
+    refusal = _contraction_refusal(g, v)
+    if refusal:
+        raise NotContractible(refusal)
     nbrs = g.neighbors(v)
-    if len(nbrs) > 2:
-        raise NotContractible("valence")
-    if len(nbrs) == 2 and g.has_edge(nbrs[0], nbrs[1]):
-        raise NotContractible("multi-edge")
     vertices = {w: wt for w, wt in g.vertices.items() if w != v}
     for n in nbrs:
         vertices[n] += 1
@@ -195,15 +201,7 @@ def minimalize(g: WeightedGraph) -> tuple[WeightedGraph, list[str]]:
     """
     log = []
     while True:
-        candidate = None
-        for v in g.ids():
-            if g.weight(v) != -1 or g.valence(v) > 2:
-                continue
-            nbrs = g.neighbors(v)
-            if len(nbrs) == 2 and g.has_edge(nbrs[0], nbrs[1]):
-                continue
-            candidate = v
-            break
+        candidate = next((v for v in g.ids() if _contraction_refusal(g, v) is None), None)
         if candidate is None:
             return g, log
         g = contract(g, candidate)
@@ -219,8 +217,6 @@ def ramanujam_verdict(g: WeightedGraph) -> str:
     minimal, _ = minimalize(g)
     if minimal.has_cycle():
         return "NotATree"
-    if not minimal.vertices:
-        return "IsomorphicToC2"
     if minimal.is_connected() and all(minimal.valence(v) <= 2 for v in minimal.ids()):
         return "IsomorphicToC2"
     return "NotC2"
@@ -449,17 +445,9 @@ def _minimal_multiplier(entries, a, values, support, j):
 
 def _q_connected(entries) -> bool:
     n = len(entries)
-    if n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and entries[i][j] != 0 and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
+    return _component_count(
+        range(n), lambda i: [j for j in range(n) if j != i and entries[i][j] != 0]
+    ) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import dualgraph
 from .linalg import det, identity, mat_mul
 
 
@@ -254,32 +255,16 @@ def bezout_alpha(k: int, l: int) -> tuple[int, int, Word]:
     Among all solutions, |p| is minimized; a tie (only when l = 2|p|) is
     broken toward positive p.  Generators: a = 1, b = 2.
     """
+    _positive(k, l)
     if gcd(k, l) != 1:
         raise NotCoprime(f"gcd({k},{l}) != 1")
-    p0, q0 = _extended_euclid(k, l)
-    # general solution p = p0 + t*l
-    t = round(-p0 / l)
-    candidates = [p0 + (t + d) * l for d in (-1, 0, 1)]
-    p = min(candidates, key=lambda c: (abs(c), -c))
+    # p = k^-1 mod l; the least |p| in that class is r or r - l
+    r = pow(k, -1, l)
+    p = min((r, r - l), key=lambda c: (abs(c), -c))
     q = (1 - k * p) // l
     assert k * p + l * q == 1
     word = _power(1, q) + _power(2, p)
     return p, q, word
-
-
-def _extended_euclid(a: int, b: int) -> tuple[int, int]:
-    """x, y with a x + b y = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
 
 
 def named_presentation(name: str, **params) -> Presentation:
@@ -328,7 +313,7 @@ def named_presentation(name: str, **params) -> Presentation:
         return Presentation(("s1", "s2"), (braid, _power(1, s), _power(2, s)))
     if key == "xtquot":
         t = params["t"]
-        m00, n00, m10, n10, m01, n01, m11, n11 = _xt_entries(t)
+        m00, n00, m10, n10, m01, n01, m11, n11 = _covering(dualgraph._xt_validate, t)
         # generators a0, a1, b0, b1 = 1, 2, 3, 4
         commutators = []
         for ai in (1, 2):
@@ -349,18 +334,13 @@ def _positive(*values):
         raise InvalidParams("parameters must be positive integers")
 
 
-def _xt_entries(t):
-    if len(t) != 4 or any(len(row) != 4 for row in t):
-        raise WrongShape("need a 4x4 matrix")
-    pattern = {(0, 0), (0, 2), (1, 0), (1, 3), (2, 1), (2, 2), (3, 1), (3, 3)}
-    for i in range(4):
-        for j in range(4):
-            entry = t[i][j]
-            if not isinstance(entry, int) or entry < 0:
-                raise WrongShape("entries must be non-negative integers")
-            if (i, j) not in pattern and entry != 0:
-                raise WrongShape(f"entry ({i},{j}) must be zero in this shape")
-    return t[0][0], t[0][2], t[1][0], t[1][3], t[2][1], t[2][2], t[3][1], t[3][3]
+def _covering(check, t):
+    """check(t) for one of dualgraph's covering-matrix functions; a bad T
+    raises this module's WrongShape with dualgraph's message."""
+    try:
+        return check(t)
+    except dualgraph.WrongShape as exc:
+        raise WrongShape(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +385,6 @@ def gkls_abelianization_order(k: int, l: int, s: int) -> int:
 
 
 def xt_exponent(t) -> int:
-    """Delta = m00 n10 m11 n01 - m01 n11 m10 n00, the exponent killing a0."""
-    m00, n00, m10, n10, m01, n01, m11, n11 = _xt_entries(t)
-    return m00 * n10 * m11 * n01 - m01 * n11 * m10 * n00
+    """Delta = m00 n10 m11 n01 - m01 n11 m10 n00 = -det T, the exponent
+    killing a0."""
+    return -_covering(dualgraph.xt_certificate, t).determinant

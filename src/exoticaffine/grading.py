@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 
 from .polyring import (
     GRLEX,
@@ -174,11 +174,8 @@ def _poly_square_root(p: Polynomial) -> Polynomial | None:
 def _isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    r = int(n**0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 def _univariate_coeffs(p: Polynomial, name: str) -> list[Fraction]:
@@ -204,24 +201,45 @@ def _univariate_irreducible(coeffs: list[Fraction]):
         return True
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
-    if _has_rational_root(ints):
+    root = _has_rational_root(ints)
+    if root:
         return False
-    if deg in (2, 3):
-        return True
-    return None
+    if root is None or deg > 3:
+        return None
+    return True
 
 
-def _has_rational_root(ints: list[int]) -> bool:
-    a0, an = ints[0], ints[-1]
+# Work caps of the rational-root search: trial-division steps (the square
+# roots of the constant and leading coefficients, summed) and candidate
+# pairs p/q.  Past either the search answers "undecided" instead of running on.
+_TRIAL_DIVISION_LIMIT = 10**6
+_CANDIDATE_LIMIT = 10**5
+
+
+def _has_rational_root(ints: list[int]) -> bool | None:
+    """Does sum ints[i] x^i have a rational root?  None (undecided) when the
+    search would pass _TRIAL_DIVISION_LIMIT or _CANDIDATE_LIMIT.
+
+    A root in lowest terms is p/q with p | a0 and q | an; it is a root iff
+    sum ints[i] p^i q^(n-i) = 0, evaluated in integers by Horner's rule.
+    """
+    a0, an = abs(ints[0]), abs(ints[-1])
     if a0 == 0:
         return True
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
+    if isqrt(a0) + isqrt(an) > _TRIAL_DIVISION_LIMIT:
+        return None
+    numerators, denominators = _divisors(a0), _divisors(an)
+    if len(numerators) * len(denominators) > _CANDIDATE_LIMIT:
+        return None
+    for p in numerators:
+        for q in denominators:
+            if gcd(p, q) != 1:
+                continue
             for num in (p, -p):
-                x = Fraction(num, q)
-                acc = Fraction(0)
+                acc, qpow = 0, 1
                 for c in reversed(ints):
-                    acc = acc * x + c
+                    acc = acc * num + c * qpow
+                    qpow *= q
                 if acc == 0:
                     return True
     return False
@@ -369,6 +387,7 @@ RUSSELL_VARS = varset("x", "y", "z", "t")
 RUSSELL_RELATION = parse_polynomial("x + x^2*y + z^2 + t^3", RUSSELL_VARS)
 RUSSELL_ORDER = weighted_order((1, 3, 0, 0))
 RUSSELL_WEIGHTS = WeightFunction(RUSSELL_VARS, (-1, 2, 0, 0))
+RUSSELL_TOP = principal_part(RUSSELL_RELATION, RUSSELL_WEIGHTS)  # x^2 y + z^2 + t^3
 
 
 def russell_quotient() -> QuotientRing:
@@ -397,20 +416,24 @@ def associated_graded_hypersurface(
 
 
 def quotient_degree(f: Polynomial, q: QuotientRing, w: WeightFunction):
-    """Degree of the canonical representative, with a stability guard.
-
-    The canonical form's principal component must avoid the graded ideal
-    (p_d); divisibility is the membership test for a principal ideal.
-    """
+    """Degree of the canonical representative, with a stability guard:
+    the canonical form's principal component must avoid the graded ideal."""
     status = check_appropriate(q.relation, w)
     if status.failed:
         raise UncertifiedGrading(f"weight fails appropriateness: {status.reason}")
-    nf = q.canonical(f)
+    graded = GradedHypersurface(q.ambient, principal_part(q.relation, w), w, status, q.order)
+    return stable_degree(q.canonical(f), graded)
+
+
+def stable_degree(nf: Polynomial, graded: GradedHypersurface):
+    """Weight degree of the canonical form nf, refused when its principal
+    component lies in the graded ideal (relation_top): divisibility is the
+    membership test for a principal ideal."""
     if nf.is_zero():
         return NEG_INF
-    _, pd = quasi_homogeneous_decompose(q.relation, w)
+    w = graded.weight
     _, nf_top = quasi_homogeneous_decompose(nf, w)
-    if normal_form(nf_top, pd).is_zero():
+    if normal_form(nf_top, graded.relation_top).is_zero():
         raise DegreeNotStable(
             "principal part of the canonical form lies in the graded ideal"
         )
@@ -455,9 +478,7 @@ def graded_component_membership(fhat: Polynomial, g: GradedHypersurface, i: int)
     """Does the canonical form of fhat have the degree-i shape of the graded
     Russell hypersurface?  (x^{-i} C[z,t] for i<=0, y^r C[z,t] for i=2r>0,
     x y^r C[z,t] for i=2r-1>0.)"""
-    if g.ambient != RUSSELL_VARS or g.relation_top != principal_part(
-        RUSSELL_RELATION, RUSSELL_WEIGHTS
-    ):
+    if g.ambient != RUSSELL_VARS or g.relation_top != RUSSELL_TOP:
         raise WrongRing("membership shapes are specific to the graded Russell ring")
     nf = g.canonical(fhat)
     if nf.is_zero():

@@ -320,6 +320,12 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "NotDivisible" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("k, l", [("1", "0"), ("0", "3")])
+    def test_bezout_non_positive_is_a_domain_error(self, capsys, k, l):
+        code, out = run_cli(capsys, "group", "bezout", f"--k={k}", f"--l={l}")
+        assert code == 1
+        assert json.loads(out) == {"error": "InvalidParams: parameters must be positive integers"}
+
     @pytest.mark.parametrize("order", [3, 0, -3])
     @pytest.mark.parametrize(
         "verb",
@@ -553,3 +559,101 @@ class TestPinnedLndOutput:
                             json.dumps(images), "--degree-bound", str(bound))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LND_STDOUT[verb, name, bound]
+
+
+# graphs and presentations read by the pins below; `$name` in a pinned
+# command stands for the JSON of PIN_INPUTS[name]
+PIN_INPUTS = {
+    "cycle": {"vertices": [{"id": "a", "w": -1}, {"id": "b", "w": -2}, {"id": "c", "w": -2}],
+              "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
+    "two": {"vertices": [{"id": "a", "w": -2}, {"id": "b", "w": -3}], "edges": []},
+    "star": {"vertices": [{"id": "c", "w": -1}, {"id": "p", "w": -2}, {"id": "q", "w": -3},
+                          {"id": "r", "w": -5}, {"id": "e1", "w": -1}],
+             "edges": [["c", "p"], ["c", "q"], ["c", "r"], ["r", "e1"]]},
+    "torus_knot": {"gens": ["a", "b"], "rels": [[1, 1, -2, -2, -2]]},
+    "braid": {"gens": ["s1", "s2"], "rels": [[1, 2, 1, -2, -1, -2]]},
+    "z12": {"gens": ["a", "b", "c"], "rels": [[1, 1], [2, 2, 2], [3, -1, 3, 2]]},
+    "free": {"gens": ["x"], "rels": []},
+}
+
+# exit code and sha256 of the stdout of `exotic graph|group|repro ...`,
+# pinned before the covering-matrix check, the component count, the
+# contraction rule and the Bezout coefficients each got one owner
+PINNED_GRAPH_GROUP_STDOUT = {
+    "graph xt --entries=1,1,1,1,1,1,1,1": (0, "77d9030dcf2210b5dc7ff45ef49d08cf348545cbc057aa698864ee66dbf585d3"),
+    "graph xt --entries=2,1,1,1,1,1,1,1": (0, "221cdd71a9cb4aecf92becff085d5fab99ba9d84b55388186d2541a3b083be8d"),
+    "graph xt --entries=1,2,3,4,5,6,7,8": (0, "9f47c64ddcd7d3c95faf800c2853c9310efddbcc3ac6e8d210db3675fbfbbe58"),
+    "graph xt --entries=3,2,1,1,2,1,1,1": (0, "e13e01f65c7bb7c484bb1db05262ceaf3a3f8cf9c0cc2495f7b28681592bba7a"),
+    "graph xt --entries=1,-1,1,1,1,1,1,1": (1, "2dd5f806215bb4ddf737633bf138c43ef6b655a646c989cefa0a28a6dd282a4f"),
+    "graph tdp --entries=2,1,3,2": (0, "b9e4a70dbc57309e13cd5bc39b6d41889d8312224fae8178c2cc7430dbca0aa4"),
+    "graph tdp --entries=3,1,2,1": (0, "b9e4a70dbc57309e13cd5bc39b6d41889d8312224fae8178c2cc7430dbca0aa4"),
+    "graph tdp --entries=5,2,3,1": (0, "b9e3f9a07cb9d8f76c5a684501cce94d7d8ebebe74dc8f15fdd036ffca0b0f99"),
+    "graph tdp --entries=3,2,5,3": (0, "b9e3f9a07cb9d8f76c5a684501cce94d7d8ebebe74dc8f15fdd036ffca0b0f99"),
+    "graph chain --m 5 --n 3": (0, "36659940c25e53b3d403e9e82aefe8fbbcdfca6f2457a774c6a1cd4c73e19d23"),
+    "graph chain --m 7 --n 2": (0, "d278e2b2652ba2f0edc97b3ca03f1451b11884152f9eb62b0a8b7449d4055470"),
+    "graph chain --m 1 --n 1": (0, "b729bb54b6e78d86a0f8f7915aa48ce1b828137973a7e88d4251add05a934550"),
+    "graph chain --m 13 --n 8": (0, "a505d4609ff15eb88e4ac9db97633b04ba17c2d876d0ae3d25a50975c0e422ad"),
+    "graph chain --m 0 --n 3": (1, "6112ad1ee344d7df403e6257513607bad8a49b0d174385736eb63b42855d0aa6"),
+    "graph det --ramanujam": (0, "16c3896cae34277895ce0979174475b9be69ce81f111d9ecb6890d8d20257d91"),
+    "graph det --chain=-2,-2,-2": (0, "cd8bad074048f148ce49ed74c5cf41cdb801d5219e523cd6813a78691c7688d6"),
+    "graph det --chain=-1,-2,-1,-3": (0, "5fd180aab521327b5479f53007e9658d0bc70f16a08be21cb9006567269c37dd"),
+    "graph det --chain=-1,0": (0, "20effbcb219a367bc4ccd4951b82c93e217798e403bee51e3df588fee26be97b"),
+    "graph det --json $cycle": (0, "2dc9f21504a8b279176401784ae9a839a2fd8432b74a56f331d67fa67a11538a"),
+    "graph det --json $two": (0, "a5d3907337d959063c05e1be26df76dd282b2a451431aa6f1f0fde57890ce658"),
+    "graph det --json $star": (0, "fe444d3823d04828e3e7eb4b27cc93e6b8bf2aecb3577829a584b12f53da9db0"),
+    "graph minimal --ramanujam": (0, "a692eaeaf27459075957c0b33a338adfa1a1c906375579ad9e25e778221c3cc9"),
+    "graph minimal --chain=-2,-2,-2": (0, "c57b0d26438362681c9dae14e874771b4d0201e64a062ff297c10095641a01e7"),
+    "graph minimal --chain=-1,-2,-1,-3": (0, "bac1c63758a54592351e334632cda1eea14d7557bb75d41eceacb19925f0e5ce"),
+    "graph minimal --chain=-1,0": (0, "d38fb18750a32f02f8cbf5a7c1af44ffc0fad07ae91536ff5fba33ac2a2ca768"),
+    "graph minimal --json $cycle": (0, "1bcc2374b01a6398d645b32e31226faf8f133fce55a24e047d3ec9c15e926c21"),
+    "graph minimal --json $two": (0, "d21227117485307b03b7043cc4b80d2b93d2dc3b548b1984bf768bffead30ff7"),
+    "graph minimal --json $star": (0, "0a9128860301aaff0ae51bba5cd93d55d673c2e132cfa111eca0b2e1bbd88bd2"),
+    "graph ramanujam --ramanujam": (0, "fc25d82b1c378e608d84fa4c41648d51eb1a94622b8723f0660a548e4695e1bc"),
+    "graph ramanujam --chain=-2,-2,-2": (0, "d00c5d22037e5ad099f57634e76879bfa56e876f9c8d4b7344fa72efa5586c6e"),
+    "graph ramanujam --chain=-1,-2,-1,-3": (0, "d00c5d22037e5ad099f57634e76879bfa56e876f9c8d4b7344fa72efa5586c6e"),
+    "graph ramanujam --chain=-1,0": (0, "d00c5d22037e5ad099f57634e76879bfa56e876f9c8d4b7344fa72efa5586c6e"),
+    "graph ramanujam --json $cycle": (0, "17bfa4cfe1ec58f8afba9fa2bc09e41636b9bb7cec31a7cfe81e546139cbab1a"),
+    "graph ramanujam --json $two": (0, "fc25d82b1c378e608d84fa4c41648d51eb1a94622b8723f0660a548e4695e1bc"),
+    "graph ramanujam --json $star": (0, "fc25d82b1c378e608d84fa4c41648d51eb1a94622b8723f0660a548e4695e1bc"),
+    "graph ample --chain=-1,-2 --seed 1,0": (0, "2de51208181c9551a7fe94c03e798ac1b2ec0817428cf49de8bad9b20aca04fa"),
+    "graph ample --chain=1,-1 --seed 1,1": (0, "2de51208181c9551a7fe94c03e798ac1b2ec0817428cf49de8bad9b20aca04fa"),
+    "graph ample --chain 0,0,0 --seed 1,0,0": (0, "5a10754b0cf80c3ea9c9274f5f66a3f16e3bf69f0c77b52d3db871c4afd053fc"),
+    "graph ample --ramanujam --seed 1,0,0,0,0,0,0,0,0,0": (0, "2de51208181c9551a7fe94c03e798ac1b2ec0817428cf49de8bad9b20aca04fa"),
+    "graph ample --json $two --seed 1,1": (1, "67aebf0dc11295f58f551c1f507733baa81ecb524c90d5da1d068d61419ba8b2"),
+    "graph ample --chain=2,-1,2 --seed 0,1,0": (0, "2de51208181c9551a7fe94c03e798ac1b2ec0817428cf49de8bad9b20aca04fa"),
+    "group xt --entries=1,1,1,1,1,1,1,1": (0, "14e28ca2ce6f3d51b6152dd64f0945d3bcfe47a772b2f24fd8b6e02a1bda39c6"),
+    "group xt --entries=2,1,1,1,1,1,1,1": (0, "95df6c4db3678994713330191003aa1658e7163db3983cffdae233018bb211a5"),
+    "group xt --entries=1,2,3,4,5,6,7,8": (0, "4b5724d53ea2f6f1b1593697cadff6defd8f79751f63f2d7171d34b5f8b227f0"),
+    "group xt --entries=3,2,1,1,2,1,1,1": (0, "a0abb72bb0093a1a6a1ae3bb9efe324638d91802a3c6a44bbee3d1782a7e2535"),
+    "group xt --entries=1,-1,1,1,1,1,1,1": (1, "2dd5f806215bb4ddf737633bf138c43ef6b655a646c989cefa0a28a6dd282a4f"),
+    "group bezout --k 2 --l 3": (0, "12728554606d3f05c6ed3e55b4e77db5c8ac108d4c02fdb3de35697993e7c339"),
+    "group bezout --k 3 --l 2": (0, "ca9b3cbc61a6c4562fd94cec8ca5b419994a233f2d68d00649779d2118abb311"),
+    "group bezout --k 5 --l 7": (0, "764227c0d5ba7aa43bb34ff956a80ef8763fca10a64a0345b492fbfddee26388"),
+    "group bezout --k 1 --l 5": (0, "218dada42624c7a389c4eac466bfdc73584b2eddc19a5e77bfca56745387d0c5"),
+    "group bezout --k 7 --l 1": (0, "fadf221e9685b950f9fb57db9e496b69b7174e2b926832833241f04bd0659465"),
+    "group bezout --k 8 --l 3": (0, "2081cebe6b4b11649291abdabbb5ae23e43b52feb6c3aed38e267a0d0293a95f"),
+    "group bezout --k 4 --l 6": (1, "dd9aa89670a23920718f20c6c5615441f752d34545f98c8a7184fad15d4a4e40"),
+    "group abel --presentation $torus_knot": (0, "15428cd99a400a7d93e10310a6e406cb9fab7d1986b22951d9b2b560c4643f02"),
+    "group abel --presentation $braid": (0, "15428cd99a400a7d93e10310a6e406cb9fab7d1986b22951d9b2b560c4643f02"),
+    "group abel --presentation $z12": (0, "299e9eb29d704a720b4c1ff2a877c6c8b956b52dcfdd473cebdfef1a6efdcfa5"),
+    "group abel --presentation $free": (0, "15428cd99a400a7d93e10310a6e406cb9fab7d1986b22951d9b2b560c4643f02"),
+    "group named --name xtquot --entries=1,1,1,1,1,1,1,1": (0, "0294d147fe9fc3d92f8119138d1a8f9d7517ed92e7003f2af14f49bab2b8d1d1"),
+    "group named --name xtquot --entries=2,1,1,1,1,1,1,1": (0, "2560d51a26d2435d6948ce32ba24bf868699529802ee56f343c3845225225fe0"),
+    "group named --name xtquot --entries=1,2,3,4,5,6,7,8": (0, "050ff49e67279cca326e49b33714307ee7e14c5c0957920377ad0329eb6cc379"),
+    "group named --name xtquot --entries=3,2,1,1,2,1,1,1": (0, "b9055fe15ce8c8482627e8ea0f7f8636b877f0f4faeaba18b3737db2a6d688a6"),
+    "group named --name xtquot --entries=1,-1,1,1,1,1,1,1": (1, "2dd5f806215bb4ddf737633bf138c43ef6b655a646c989cefa0a28a6dd282a4f"),
+    "repro graphs": (0, "0b9462c8f5436822b4e4d14185c280229145800bb6aaabe70bce7e032ef424fa"),
+    "repro groups": (0, "ff2b93da9738d2c6530c93a67d65fb374fa9c862342940b1e9c887d226e2adf3"),
+}
+
+
+class TestPinnedGraphGroupOutput:
+    """graph, group and repro graphs|groups print byte for byte what they
+    printed before the rules they read were given one owner each."""
+
+    @pytest.mark.parametrize("command", sorted(PINNED_GRAPH_GROUP_STDOUT))
+    def test_stdout_sha256(self, capsys, command):
+        argv = [json.dumps(PIN_INPUTS[w[1:]]) if w.startswith("$") else w
+                for w in command.split(" ")]
+        code, out = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_GRAPH_GROUP_STDOUT[command]

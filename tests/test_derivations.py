@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from exoticaffine import derivations
+from exoticaffine import derivations, grading
 from exoticaffine.derivations import (
     Derivation,
     InvariantCandidates,
@@ -199,6 +199,14 @@ class TestNilpotency:
         cert = nilpotency_test(d, bound=12)
         assert cert.verdict == "Inconclusive" and cert.bound == 12
 
+    def test_negative_bound_certifies_nothing(self):
+        # with bound < 0 no iterate is examined, so no orbit is known to die
+        lin = make_derivation(XY, {"x": parse_polynomial("x", XY), "y": Polynomial.zero(XY)})
+        zero = make_derivation(XY, {n: Polynomial.zero(XY) for n in XY.names})
+        for d in (lin, zero):
+            cert = nilpotency_test(d, bound=-1)
+            assert cert.verdict == "Inconclusive" and cert.bound == -1
+
 
 class TestPartialDegree:
     def test_exercise_913_degrees(self):
@@ -238,6 +246,21 @@ class TestPartialDegree:
 
 
 class TestExpFlow:
+    def test_orbit_bounded_by_certificate(self):
+        # the zero derivation's certificate (every order 0) does not describe
+        # x -> x: both the degree and the flow refuse instead of running on
+        zero = make_derivation(XY, {n: Polynomial.zero(XY) for n in XY.names})
+        lin = make_derivation(XY, {"x": parse_polynomial("x", XY), "y": Polynomial.zero(XY)})
+        cert = nilpotency_test(zero)
+        assert cert.orders == {"x": 0, "y": 0}
+        message = "orbit exceeded the certified bound; certificate inconsistent"
+        with pytest.raises(derivations.DerivationError, match=message):
+            partial_degree(lin, cert, parse_polynomial("x", XY))
+        with pytest.raises(derivations.DerivationError, match=message):
+            exp_flow(lin, cert, 1)
+        with pytest.raises(derivations.DerivationError, match=message):
+            exp_flow(lin, cert, "t")
+
     def test_nagata_triple_at_one(self):
         d = nagata()
         cert = nilpotency_test(d)
@@ -348,6 +371,47 @@ class TestGradedDerivation:
             image = gd.apply(fhat)
             if not image.is_zero():
                 assert graded_component_membership(image, g, i + gd.shift)
+
+
+    def test_weight_checked_once_and_images_reduced_once(self, monkeypatch):
+        appropriate, canonical = [], []
+        real_check = grading.check_appropriate
+        real_canonical = QuotientRing.canonical
+        monkeypatch.setattr(
+            grading, "check_appropriate", lambda *a: appropriate.append(a) or real_check(*a)
+        )
+        monkeypatch.setattr(
+            QuotientRing, "canonical", lambda q, f: canonical.append(f) or real_canonical(q, f)
+        )
+        d = delta1()
+        canonical.clear()
+        gd = graded_derivation(d, W)
+        assert gd.shift == -2
+        assert len(appropriate) == 1
+        # one canonical form per generator and one per nonzero image
+        nonzero = [img for img in d.images.values() if not img.is_zero()]
+        assert len(canonical) == len(VS.names) + len(nonzero)
+
+    def test_unstable_image_degree_refused(self):
+        # on C[x,y,z]/(xy + z^2 + x^3), weights (1,3,2), the derivation
+        # (xy + z^2) * (x -> 0, y -> 2z, z -> -x) sends y to 2xyz + 2z^3, its
+        # own canonical form, which lies in the graded ideal (xy + z^2)
+        from exoticaffine.grading import DegreeNotStable, WeightFunction
+        from exoticaffine.polyring import GRLEX
+
+        relation = parse_polynomial("x*y + z^2 + x^3", XYZ)
+        q = QuotientRing(XYZ, relation, GRLEX)
+        top = parse_polynomial("x*y + z^2", XYZ)
+        d = make_derivation(
+            q,
+            {
+                "x": Polynomial.zero(XYZ),
+                "y": top * parse_polynomial("2*z", XYZ),
+                "z": top * parse_polynomial("0 - x", XYZ),
+            },
+        )
+        with pytest.raises(DegreeNotStable):
+            graded_derivation(d, WeightFunction(XYZ, (1, 3, 2)))
 
 
 class TestKernels:

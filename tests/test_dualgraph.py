@@ -28,6 +28,7 @@ from exoticaffine.dualgraph import (
     xt_certificate,
     xt_matrix,
 )
+from exoticaffine.dualgraph import _q_connected
 
 
 def random_tree(rng, max_vertices=12):
@@ -336,3 +337,131 @@ class TestDotAndJson:
         for _ in range(20):
             g = random_tree(rng)
             assert graph_from_json(graph_to_json(g)) == g
+
+
+# The walks that is_connected, has_cycle and _q_connected each ran before
+# they shared one component count; kept here as oracles.
+def _old_is_connected(g):
+    if not g.vertices:
+        return True
+    seen = set()
+    stack = [next(iter(sorted(g.vertices)))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(g.neighbors(v))
+    return len(seen) == len(g.vertices)
+
+
+def _old_has_cycle(g):
+    components = 0
+    seen = set()
+    for start in sorted(g.vertices):
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            stack.extend(g.neighbors(v))
+    return len(g.edges) != len(g.vertices) - components
+
+
+def _old_q_connected(entries):
+    n = len(entries)
+    if n == 0:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and entries[i][j] != 0 and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == n
+
+
+def random_graph(rng, max_vertices=9):
+    n = rng.randint(0, max_vertices)
+    vertices = {f"v{i}": rng.randint(-4, 1) for i in range(n)}
+    ids = list(vertices)
+    density = rng.random()
+    edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if rng.random() < density / 2]
+    return graph(vertices, edges)
+
+
+class TestComponentCount:
+    def test_graph_walks_match_old_walks(self):
+        rng = random.Random(131)
+        for _ in range(300):
+            g = random_graph(rng)
+            assert g.is_connected() == _old_is_connected(g)
+            assert g.has_cycle() == _old_has_cycle(g)
+
+    def test_intersection_matrix_walk_matches_old_walk(self):
+        rng = random.Random(137)
+        for _ in range(300):
+            entries = intersection_matrix(random_graph(rng)).entries
+            assert _q_connected(entries) == _old_q_connected(entries)
+
+    def test_ramanujam_verdict_on_random_graphs(self):
+        # the verdict read off the minimal graph with the old walks
+        rng = random.Random(139)
+        for _ in range(200):
+            g = random_graph(rng)
+            minimal, _ = minimalize(g)
+            if _old_has_cycle(minimal):
+                expected = "NotATree"
+            elif _old_is_connected(minimal) and all(minimal.valence(v) <= 2 for v in minimal.ids()):
+                expected = "IsomorphicToC2"
+            else:
+                expected = "NotC2"
+            assert ramanujam_verdict(g) == expected
+
+
+def _minimalize_by_contract(g):
+    """Contract the smallest id that contract accepts, until none is left."""
+    log = []
+    while True:
+        for v in g.ids():
+            try:
+                smaller = contract(g, v)
+            except NotContractible:
+                continue
+            g = smaller
+            log.append(v)
+            break
+        else:
+            return g, log
+
+
+class TestMinimalizeAsksContract:
+    def test_random_blowup_sequences(self):
+        rng = random.Random(149)
+        for _ in range(150):
+            g = random_graph(rng, max_vertices=6)
+            for _ in range(rng.randint(0, 6)):
+                edges = sorted(tuple(sorted(e)) for e in g.edges)
+                if edges and rng.random() < 0.5:
+                    g = blow_up(g, edges[rng.randrange(len(edges))])
+                elif g.vertices:
+                    ids = g.ids()
+                    g = blow_up(g, ids[rng.randrange(len(ids))])
+            assert minimalize(g) == _minimalize_by_contract(g)
+
+    def test_refusal_reasons(self):
+        with pytest.raises(NotContractible, match="weight"):
+            contract(chain_graph([-2]), "v1")
+        star = graph({"c": -1, "a": -2, "b": -2, "d": -2}, [("c", "a"), ("c", "b"), ("c", "d")])
+        with pytest.raises(NotContractible, match="valence"):
+            contract(star, "c")
+        triangle = graph({"a": -1, "b": -2, "c": -2}, [("a", "b"), ("b", "c"), ("a", "c")])
+        with pytest.raises(NotContractible, match="multi-edge"):
+            contract(triangle, "a")
+        assert minimalize(star)[1] == [] and minimalize(triangle)[1] == []

@@ -20,6 +20,7 @@ from exoticaffine.fpgroups import (
     triangle_classification,
     xt_exponent,
 )
+from exoticaffine import dualgraph
 from exoticaffine.dualgraph import xt_certificate, xt_matrix
 from exoticaffine.linalg import det, mat_mul
 
@@ -200,6 +201,22 @@ class TestBezout:
             assert k * p + l * q == 1
             assert abs(p) <= l // 2 or l == 1
 
+    def test_old_extended_euclid_route_is_the_oracle(self):
+        pairs = 0
+        for k in range(1, 200):
+            for l in range(1, 200):
+                if gcd(k, l) != 1:
+                    continue
+                pairs += 1
+                p, q, _ = bezout_alpha(k, l)
+                assert (p, q) == _old_bezout(k, l)
+        assert pairs == 24303
+
+    @pytest.mark.parametrize("k, l", [(1, 0), (0, 3), (0, 0), (-3, 5), (2, -1)])
+    def test_non_positive_refused(self, k, l):
+        with pytest.raises(InvalidParams, match="parameters must be positive integers"):
+            bezout_alpha(k, l)
+
     def test_abelianization_order_is_s(self):
         # H1 of B_{k,l,s} has order s: SNF of [[k,-l],[s q, s p]]
         for k, l, s in [(2, 3, 7), (3, 4, 5), (2, 5, 9)]:
@@ -266,6 +283,23 @@ class TestHomologySphere:
         assert ab.free_rank == 0 and ab.torsion == (11,)
 
 
+def _old_bezout(k, l):
+    """(p, q) by the extended Euclidean algorithm and a float rounding, the
+    route bezout_alpha took before it read p off pow(k, -1, l)."""
+    old_r, r = k, l
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_x, x = x, old_x - qt * x
+        old_y, y = y, old_y - qt * y
+    p0 = -old_x if old_r < 0 else old_x
+    t = round(-p0 / l)
+    p = min((p0 + (t + d) * l for d in (-1, 0, 1)), key=lambda c: (abs(c), -c))
+    return p, (1 - k * p) // l
+
+
 class TestXtExponent:
     def test_all_ones(self):
         assert xt_exponent(xt_matrix(1, 1, 1, 1, 1, 1, 1, 1)) == 0
@@ -294,3 +328,31 @@ class TestXtExponent:
     def test_wrong_shape(self):
         with pytest.raises(WrongShape):
             xt_exponent([[1, 1], [1, 1]])
+
+    def test_exactly_minus_the_certificate_determinant(self):
+        rng = random.Random(139)
+        for _ in range(200):
+            m00, n00, m10, n10, m01, n01, m11, n11 = (rng.randint(0, 9) for _ in range(8))
+            t = xt_matrix(m00, n00, m10, n10, m01, n01, m11, n11)
+            delta = m00 * n10 * m11 * n01 - m01 * n11 * m10 * n00
+            assert xt_exponent(t) == -xt_certificate(t).determinant == delta
+            assert xt_certificate(t).determinant == det(t)
+
+    def test_one_covering_matrix_check(self):
+        # a negative entry and an off-pattern entry: the sign is checked first
+        t = [[1, 5, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, -1]]
+        calls = [
+            (dualgraph.WrongShape, lambda: xt_certificate(t)),
+            (WrongShape, lambda: xt_exponent(t)),
+            (WrongShape, lambda: named_presentation("xtquot", t=t)),
+        ]
+        for cls, call in calls:
+            with pytest.raises(cls) as info:
+                call()
+            assert type(info.value) is cls
+            assert str(info.value) == "entries must be non-negative integers"
+        off_pattern = xt_matrix(1, 1, 1, 1, 1, 1, 1, 1)
+        off_pattern[0][1] = 1
+        for call in (xt_exponent, lambda t: named_presentation("xtquot", t=t)):
+            with pytest.raises(WrongShape, match=r"entry \(0,1\) must be zero in this shape"):
+                call(off_pattern)

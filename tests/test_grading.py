@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from exoticaffine import grading
 from exoticaffine.grading import (
     NEG_INF,
     Appropriateness,
@@ -28,7 +29,7 @@ from exoticaffine.grading import (
     russell_quotient,
     weight_degree,
 )
-from exoticaffine.polyring import Polynomial, parse_polynomial
+from exoticaffine.polyring import Polynomial, parse_polynomial, varset
 
 VS = RUSSELL_VARS
 W = RUSSELL_WEIGHTS
@@ -134,6 +135,73 @@ class TestAppropriateness:
         assert status.certified
 
 
+class TestRootsAndSquares:
+    def test_isqrt_exact_on_big_integers(self):
+        k = 123456789012345678901
+        assert grading._isqrt_exact(k * k) == k
+        assert grading._isqrt_exact(k * k + 1) is None
+        assert grading._isqrt_exact(10**400) == 10**200
+        assert grading._isqrt_exact(-4) is None
+
+    def test_big_perfect_square_principal_part_fails(self):
+        xy = WeightFunction(VS, (1, 1, 0, 0))
+        k = 123456789012345678901
+        # principal part (k x + y)^2
+        status = check_appropriate(P(f"{k * k}*x^2 + {2 * k}*x*y + y^2 + x"), xy)
+        assert status == Appropriateness("Failed", "principal part is a perfect square")
+
+    def test_big_coefficient_is_unverified_not_searched(self):
+        xy = WeightFunction(VS, (1, 1, 0, 0))
+        status = check_appropriate(P(f"{10**40 + 1}*x^2 + y^2 + x"), xy)
+        assert status.status == "Unverified"
+        assert grading._has_rational_root([10**40 + 1, 0, 1]) is None
+
+    def test_search_caps_bound_the_work_not_the_size(self):
+        # x^2 + y^27 at weights (27, 2) specializes to x^2 + 2^27: a constant
+        # past 10^8 whose trial division is short, so it is still searched
+        xy = varset("x", "y")
+        status = check_appropriate(
+            parse_polynomial("x^2 + y^27", xy), WeightFunction(xy, (27, 2))
+        )
+        assert status == Appropriateness(
+            "Certified", "irreducible univariate specialization in x"
+        )
+        assert grading._has_rational_root([2**27, 0, 1]) is False
+        # trial division: sqrt(a0) + sqrt(an) = 999999 + 1 is searched,
+        # 10^6 + 1 is not (although 10^12 - x^2 has the root 10^6)
+        assert grading._has_rational_root([(10**6 - 1) ** 2, 0, -1]) is True
+        assert grading._has_rational_root([10**12, 0, -1]) is None
+        # candidate pairs: 1344 * 60 divisors are searched, 1344 * 240 are not
+        assert grading._has_rational_root([735134400, 0, 5040]) is False
+        assert grading._has_rational_root([735134400, 0, 720720]) is None
+
+    def test_rational_roots_match_fraction_evaluation(self):
+        # the old search: every p/q with p | a0, q | an, evaluated in Fractions
+        def oracle(ints):
+            a0, an = ints[0], ints[-1]
+            if a0 == 0:
+                return True
+            for p in grading._divisors(abs(a0)):
+                for q in grading._divisors(abs(an)):
+                    for num in (p, -p):
+                        acc = Fraction(0)
+                        for c in reversed(ints):
+                            acc = acc * Fraction(num, q) + c
+                        if acc == 0:
+                            return True
+            return False
+
+        rng = random.Random(151)
+        for _ in range(400):
+            # a product with a rational linear factor half the time
+            ints = [rng.randint(-30, 30) for _ in range(rng.randint(2, 4))]
+            ints[-1] = ints[-1] or 1
+            if rng.random() < 0.5:
+                a, b = rng.randint(-6, 6), rng.randint(1, 6)
+                ints = [b * c0 - a * c1 for c0, c1 in zip(ints + [0], [0] + ints)]
+            assert grading._has_rational_root(ints) == oracle(ints)
+
+
 class TestGradedHypersurface:
     def test_russell_top(self):
         g = associated_graded_hypersurface(RUSSELL_RELATION, W)
@@ -200,7 +268,7 @@ class TestQuotientDegree:
         # lower-weight -x^3.  The naive representative degree (4) would
         # overstate d_A (<= 3); the guard must refuse instead.
         from exoticaffine.grading import QuotientRing
-        from exoticaffine.polyring import GRLEX, varset
+        from exoticaffine.polyring import GRLEX
 
         xyz = varset("x", "y", "z")
         relation = parse_polynomial("x*y + z^2 + x^3", xyz)
@@ -289,6 +357,16 @@ class TestGradedMembership:
         g = russell_graded()
         # x^2 y has graded canonical form -z^2 - t^3 in degree 0
         assert graded_component_membership(P("x^2*y"), g, 0)
+
+
+    def test_russell_principal_part_not_recomputed(self, monkeypatch):
+        calls = []
+        real = grading.principal_part
+        monkeypatch.setattr(grading, "principal_part", lambda *a: calls.append(a) or real(*a))
+        g = russell_graded()
+        for text, i in [("x", -1), ("y*z", 2), ("x*y", 1), ("z^2 + 3*t", 0)]:
+            assert graded_component_membership(P(text), g, i)
+        assert calls == []
 
 
 class TestGr:
