@@ -2,20 +2,22 @@
 
 Words are sequences of signed 1-based generator indices; nothing here solves
 the word problem.  The decidable core is integer Smith normal form with
-recorded unimodular transforms, abelianization via the relator exponent-sum
-matrix, the named presentations of the Pham-Brieskorn circle of groups, the
-triangle-group trichotomy, the homology-sphere criterion, and the covering
-matrix exponent.
+recorded unimodular transforms, certified by the exact inverses tracked
+alongside them (no determinant is taken), abelianization via the relator
+exponent-sum matrix, the named presentations of the Pham-Brieskorn circle of
+groups, the triangle-group trichotomy, the homology-sphere criterion, and the
+covering matrix exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from . import dualgraph
-from .linalg import det, identity, mat_mul
+from .linalg import identity, mat_mul_rows
 
 
 class GroupError(Exception):
@@ -106,51 +108,71 @@ class AbelianGroup:
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """U, S, V with U*M*V = S diagonal, d1 | d2 | ..., U and V unimodular.
 
-    Row operations accumulate in U, column operations in V; both are verified
-    unimodular and the product identity is checked before returning.
+    M must be a rectangular list of rows of ints.  Row operations accumulate
+    in U and column operations in V; the inverse of each is applied to U^-1
+    and V^-1 on the other side, so both inverses are known exactly.  Before
+    returning, S is checked diagonal with a non-negative divisibility chain,
+    and the exact products U*U^-1 = I, V*V^-1 = I and U*M = S*V^-1 are
+    checked one row at a time.  Two integer matrices whose product is I both
+    have determinant +-1, so the first two certify U and V unimodular, and
+    with V*V^-1 = I the third is U*M*V = S.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    s = [list(r) for r in matrix]
-    u = identity(rows)
-    v = identity(cols)
+    s = _int_rows(matrix)
+    rows = len(s)
+    cols = len(s[0]) if rows else 0
+    u, u_inv = identity(rows), identity(rows)
+    v, v_inv = identity(cols), identity(cols)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
+        for r in u_inv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in s:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, c):
         s[dst] = [a + c * b for a, b in zip(s[dst], s[src])]
         u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
+        for r in u_inv:
+            r[src] -= c * r[dst]
 
     def add_col(src, dst, c):
         for r in s:
             r[dst] += c * r[src]
         for r in v:
             r[dst] += c * r[src]
+        v_inv[src] = [a - c * b for a, b in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i):
         s[i] = [-a for a in s[i]]
         u[i] = [-a for a in u[i]]
+        for r in u_inv:
+            r[i] = -r[i]
 
     n = min(rows, cols)
     for k in range(n):
-        # find a pivot minimizing |entry|
         while True:
+            # the first entry of least |a|, in row-major order: a unit
+            # cannot be beaten, so the search stops at the first one
             pivot = None
             best = None
             for i in range(k, rows):
+                row = s[i]
                 for j in range(k, cols):
-                    a = s[i][j]
-                    if a != 0 and (best is None or abs(a) < best):
+                    a = row[j]
+                    if a and (best is None or abs(a) < best):
                         best = abs(a)
                         pivot = (i, j)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             i, j = pivot
@@ -159,26 +181,30 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
             if j != k:
                 swap_cols(k, j)
             dirty = False
+            p = s[k][k]
             for i in range(k + 1, rows):
                 if s[i][k]:
-                    q = s[i][k] // s[k][k]
+                    q = s[i][k] // p
                     add_row(k, i, -q)
                     if s[i][k]:
                         dirty = True
+            row = s[k]
             for j in range(k + 1, cols):
-                if s[k][j]:
-                    q = s[k][j] // s[k][k]
+                if row[j]:
+                    q = row[j] // p
                     add_col(k, j, -q)
-                    if s[k][j]:
+                    if row[j]:
                         dirty = True
-            if not dirty and all(s[i][k] == 0 for i in range(k + 1, rows)) and all(
-                s[k][j] == 0 for j in range(k + 1, cols)
-            ):
-                # pivot must divide the rest of the block for the chain
+            if not dirty:
+                # no sweep left a remainder, so row k and column k are clear;
+                # the pivot must divide the rest of the block for the chain,
+                # and a unit divides everything
+                if abs(p) == 1:
+                    break
                 offender = None
                 for i in range(k + 1, rows):
                     for j in range(k + 1, cols):
-                        if s[i][j] % s[k][k] != 0:
+                        if s[i][j] % p != 0:
                             offender = i
                             break
                     if offender:
@@ -188,21 +214,62 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                 add_row(offender, k, 1)
         if k < rows and k < cols and s[k][k] < 0:
             negate_row(k)
-    _validate_snf(matrix, u, s, v)
+    _validate_snf(matrix, u, s, v, u_inv, v_inv)
     return u, s, v
 
 
-def _validate_snf(m, u, s, v):
-    if abs(det(u)) != 1 or abs(det(v)) != 1:
-        raise GroupError("SNF transforms are not unimodular")
-    if mat_mul(mat_mul(u, m), v) != s:
-        raise GroupError("SNF identity U*M*V = S failed")
-    diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
+def _int_rows(matrix) -> list[list[int]]:
+    """A row-by-row copy of the matrix; WrongShape unless it is a
+    rectangular list of rows of ints (a bool is not an int here)."""
+    if not isinstance(matrix, (list, tuple)) or not (
+        {type(row) for row in matrix} <= {list, tuple}
+    ):
+        raise WrongShape("matrix must be a list of rows")
+    rows = [list(row) for row in matrix]
+    if len(set(map(len, rows))) > 1:
+        raise WrongShape("matrix rows must all have the same length")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise WrongShape("matrix entries must be integers")
+    return rows
+
+
+def _is_identity(rows, n: int) -> bool:
+    """Whether n rows, given one at a time, are those of the n x n identity."""
+    return all(len(row) == n and row[i] == 1 and row.count(0) == n - 1
+               for i, row in enumerate(rows))
+
+
+def _validate_snf(m, u, s, v, u_inv, v_inv):
+    """Certify U*M*V = S with S in Smith normal form and U, V unimodular,
+    U^-1 and V^-1 being their claimed inverses; GroupError otherwise.  Every
+    product is checked row by row against the row it must equal, so no
+    whole product matrix is built."""
+    diag = []
+    for i, row in enumerate(s):
+        d = row[i] if i < len(row) else 0
+        if row.count(0) != len(row) - (d != 0):
+            raise GroupError("SNF matrix S is not diagonal")
+        if d < 0:
+            raise GroupError("SNF diagonal entry is negative")
+        if i < len(row):
+            diag.append(d)
     for a, b in zip(diag, diag[1:]):
         if a == 0 and b != 0:
             raise GroupError("SNF zero ordering violated")
         if a not in (0,) and b % a != 0:
             raise GroupError("SNF divisibility chain violated")
+    if not (_is_identity(mat_mul_rows(u, u_inv), len(u))
+            and _is_identity(mat_mul_rows(v, v_inv), len(v))):
+        raise GroupError("SNF transforms are not unimodular")
+    # with V V^-1 = I, U M V = S is U M = S V^-1, whose row i is d_i times
+    # row i of V^-1, and zero past the diagonal
+    if len(u) != len(s):
+        raise GroupError("SNF identity U*M*V = S failed")
+    zero = [0] * len(v_inv)
+    for i, got in enumerate(mat_mul_rows(u, m)):
+        d = diag[i] if i < len(diag) else 0
+        if got != ([d * x for x in v_inv[i]] if d else zero):
+            raise GroupError("SNF identity U*M*V = S failed")
 
 
 def snf_diagonal(matrix) -> list[int]:

@@ -7,36 +7,42 @@ chain matrices and derivation images here have a few nonzeros per column:
 one lowest-nonzero column reduction gives ranks, column bases and kernels,
 and a column is eliminated against the lowest nonzeros of columns in that
 echelon form.  Integer Smith normal form lives in fpgroups, which certifies
-it.
+it by products with the inverses it tracks, read one row at a time from
+mat_mul_rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    """Sparsity-aware product; the chain matrices here are mostly zeros."""
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    nz_b = [
-        [(j, bt[j]) for j in range(cols) if bt[j]] for bt in b
-    ]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            x = ai[t]
-            if x:
-                for j, y in nz_b[t]:
-                    oi[j] += x * y
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        out[i][i] = 1
     return out
+
+
+def mat_mul_rows(a, b):
+    """The rows of a @ b, one at a time.  `a` may be any iterable of rows,
+    so a product of several factors can be checked row by row without any
+    whole intermediate matrix.  Sparsity-aware: each row of b is read only
+    at its nonzero entries; the chain matrices here are mostly zeros."""
+    cols = len(b[0]) if b else 0
+    support = [list(compress(range(cols), bt)) for bt in b]
+    for ai in a:
+        out = [0] * cols
+        for x, bt, js in zip(ai, b, support):
+            if x:
+                for j in js:
+                    out[j] += x * bt[j]
+        yield out
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """a @ b as a list of rows."""
+    return list(mat_mul_rows(a, b))
 
 
 def mat_vec(a, v) -> list:

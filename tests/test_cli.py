@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from exoticaffine import cli
 from exoticaffine.cli import main
+from test_fpgroups import rank_deficient_matrix
 
 
 def run_cli(capsys, *argv):
@@ -382,6 +384,22 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "NonTerminatingOrder" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "matrix", ['[[1,2],[3]]', '[["a"]]', "5", "[[1.5,2]]", "[[true,2],[3,4]]"]
+    )
+    def test_malformed_snf_matrix_is_wrong_shape(self, capsys, matrix):
+        code, out = run_cli(capsys, "group", "snf", "--matrix", matrix)
+        assert code == 1
+        assert json.loads(out)["error"].startswith("WrongShape: ")
+
+    def test_empty_snf_matrices(self, capsys):
+        assert json.loads(run_cli(capsys, "group", "snf", "--matrix", "[]")[1]) == {
+            "U": [], "S": [], "V": []
+        }
+        assert json.loads(run_cli(capsys, "group", "snf", "--matrix", "[[]]")[1]) == {
+            "U": [["1"]], "S": [[]], "V": []
+        }
+
 
 class TestParserReuse:
     """main() builds the parser once per process; reusing it across calls,
@@ -657,3 +675,29 @@ class TestPinnedGraphGroupOutput:
                 for w in command.split(" ")]
         code, out = run_cli(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_GRAPH_GROUP_STDOUT[command]
+
+
+# sha256 of the stdout of `exotic group snf` on one seeded matrix of each
+# shape the integer-linalg bench uses, pinned before the pivot search
+# stopped at the first unit and the certificate moved from determinants to
+# tracked inverses: both changes leave U, S and V byte-identical
+PINNED_SNF_STDOUT = {
+    (3, 5): "1467c6142704d66961a4474f255da6679f009319bc6b030f7bac9e2c1ca10237",
+    (5, 3): "09ad496df3ae987f174fa0d947ec913bf8563b458644a75bba2e6757580bf6e9",
+    (4, 4): "c0d9432c0adbf6913032d90989e84fd9a5bd2dc6cda3cb5d7ef712bd88315888",
+    (5, 5): "394343731a6408fd29e287da3a3916c35f357d4c1793ca9c5f081f802d77c690",
+    (6, 6): "7e4a60a93aa8c172e3e0e1ed707aea9ddb2bab16a4bfd70e848c3532f185d43f",
+    (5, 8): "426f71c5bf09173e926b4a103b4481698b2c4a834bf21009d7b1b73c7765b425",
+    (8, 5): "2b4fb3178f73182f6464432f61b656efb9a023742b11c8af73c02623cc6f7e5e",
+    (7, 7): "92f831d75e2d78ef2b653a1cf53ba5d4abba478f40d23714648c656d6fba6220",
+}
+
+
+class TestPinnedSnfOutput:
+    @pytest.mark.parametrize("shape", sorted(PINNED_SNF_STDOUT), ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_stdout_sha256(self, capsys, shape):
+        rows, cols = shape
+        matrix = rank_deficient_matrix(random.Random(f"group snf {rows}x{cols}"), rows, cols)
+        code, out = run_cli(capsys, "group", "snf", "--matrix", json.dumps(matrix))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SNF_STDOUT[shape]

@@ -20,9 +20,10 @@ from exoticaffine.fpgroups import (
     triangle_classification,
     xt_exponent,
 )
-from exoticaffine import dualgraph
+from exoticaffine import dualgraph, fpgroups, linalg
 from exoticaffine.dualgraph import xt_certificate, xt_matrix
-from exoticaffine.linalg import det, mat_mul
+from exoticaffine.fpgroups import GroupError, _validate_snf
+from exoticaffine.linalg import det, identity, mat_mul
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -66,6 +67,109 @@ class TestSmithNormalForm:
                 for d in diag:
                     prod *= d
                 assert prod == abs(det(m))
+
+
+def rank_deficient_matrix(rng, rows, cols):
+    """Entries in [-20, 20]; every third row is a combination of the two
+    before it, so rank deficits and zero invariant factors appear."""
+    m = []
+    for i in range(rows):
+        if i % 3 == 2:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m.append([a * x + b * y for x, y in zip(m[i - 1], m[i - 2])])
+        else:
+            m.append([rng.randint(-20, 20) for _ in range(cols)])
+    return m
+
+
+def snf_with_inverses(monkeypatch, m):
+    """U, S, V and the tracked U^-1, V^-1 that the certificate was given."""
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        return _validate_snf(*args)
+
+    monkeypatch.setattr(fpgroups, "_validate_snf", capture)
+    u, s, v = smith_normal_form(m)
+    [(_, cu, cs, cv, u_inv, v_inv)] = seen
+    assert (cu, cs, cv) == (u, s, v)
+    return u, s, v, u_inv, v_inv
+
+
+class TestSnfCertificate:
+    def test_tracked_inverses_are_exact(self, monkeypatch):
+        """On seeded matrices, rank-deficient ones included, U^-1 and V^-1
+        are two-sided integer inverses; Bareiss det is the oracle."""
+        rng = random.Random(1601)
+        deficient = 0
+        for t in range(60):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            m = (rank_deficient_matrix if t % 2 else random_matrix)(rng, rows, cols)
+            u, s, v, u_inv, v_inv = snf_with_inverses(monkeypatch, m)
+            for x, x_inv in ((u, u_inv), (v, v_inv)):
+                n = len(x)
+                assert mat_mul(x, x_inv) == mat_mul(x_inv, x) == identity(n), m
+                assert abs(det(x)) == 1 and det(x) * det(x_inv) == 1, m
+            deficient += any(s[i][i] == 0 for i in range(min(rows, cols)))
+        assert deficient
+
+    def test_no_determinant(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "det", lambda m: calls.append(m))
+        rng = random.Random(1602)
+        for _ in range(10):
+            smith_normal_form(rank_deficient_matrix(rng, 6, 5))
+        assert calls == []
+
+    def test_non_unimodular_transform_refused(self):
+        # U = diag(1, 2) has det 2: U M V = S holds, but no integer U^-1 exists
+        m = s = [[1, 0], [0, 0]]
+        u = [[1, 0], [0, 2]]
+        for u_inv in (identity(2), [[1, 0], [0, 0]], u):
+            with pytest.raises(GroupError, match="not unimodular"):
+                _validate_snf(m, u, s, identity(2), u_inv, identity(2))
+
+    def test_inverse_wrong_in_one_entry_refused(self, monkeypatch):
+        m = rank_deficient_matrix(random.Random(1603), 5, 4)
+        u, s, v, u_inv, v_inv = snf_with_inverses(monkeypatch, m)
+        _validate_snf(m, u, s, v, u_inv, v_inv)
+        for which in (4, 5):
+            for i, j in ((0, 0), (3, 2), (2, 3)):
+                args = [m, u, s, v, [list(r) for r in u_inv], [list(r) for r in v_inv]]
+                args[which][i][j] += 1
+                with pytest.raises(GroupError, match="not unimodular"):
+                    _validate_snf(*args)
+
+    def test_off_diagonal_s_refused(self):
+        upper = [[1, 1], [0, 1]]
+        with pytest.raises(GroupError, match="not diagonal"):
+            _validate_snf(upper, identity(2), upper, identity(2), identity(2), identity(2))
+
+    def test_negative_diagonal_refused(self):
+        # homology would drop the -2 from the torsion without a word
+        m = [[-2, 0], [0, 0]]
+        with pytest.raises(GroupError, match="negative"):
+            _validate_snf(m, identity(2), m, identity(2), identity(2), identity(2))
+
+    def test_wrong_product_refused(self):
+        m = [[2, 0], [0, 3]]
+        with pytest.raises(GroupError, match="U\\*M\\*V = S"):
+            _validate_snf(m, identity(2), [[1, 0], [0, 6]], identity(2), identity(2), identity(2))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 2], [3]], [["a"]], 5, [[1.5, 2]], [[True, 2], [3, 4]], [1, 2], None, "12"],
+        ids=["ragged", "string", "scalar", "float", "bool", "flat", "none", "text"],
+    )
+    def test_malformed_matrix_is_wrong_shape(self, matrix):
+        with pytest.raises(WrongShape):
+            smith_normal_form(matrix)
+
+    def test_empty_shapes(self):
+        assert smith_normal_form([]) == ([], [], [])
+        assert smith_normal_form([[]]) == ([[1]], [[]], [])
+        assert smith_normal_form(((2, 4), (6, 8))) == smith_normal_form([[2, 4], [6, 8]])
 
 
 class TestAbelianization:

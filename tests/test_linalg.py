@@ -1,7 +1,8 @@
 """Exact matrix kernels against slow, obvious oracles written out here.
 
 Ranks read off the Smith normal form are checked against Fraction
-elimination, the Bareiss determinant against cofactor expansion, the sparse
+elimination, the Bareiss determinant against cofactor expansion, the
+row-wise product against the sum-of-products definition, the sparse
 GF(p) solver against the dense one and brute force, the sparse GF(p) column
 reduction against dense row reduction, brute-force spans and Fraction ranks,
 the kernels the same reduction gives over Q against dense Gauss-Jordan on
@@ -17,6 +18,8 @@ from exoticaffine.fpgroups import snf_diagonal
 from exoticaffine.linalg import (
     apply_columns_mod,
     det,
+    mat_mul,
+    mat_mul_rows,
     mat_vec,
     mul_columns_mod,
     rank_mod,
@@ -335,6 +338,24 @@ class TestDeterminant:
         assert det(m) == cofactor_det(m) == 58
 
 
+class TestProduct:
+    def test_matches_definition(self):
+        """Row by row, a product of two or three factors equals the sum of
+        products entry by entry; the left factor may be any iterable of
+        rows, another product's rows included."""
+        rng = random.Random(2003)
+        for _ in range(100):
+            n, k, m, l = (rng.randint(0, 5) for _ in range(4))
+            a, b, c = ([[rng.choice((0, 0, 1, -2, 7)) for _ in range(y)] for _ in range(x)]
+                       for x, y in ((n, k), (k, m), (m, l)))
+            ab = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+            if k:  # with no inner index the row length is not defined
+                assert mat_mul(a, b) == list(mat_mul_rows(iter(a), b)) == ab
+            abc = [[sum(ab[i][t] * c[t][j] for t in range(m)) for j in range(l)] for i in range(n)]
+            if k and m:
+                assert list(mat_mul_rows(mat_mul_rows(a, b), c)) == abc
+
+
 def sparse_solve(a, targets, p):
     """solve_columns_mod on a dense matrix and dense targets; dense solutions."""
     ncols = len(a[0]) if a else 0
@@ -526,6 +547,19 @@ class TestUniversalCoefficients:
                     label = (k, p, d)
                     refused += smith_oracle.assert_classes_match_solver(h, d, range(n), probe, label)
         assert refused
+
+    def test_rp2_subdivided_twice(self):
+        """RP^2 subdivided twice (181/540/360 simplices): Z homology, the
+        universal coefficient theorem at p = 2, 3, and homology unchanged
+        by subdivision."""
+        k = _rp2()
+        sub = barycentric_subdivide(barycentric_subdivide(k)[0])[0]
+        assert [sub.n_simplices(d) for d in range(3)] == [181, 540, 360]
+        h_z = simplicial_homology(sub)
+        assert [str(g) for g in h_z] == ["Z", "Z/2", "0"]
+        assert h_z == simplicial_homology(k)
+        for p in (2, 3):
+            assert simplicial_homology(sub, p) == _uct_expected(h_z, p) == simplicial_homology(k, p)
 
     def test_cellular_torsion(self):
         for name, (dims, boundaries) in CELLULAR.items():

@@ -617,10 +617,11 @@ class TestLongExactSequence:
 
 
 def count_dense_calls(monkeypatch) -> list:
-    """Count every call of the dense mat_mul and mat_vec, wherever
-    smithhom, fpgroups or linalg bind them; returns the list of names."""
+    """Count every call of the dense mat_mul, mat_mul_rows and mat_vec,
+    wherever smithhom, fpgroups or linalg bind them; returns the list of
+    names (mat_mul, built on mat_mul_rows, counts as both)."""
     calls = []
-    for name in ("mat_mul", "mat_vec"):
+    for name in ("mat_mul", "mat_mul_rows", "mat_vec"):
         original = getattr(linalg, name)
 
         def counting(*args, original=original, name=name):
@@ -634,12 +635,13 @@ def count_dense_calls(monkeypatch) -> list:
 
 
 def assert_snf_certificate_counted(calls, c):
-    """The counter fires on the one dense product behind Z homology: the
-    certificate U M V = S of each nonzero boundary's Smith normal form."""
+    """The counter fires on the dense products behind Z homology: the
+    certificate of each nonzero boundary's Smith normal form, three row-wise
+    products, U U^-1 and V V^-1 against I and U M against S V^-1."""
     nonzero = sum(1 for b in c.boundaries if any(b))
     assert nonzero
     smithhom.homology(c)
-    assert calls == ["mat_mul"] * (2 * nonzero)
+    assert calls == ["mat_mul_rows"] * (3 * nonzero)
 
 
 def dense_nullspace(matrix, n, p):
