@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
+from .linalg import rank_mod
 from .polyring import (
     GRLEX,
     MonomialOrder,
@@ -132,12 +133,6 @@ class Appropriateness:
         return self.status == "Certified"
 
 
-def _monomial_gcd_with(m: tuple[int, ...], p: Polynomial) -> tuple[int, ...]:
-    """gcd of the monomial x^m with all monomials of p (p nonzero)."""
-    mins = [min(e[i] for e in p.terms) for i in range(len(m))]
-    return tuple(min(mi, ni) for mi, ni in zip(m, mins))
-
-
 def _poly_square_root(p: Polynomial) -> Polynomial | None:
     """g with g^2 = p, or None.  Exact greedy extraction under graded lex."""
     if p.is_zero():
@@ -178,146 +173,37 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _univariate_coeffs(p: Polynomial, name: str) -> list[Fraction]:
-    i = p.varset.index(name)
-    deg = p.degree_in(name)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        if any(e[j] for j in range(len(e)) if j != i):
-            raise GradingError("polynomial is not univariate in " + name)
-        coeffs[e[i]] += c
-    return coeffs
-
-
-def _univariate_irreducible(coeffs: list[Fraction]):
-    """True/False for degree <= 3 via rational roots; degree 4 only detects
-    perfect squares; otherwise None (undecided)."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    root = _has_rational_root(ints)
-    if root:
-        return False
-    if root is None or deg > 3:
-        return None
-    return True
-
-
-# Work caps of the rational-root search: trial-division steps (the square
-# roots of the constant and leading coefficients, summed) and candidate
-# pairs p/q.  Past either the search answers "undecided" instead of running on.
-_TRIAL_DIVISION_LIMIT = 10**6
-_CANDIDATE_LIMIT = 10**5
-
-
-def _has_rational_root(ints: list[int]) -> bool | None:
-    """Does sum ints[i] x^i have a rational root?  None (undecided) when the
-    search would pass _TRIAL_DIVISION_LIMIT or _CANDIDATE_LIMIT.
-
-    A root in lowest terms is p/q with p | a0 and q | an; it is a root iff
-    sum ints[i] p^i q^(n-i) = 0, evaluated in integers by Horner's rule.
-    """
-    a0, an = abs(ints[0]), abs(ints[-1])
-    if a0 == 0:
-        return True
-    if isqrt(a0) + isqrt(an) > _TRIAL_DIVISION_LIMIT:
-        return None
-    numerators, denominators = _divisors(a0), _divisors(an)
-    if len(numerators) * len(denominators) > _CANDIDATE_LIMIT:
-        return None
-    for p in numerators:
-        for q in denominators:
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                acc, qpow = 0, 1
-                for c in reversed(ints):
-                    acc = acc * num + c * qpow
-                    qpow *= q
-                if acc == 0:
-                    return True
-    return False
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _irreducibility_heuristic(pd: Polynomial) -> tuple[bool, str]:
-    """Sound-but-incomplete irreducibility certificate for the principal part.
+    """Sound-but-incomplete certificate that pd is irreducible over C, for a
+    nonconstant pd that no variable divides (check_appropriate fails the
+    rest first).
 
-    Branch 1: pd linear in some variable v, pd = A v + B where A is a single
-    monomial term coprime (monomial gcd 1) to B, with B nonzero and free of v.
-    Such a primitive linear polynomial is irreducible.
+    Rule 1: pd = A v + B for some variable v, with A a single term and B
+    nonzero and free of v.  A factor free of v divides A, so it is a
+    monomial, and a nonconstant one would be a variable dividing pd.
 
-    Branch 2: some variable v has all coefficient polynomials (w.r.t. powers
-    of v) sharing no common monomial divisor, the coefficient of one v-power
-    is a monomial (making the content computation exact), and specializing
-    the other variables at two sample points yields a full-degree univariate
-    certified irreducible by the rational-root criteria.
+    Rule 2: the exponent vectors of pd are affinely independent (their
+    differences from the first have full rank over Q), so the Newton
+    polytope is a simplex with every point a vertex, and the gcd of all
+    coordinates of those differences is 1.  By Gao's pyramid criterion
+    (S. Gao, J. Algebra 237 (2001) 501-520) the polytope is then integrally
+    indecomposable, so by Ostrowski's Newt(fg) = Newt(f) + Newt(g) any
+    factorisation has a monomial factor.  The gcd is never taken over
+    non-vertex points: x^2 + 2xy + y^2 + 1 = (x + y + i)(x + y - i) would
+    pass it through (1, 1).
+
+    Anything else is undecided: x^5 + y^5 + z^5 is irreducible, but its
+    simplex has coordinate gcd 5.
     """
-    names = pd.varset.names
-    for v in names:
-        if pd.degree_in(v) == 1:
-            i = pd.varset.index(v)
-            a_terms = {e: c for e, c in pd.terms.items() if e[i] == 1}
-            b_terms = {e: c for e, c in pd.terms.items() if e[i] == 0}
-            if not b_terms or len(a_terms) != 1:
-                continue
-            (ea, _), = a_terms.items()
-            ea = tuple(x if j != i else 0 for j, x in enumerate(ea))
-            b = Polynomial.from_terms(pd.varset, b_terms)
-            if any(_monomial_gcd_with(ea, b)):
-                continue
+    for i, v in enumerate(pd.varset.names):
+        linear = [e for e in pd.terms if e[i]]
+        if pd.degree_in(v) == 1 and len(linear) == 1 and len(pd.terms) > 1:
             return True, f"linear in {v} with coprime monomial coefficient"
-    for v in names:
-        dv = pd.degree_in(v)
-        if dv < 2 or dv > 4:
-            continue
-        i = pd.varset.index(v)
-        coeff_polys: dict[int, dict] = {}
-        for e, c in pd.terms.items():
-            reste = tuple(x if j != i else 0 for j, x in enumerate(e))
-            coeff_polys.setdefault(e[i], {})[reste] = c
-        coeffs = {k: Polynomial.from_terms(pd.varset, t) for k, t in coeff_polys.items()}
-        mono_coeffs = [c for c in coeffs.values() if len(c.terms) == 1]
-        if not mono_coeffs:
-            continue
-        seed = next(iter(mono_coeffs[0].terms))
-        g = seed
-        for c in coeffs.values():
-            g = _monomial_gcd_with(g, c)
-        if any(g):
-            continue  # nontrivial content, cannot certify
-        others = [n for n in names if n != v]
-        single = VarSet((v,))
-        for sample in ((2, 3, 5), (3, 5, 7)):
-            images = {v: Polynomial.variable(single, v)}
-            for k, n in enumerate(others):
-                images[n] = Polynomial.constant(single, sample[k % len(sample)] + k)
-            try:
-                spec = pd.substitute(images)
-            except PolyError:
-                continue
-            if spec.is_zero() or spec.degree_in(v) != dv:
-                continue
-            verdict = _univariate_irreducible(_univariate_coeffs(spec, v))
-            if verdict is True:
-                return True, f"irreducible univariate specialization in {v}"
+    first, *rest = pd.terms
+    diffs = [[a - b for a, b in zip(e, first)] for e in rest]
+    cols = [{k: x for k, x in enumerate(d) if x} for d in diffs]
+    if rank_mod(cols, None) == len(diffs) and gcd(*(x for d in diffs for x in d)) == 1:
+        return True, "Newton polytope is an integrally indecomposable simplex"
     return False, "no certifying pattern matched"
 
 
@@ -326,8 +212,9 @@ def check_appropriate(p: Polynomial, w: WeightFunction) -> Appropriateness:
 
     Failed when p has a constant term, the principal part is constant, a
     variable divides the principal part, or it is a perfect square (hence not
-    squarefree).  Certified when the irreducibility heuristic fires; anything
-    else is Unverified with the unproven condition named.
+    squarefree).  Certified when the principal part is proven irreducible
+    over C by one of the two sound rules of _irreducibility_heuristic;
+    anything else is Unverified with the unproven condition named.
     """
     if p.is_zero():
         raise ZeroPolynomial("appropriateness of the zero polynomial")
@@ -339,11 +226,10 @@ def check_appropriate(p: Polynomial, w: WeightFunction) -> Appropriateness:
     for name in p.varset.names:
         if pd.min_exponent_of(name) >= 1:
             return Appropriateness("Failed", f"variable {name} divides the principal part")
-    content_free = pd
     sq = _poly_square_root(pd)
     if sq is not None and not sq.is_constant():
         return Appropriateness("Failed", "principal part is a perfect square")
-    ok, why = _irreducibility_heuristic(content_free)
+    ok, why = _irreducibility_heuristic(pd)
     if ok:
         return Appropriateness("Certified", why)
     return Appropriateness("Unverified", f"irreducibility of the principal part unproven ({why})")

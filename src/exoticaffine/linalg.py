@@ -40,11 +40,6 @@ def mat_mul_rows(a, b):
         yield out
 
 
-def mat_mul(a, b) -> list[list[int]]:
-    """a @ b as a list of rows."""
-    return list(mat_mul_rows(a, b))
-
-
 def mat_vec(a, v) -> list:
     """a @ v, skipping the zero entries of v."""
     nz_v = [(t, x) for t, x in enumerate(v) if x]

@@ -1,10 +1,11 @@
 """Dense Gauss-Jordan elimination over GF(p) and over Q, kept as the oracle
 for the sparse column reduction of exoticaffine.linalg, the two helpers
-that turn sparse columns into a dense matrix and back, and the column-space
+that turn sparse columns into a dense matrix and back, the whole dense
+product of two matrices, and the column-space
 basis and the sparse solver that the ambient-basis Smith oracle builds its
 subcomplexes and maps from."""
 
-from exoticaffine.linalg import _add_multiple, _entries, _ratio, reduce_columns_mod
+from exoticaffine.linalg import _add_multiple, _entries, _ratio, mat_mul_rows, reduce_columns_mod
 
 
 def sparse_columns(matrix, p, ncols=None) -> list[dict]:
@@ -68,6 +69,11 @@ def dense(cols, nrows=None) -> list[list[int]]:
         for i, x in col.items():
             matrix[i][j] = x
     return matrix
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """a @ b as a list of rows."""
+    return list(mat_mul_rows(a, b))
 
 
 def rref_mod(rows, p, pivot_cols=None) -> tuple[list[list[int]], list[int]]:

@@ -163,6 +163,18 @@ class TestMoreVerbs:
         assert code == 0
         assert json.loads(out)["status"] == "Certified"
 
+    @pytest.mark.parametrize("poly", ["x^2 + y^2 + x", "2*x^2 + y^2 + x"])
+    def test_grade_appropriate_splitting_over_c_is_unverified(self, capsys, poly):
+        # the principal part x^2 + y^2 (or 2x^2 + y^2) factors over C
+        code, out = run_cli(
+            capsys, "grade", "appropriate", "--vars", "x,y", "--weights", "1,1", "--poly", poly
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "status": "Unverified",
+            "reason": "irreducibility of the principal part unproven (no certifying pattern matched)",
+        }
+
     def test_lnd_check_and_kernel(self, capsys):
         images = json.dumps({"images": {"y": "0-2*z", "z": "x^2"}})
         code, out = run_cli(capsys, "lnd", "check", "--ring", "russell", "--images", images)

@@ -23,7 +23,8 @@ from exoticaffine.fpgroups import (
 from exoticaffine import dualgraph, fpgroups, linalg
 from exoticaffine.dualgraph import xt_certificate, xt_matrix
 from exoticaffine.fpgroups import GroupError, _validate_snf
-from exoticaffine.linalg import det, identity, mat_mul
+from exoticaffine.linalg import det, identity
+from gfp_oracle import mat_mul
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):

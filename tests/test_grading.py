@@ -1,7 +1,9 @@
 """Weight degrees, quasi-homogeneous structure and the graded Russell quotient."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -47,6 +49,19 @@ def random_poly(vs, rng, max_terms=4, max_exp=3):
         if c:
             terms[e] = terms.get(e, Fraction(0)) + c
     return Polynomial.from_terms(vs, terms)
+
+
+def random_quasi_homogeneous(vs, w, rng):
+    """A quasi-homogeneous polynomial of two or three terms, not a monomial:
+    random exponent vectors of one weighted degree, a multiple of every
+    weight (so each variable has a pure power there), random coefficients."""
+    degree = lcm(*w.weights) * rng.randint(1, 2)
+    supports = [
+        e for e in itertools.product(*(range(degree // wi + 1) for wi in w.weights))
+        if w.monomial_weight(e) == degree
+    ]
+    terms = rng.sample(supports, min(len(supports), rng.randint(2, 3)))
+    return Polynomial.from_terms(vs, {e: Fraction(rng.choice((-3, -1, 1, 2, 5))) for e in terms})
 
 
 class TestWeightDegree:
@@ -127,12 +142,44 @@ class TestAppropriateness:
         status = check_appropriate(P("x + x^5 + y^5 + z^5"), w)
         assert status.status == "Unverified"
 
-    def test_monomial_coefficient_specialization_certifies(self):
+    def test_newton_simplex_certifies(self):
         w = WeightFunction(VS, (1, 1, 1, 1))
-        # principal part x^5+y^5+z^5+xyzt^2 is quadratic in t with monomial
-        # coefficient xyz and trivial content: the specialization branch fires
+        # principal part x^5+y^5+z^5+xyzt^2 is linear in no variable, but its
+        # four exponent vectors are affinely independent and their
+        # differences from (5,0,0,0) have coordinate gcd 1 (xyzt^2 gives
+        # (-4,1,1,2)): an integrally indecomposable simplex
         status = check_appropriate(P("x + x^5 + y^5 + z^5 + x*y*z*t^2"), w)
-        assert status.certified
+        assert status == Appropriateness(
+            "Certified", "Newton polytope is an integrally indecomposable simplex"
+        )
+
+    def test_x2_plus_c_y2_is_never_certified(self):
+        # x^2 + c y^2 = (x + i sqrt(c) y)(x - i sqrt(c) y) over C for every
+        # c > 0, square or not, though x^2 + c has no rational root: a
+        # certificate over Q is not one over C
+        xy = varset("x", "y")
+        w = WeightFunction(xy, (1, 1))
+        for c in (1, 2, 3, 4, 9, 10, Fraction(1, 4), Fraction(2, 3), 10**40 + 1):
+            for lower in ("x", "y", "x + y"):
+                p = Polynomial.from_terms(xy, {(2, 0): Fraction(1), (0, 2): Fraction(c)})
+                status = check_appropriate(p + parse_polynomial(lower, xy), w)
+                assert not status.certified, (c, lower, status)
+
+    def test_products_are_never_certified(self):
+        # a product of two quasi-homogeneous factors, neither a monomial, is
+        # reducible over C whatever the rules say; Failed (a variable or a
+        # square divides it) and Unverified are both allowed
+        rng = random.Random(1701)
+        certified_factors = 0
+        for _ in range(300):
+            n = rng.randint(2, 3)
+            vs = varset(*"xyz"[:n])
+            w = WeightFunction(vs, tuple(rng.randint(1, 4) for _ in range(n)))
+            factors = [random_quasi_homogeneous(vs, w, rng) for _ in range(2)]
+            certified_factors += sum(check_appropriate(f, w).certified for f in factors)
+            status = check_appropriate(factors[0] * factors[1], w)
+            assert not status.certified, (factors, status)
+        assert certified_factors > 100  # the factors themselves often pass
 
 
 class TestRootsAndSquares:
@@ -151,55 +198,22 @@ class TestRootsAndSquares:
         assert status == Appropriateness("Failed", "principal part is a perfect square")
 
     def test_big_coefficient_is_unverified_not_searched(self):
+        # (10^40 + 1) x^2 + y^2 splits over C: the segment from (2,0) to
+        # (0,2) has coordinate gcd 2, and the coefficient is never examined
         xy = WeightFunction(VS, (1, 1, 0, 0))
         status = check_appropriate(P(f"{10**40 + 1}*x^2 + y^2 + x"), xy)
         assert status.status == "Unverified"
-        assert grading._has_rational_root([10**40 + 1, 0, 1]) is None
 
     def test_search_caps_bound_the_work_not_the_size(self):
-        # x^2 + y^27 at weights (27, 2) specializes to x^2 + 2^27: a constant
-        # past 10^8 whose trial division is short, so it is still searched
+        # x^2 + y^27 at weights (27, 2): the segment from (2,0) to (0,27) has
+        # coordinate gcd 1, whatever the size of the exponents
         xy = varset("x", "y")
         status = check_appropriate(
             parse_polynomial("x^2 + y^27", xy), WeightFunction(xy, (27, 2))
         )
         assert status == Appropriateness(
-            "Certified", "irreducible univariate specialization in x"
+            "Certified", "Newton polytope is an integrally indecomposable simplex"
         )
-        assert grading._has_rational_root([2**27, 0, 1]) is False
-        # trial division: sqrt(a0) + sqrt(an) = 999999 + 1 is searched,
-        # 10^6 + 1 is not (although 10^12 - x^2 has the root 10^6)
-        assert grading._has_rational_root([(10**6 - 1) ** 2, 0, -1]) is True
-        assert grading._has_rational_root([10**12, 0, -1]) is None
-        # candidate pairs: 1344 * 60 divisors are searched, 1344 * 240 are not
-        assert grading._has_rational_root([735134400, 0, 5040]) is False
-        assert grading._has_rational_root([735134400, 0, 720720]) is None
-
-    def test_rational_roots_match_fraction_evaluation(self):
-        # the old search: every p/q with p | a0, q | an, evaluated in Fractions
-        def oracle(ints):
-            a0, an = ints[0], ints[-1]
-            if a0 == 0:
-                return True
-            for p in grading._divisors(abs(a0)):
-                for q in grading._divisors(abs(an)):
-                    for num in (p, -p):
-                        acc = Fraction(0)
-                        for c in reversed(ints):
-                            acc = acc * Fraction(num, q) + c
-                        if acc == 0:
-                            return True
-            return False
-
-        rng = random.Random(151)
-        for _ in range(400):
-            # a product with a rational linear factor half the time
-            ints = [rng.randint(-30, 30) for _ in range(rng.randint(2, 4))]
-            ints[-1] = ints[-1] or 1
-            if rng.random() < 0.5:
-                a, b = rng.randint(-6, 6), rng.randint(1, 6)
-                ints = [b * c0 - a * c1 for c0, c1 in zip(ints + [0], [0] + ints)]
-            assert grading._has_rational_root(ints) == oracle(ints)
 
 
 class TestGradedHypersurface:
@@ -216,6 +230,7 @@ class TestGradedHypersurface:
     def test_weight_solver_family(self):
         # x + x^2 y^{s0} + z^{s1} + t^{s2}: weights solving
         # 2 w_x + s0 w_y = s1 w_z = s2 w_t > w_x pick out x as lowest part
+        wx = -1
         for s0, s1, s2 in [(1, 2, 3), (2, 3, 5), (3, 4, 5)]:
             p = (
                 P("x")
@@ -223,16 +238,16 @@ class TestGradedHypersurface:
                 + P("z") ** s1
                 + P("t") ** s2
             )
-            wx = -1
-            # solve 2*wx + s0*wy = s1*wz = s2*wt = s1*s2 (common positive value)
-            common = s1 * s2
-            assert (common - 2 * wx) % s0 == 0 or True
-            wy = (common - 2 * wx) // s0 if (common - 2 * wx) % s0 == 0 else None
-            if wy is None:
-                continue
-            w = WeightFunction(VS, (wx, wy, s2, s1))
+            # the common value: the least multiple of s1*s2 with s0 | common - 2*wx
+            common = next(
+                k * s1 * s2 for k in range(1, s0 + 1) if (k * s1 * s2 - 2 * wx) % s0 == 0
+            )
+            w = WeightFunction(VS, (wx, (common - 2 * wx) // s0, common // s1, common // s2))
             g = associated_graded_hypersurface(p, w)
             assert g.relation_top == p - P("x")
+            assert g.status.certified, (s0, s1, s2, g.status)
+            if s0 > 1:  # (2,3,5): weights (-1,16,10,6); (3,4,5): (-1,14,10,8)
+                assert g.status.reason == "Newton polytope is an integrally indecomposable simplex"
 
     def test_failed_raises(self):
         with pytest.raises(NotAppropriate):

@@ -10,15 +10,16 @@ Fractions, and Z homology against GF(p) homology through the universal
 coefficient theorem.
 """
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from exoticaffine.fpgroups import snf_diagonal
 from exoticaffine.linalg import (
     apply_columns_mod,
     det,
-    mat_mul,
     mat_mul_rows,
     mat_vec,
     mul_columns_mod,
@@ -34,7 +35,7 @@ from gfp_oracle import (
     solve_many_mod,
     sparse_columns,
 )
-from exoticaffine import smithhom
+from exoticaffine import linalg, smithhom
 import smith_oracle
 from exoticaffine.smithhom import (
     ChainComplex,
@@ -350,7 +351,7 @@ class TestProduct:
                        for x, y in ((n, k), (k, m), (m, l)))
             ab = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
             if k:  # with no inner index the row length is not defined
-                assert mat_mul(a, b) == list(mat_mul_rows(iter(a), b)) == ab
+                assert list(mat_mul_rows(a, b)) == list(mat_mul_rows(iter(a), b)) == ab
             abc = [[sum(ab[i][t] * c[t][j] for t in range(m)) for j in range(l)] for i in range(n)]
             if k and m:
                 assert list(mat_mul_rows(mat_mul_rows(a, b), c)) == abc
@@ -570,3 +571,31 @@ class TestUniversalCoefficients:
                               for b in boundaries)
                 dims_p = homology(ChainComplex(p, dims, mod_p))
                 assert dims_p == _uct_expected(h_z, p), (name, p)
+
+
+class TestEveryKernelHasACaller:
+    def test_public_functions_are_used_in_the_package(self):
+        """Every public top-level function of linalg is referenced in the
+        package outside its own def: imported from .linalg, read as
+        linalg.<name>, or called by another function of linalg.  A kernel
+        that only the tests call belongs in the tests."""
+        package = Path(linalg.__file__).parent
+        tree = ast.parse((package / "linalg.py").read_text())
+        public = {node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        used = set()
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            used |= {node.id for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and node.id != own}
+        for path in package.glob("*.py"):
+            if path.name == "linalg.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                    used |= {alias.name for alias in node.names}
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "linalg"):
+                    used.add(node.attr)
+        assert public, "no public function found in linalg"
+        assert public <= used, sorted(public - used)
