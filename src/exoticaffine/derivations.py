@@ -32,7 +32,7 @@ from .polyring import (
     VarSetMismatch,
     jacobian_det,
 )
-from .linalg import reduce_columns_mod
+from .linalg import coefficient, exact_quotient, reduce_columns_mod
 
 DEFAULT_NILPOTENCY_BOUND = 64
 
@@ -143,7 +143,7 @@ def linear_derivation(matrix: Sequence[Sequence], vs: VarSet) -> Derivation:
     for i, name in enumerate(vs.names):
         img = Polynomial.zero(vs)
         for j, other in enumerate(vs.names):
-            c = Fraction(matrix[i][j])
+            c = coefficient(matrix[i][j])
             if c:
                 img = img + Polynomial.variable(vs, other).scale(c)
         images[name] = img
@@ -205,7 +205,7 @@ def _proportional_to_earlier(p: Polynomial, seq: list[Polynomial]):
             continue
         if e0 not in q.terms:
             continue
-        c = p.terms[e0] / q.terms[e0]
+        c = exact_quotient(p.terms[e0], q.terms[e0])
         if q.scale(c) == p:
             return i, c
     return None
@@ -266,7 +266,7 @@ def exp_flow(
         tpoly = Polynomial.variable(target, pname)
     else:
         target = ambient
-        tpoly = Polynomial.constant(target, Fraction(t))
+        tpoly = Polynomial.constant(target, t)
     flow: dict[str, Polynomial] = {}
     for name in ambient.names:
         acc = Polynomial.zero(target)
@@ -422,10 +422,10 @@ def _kernel(cols, monos, vs) -> list[Polynomial]:
 def _primitive(p: Polynomial) -> Polynomial:
     """p scaled to primitive integer coefficients, positive leading term."""
     p = p.scale(lcm(*(c.denominator for c in p.terms.values())))
-    g = gcd(*(c.numerator for c in p.terms.values()))
-    if g > 1:
-        p = p.scale(Fraction(1, g))
-    return -p if p.terms[max(p.terms)] < 0 else p
+    g = gcd(*p.terms.values())
+    if p.terms[max(p.terms)] < 0:
+        g = -g
+    return Polynomial(p.varset, {e: c // g for e, c in p.terms.items()})
 
 
 def _checked_kernel(d: Derivation, cols, monos) -> list[Polynomial]:

@@ -15,10 +15,9 @@ have the explicit shapes x^{-i} C[z,t], y^r C[z,t], x y^r C[z,t].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .linalg import rank_mod
+from .linalg import exact_quotient, rank_mod
 from .polyring import (
     GRLEX,
     MonomialOrder,
@@ -60,6 +59,10 @@ class WrongRing(GradingError):
     pass
 
 
+class WeightCountMismatch(GradingError, ValueError):
+    """A weight vector whose length is not the number of variables."""
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     varset: VarSet
@@ -67,7 +70,7 @@ class WeightFunction:
 
     def __post_init__(self):
         if len(self.weights) != len(self.varset):
-            raise ValueError("one weight per variable required")
+            raise WeightCountMismatch("one weight per variable required")
 
     def of(self, name: str) -> int:
         return self.weights[self.varset.index(name)]
@@ -134,18 +137,17 @@ class Appropriateness:
 
 
 def _poly_square_root(p: Polynomial) -> Polynomial | None:
-    """g with g^2 = p, or None.  Exact greedy extraction under graded lex."""
+    """g with g^2 = p / lc(p), or None.  Over C every nonzero constant is a
+    square, so p is a square exactly when the monic p / lc(p) is; the root
+    of that, leading coefficient 1, is found by exact greedy extraction
+    under graded lex, and has rational coefficients when it exists."""
     if p.is_zero():
         return Polynomial.zero(p.varset)
     lm = p.leading_monomial(GRLEX)
-    lc = p.leading_coefficient(GRLEX)
-    if any(e % 2 for e in lm) or lc <= 0:
+    if any(e % 2 for e in lm):
         return None
-    num, den = lc.numerator, lc.denominator
-    rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    g = Polynomial.monomial(p.varset, tuple(e // 2 for e in lm), Fraction(rn, rd))
+    p = p.scale(exact_quotient(1, p.terms[lm]))
+    g = Polynomial.monomial(p.varset, tuple(e // 2 for e in lm))
     remaining = p - g * g
     steps = 0
     while not remaining.is_zero():
@@ -159,18 +161,11 @@ def _poly_square_root(p: Polynomial) -> Polynomial | None:
         t = Polynomial.monomial(
             p.varset,
             tuple(a - b for a, b in zip(rm, gl)),
-            remaining.terms[rm] / (2 * g.terms[gl]),
+            exact_quotient(remaining.terms[rm], 2 * g.terms[gl]),
         )
         g = g + t
         remaining = p - g * g
     return g
-
-
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def _irreducibility_heuristic(pd: Polynomial) -> tuple[bool, str]:

@@ -1,20 +1,43 @@
 """Exact matrix kernels: one implementation of each, shared by every module.
 
 Dense matrices over Z are sequences of rows (lists or tuples) of Python ints;
-vectors are sequences of entries.  For elimination, over GF(p) and over Q
-alike, a matrix is a list of sparse columns, {row: value} dicts, since the
-chain matrices and derivation images here have a few nonzeros per column:
-one lowest-nonzero column reduction gives ranks, column bases and kernels,
-and a column is eliminated against the lowest nonzeros of columns in that
-echelon form.  Integer Smith normal form lives in fpgroups, which certifies
-it by products with the inverses it tracks, read one row at a time from
-mat_mul_rows.
+vectors are sequences of entries.  An exact rational is stored as an int
+when it is integral and as a Fraction otherwise (`coefficient`), and
+`exact_quotient` divides two of them without ever making a float.  For
+elimination, over GF(p) and over Q alike, a matrix is a list of sparse
+columns, {row: value} dicts, since the chain matrices and derivation images
+here have a few nonzeros per column: one lowest-nonzero column reduction
+gives ranks, column bases and kernels, and a column is eliminated against
+the lowest nonzeros of columns in that echelon form.  Over Q the reduction
+is fraction-free: it works on integer multiples of the columns.  Integer
+Smith normal form lives in fpgroups, which certifies it by products with
+the inverses it tracks, read one row at a time from mat_mul_rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from math import gcd, lcm
+
+
+def coefficient(c):
+    """The exact rational c as an int when it is integral, else as a
+    Fraction; c may be anything Fraction() accepts."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_quotient(a, b):
+    """a / b for exact rationals: an int when b divides a, else a Fraction.
+    (a / b on two ints would be a float.)"""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return coefficient(a / b)
 
 
 def identity(n: int) -> list[list[int]]:
@@ -108,9 +131,32 @@ def apply_columns_mod(cols, vec, p) -> dict:
     return out
 
 
+def _integral_column(col) -> tuple[dict, int]:
+    """A column over Q as (its nonzero entries times den, den), den the
+    least common multiple of their denominators: an integer column."""
+    den = lcm(*(x.denominator for x in col.values()))
+    return {i: x.numerator * (den // x.denominator) for i, x in col.items() if x}, den
+
+
+def _scale(vec: dict, a: int):
+    """vec *= a in place."""
+    for i in vec:
+        vec[i] *= a
+
+
+def _divide_content(col: dict, combo: dict):
+    """Divide the integer column and its combination by the gcd of all
+    their entries, in place; combo is never empty."""
+    g = gcd(*col.values(), *combo.values())
+    if g > 1:
+        for vec in (col, combo):
+            for i in vec:
+                vec[i] //= g
+
+
 def reduce_columns_mod(cols, p, track=False):
-    """Lowest-nonzero column reduction over GF(p), or over Q (Fraction
-    entries) when p is None, left to right.
+    """Lowest-nonzero column reduction over GF(p), or over Q when p is None
+    (int or Fraction entries), left to right.
 
     `cols` are sparse columns ({row: value} dicts; the rows may be any
     mutually comparable keys).  Each column in turn has multiples of earlier
@@ -129,14 +175,25 @@ def reduce_columns_mod(cols, p, track=False):
     - lows maps each pivot row to the column whose lowest nonzero it is.
 
     This is the reduction of persistent homology (Edelsbrunner, Letscher
-    and Zomorodian 2002; Zomorodian and Carlsson 2005).
+    and Zomorodian 2002; Zomorodian and Carlsson 2005).  Over Q it runs on
+    integers, in the manner of Bareiss's integer-preserving elimination
+    (Math. Comp. 22 (1968) 565-578): each column's denominators are cleared
+    once, a pivot is cancelled by col = a col - b other with a, b the pivot
+    pair over their gcd, and the column and its combination are divided by
+    their content.  Each stays a multiple of the column and combination
+    described above, and one division by the coefficient on column j at the
+    end gives them exactly.
     """
     reduced: list[dict] = []
-    combos: list[dict] | None = [] if track else None
+    combos: list[dict] = []
     lows: dict = {}
     for j, col in enumerate(cols):
-        col = _entries(col, p)
-        combo = {j: 1}
+        if p is None:
+            col, den = _integral_column(col)
+            combo = {j: den}
+        else:
+            col = _entries(col, p)
+            combo = {j: 1}
         while col:
             low = max(col)
             owner = lows.get(low)
@@ -144,14 +201,33 @@ def reduce_columns_mod(cols, p, track=False):
                 lows[low] = j
                 break
             other = reduced[owner]
-            f = -_ratio(col[low], other[low], p)
-            _add_multiple(col, other, f, p)
-            if track:
-                _add_multiple(combo, combos[owner], f, p)
+            if p is None:
+                # col = a col - b other cancels the pivot, with a > 0
+                a, b = other[low], col[low]
+                g = gcd(a, b) if a > 0 else -gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    _scale(col, a)
+                    _scale(combo, a)
+                _add_multiple(col, other, -b, None)
+                if track:
+                    _add_multiple(combo, combos[owner], -b, None)
+                _divide_content(col, combo)
+            else:
+                f = -_ratio(col[low], other[low], p)
+                _add_multiple(col, other, f, p)
+                if track:
+                    _add_multiple(combo, combos[owner], f, p)
         reduced.append(col)
-        if track:
-            combos.append(combo)
-    return reduced, combos, lows
+        combos.append(combo)
+    if p is None:
+        for j, combo in enumerate(combos):
+            lead = combo[j]
+            if lead != 1:
+                reduced[j] = {i: exact_quotient(x, lead) for i, x in reduced[j].items()}
+                if track:
+                    combos[j] = {k: exact_quotient(x, lead) for k, x in combo.items()}
+    return reduced, combos if track else None, lows
 
 
 def mul_columns_mod(a, b, p) -> list[dict]:

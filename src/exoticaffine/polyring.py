@@ -1,8 +1,11 @@
 """Sparse exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero Fractions, tied to a
-fixed ordered variable set.  The zero polynomial is the empty map.  All
-operations are pure; values are never mutated after construction.
+A polynomial is a map from exponent tuples to nonzero exact rationals, tied
+to a fixed ordered variable set: an integral coefficient is stored as an int
+and any other as a Fraction (linalg.coefficient), so the integer polynomials
+that most computations here stay in never pay for Fraction arithmetic.  The
+zero polynomial is the empty map.  All operations are pure; values are never
+mutated after construction.
 
 Monomial orders (lex, graded lex, weighted with lex tie-break) drive
 deterministic printing, division and normal forms.
@@ -17,7 +20,10 @@ from fractions import Fraction
 from operator import add, ge, mul, sub
 from typing import Iterable, Mapping
 
+from .linalg import coefficient, exact_quotient
+
 Exponent = tuple[int, ...]
+Coefficient = int | Fraction
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -62,6 +68,31 @@ class ParseError(PolyError):
     pass
 
 
+class InvalidVarSet(PolyError, ValueError):
+    """Variable names that are repeated or empty."""
+
+
+class UnknownOrder(PolyError, ValueError):
+    """A monomial order kind other than lex, grlex or weighted."""
+
+
+class NegativeExponent(PolyError, ValueError):
+    """A negative exponent, or a negative or missing power."""
+
+
+class UnknownOperation(PolyError, ValueError):
+    """An arithmetic operation other than add, sub, mul or pow."""
+
+
+def _integral(terms: dict) -> dict:
+    """terms with every integral Fraction coefficient stored as its int, in
+    place: sums and products of Fractions can come out integral."""
+    for e, c in terms.items():
+        if type(c) is not int:
+            terms[e] = coefficient(c)
+    return terms
+
+
 @dataclass(frozen=True)
 class VarSet:
     """An ordered tuple of distinct variable names; exponents index into it."""
@@ -70,9 +101,9 @@ class VarSet:
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names in {self.names}")
+            raise InvalidVarSet(f"duplicate variable names in {self.names}")
         if any(not n for n in self.names):
-            raise ValueError("empty variable name")
+            raise InvalidVarSet("empty variable name")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -134,7 +165,7 @@ class MonomialOrder:
             if w is None or len(w) != len(e):
                 raise DimensionMismatch("weight vector does not match exponent length")
             return (sum(map(mul, w, e)), e)
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        raise UnknownOrder(f"unknown order kind {self.kind!r}")
 
     def is_well_order_certain(self) -> bool:
         if self.kind in ("lex", "grlex"):
@@ -156,10 +187,11 @@ def weighted_order(weights: Iterable[int]) -> MonomialOrder:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> nonzero Fraction coefficient."""
+    """Sparse polynomial: exponent tuple -> nonzero coefficient, an int when
+    integral and a Fraction otherwise."""
 
     varset: VarSet
-    terms: dict[Exponent, Fraction] = field(default_factory=dict)
+    terms: dict[Exponent, Coefficient] = field(default_factory=dict)
 
     # -- constructors ------------------------------------------------------
 
@@ -169,7 +201,7 @@ class Polynomial:
 
     @staticmethod
     def constant(vs: VarSet, c) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if c == 0:
             return Polynomial(vs, {})
         return Polynomial(vs, {(0,) * len(vs): c})
@@ -179,22 +211,22 @@ class Polynomial:
         i = vs.index(name)
         e = [0] * len(vs)
         e[i] = 1
-        return Polynomial(vs, {tuple(e): Fraction(1)})
+        return Polynomial(vs, {tuple(e): 1})
 
     @staticmethod
     def monomial(vs: VarSet, exponents: Exponent, c=1) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if len(exponents) != len(vs):
             raise DimensionMismatch("exponent vector length does not match varset")
         if any(e < 0 for e in exponents):
-            raise ValueError("negative exponent")
+            raise NegativeExponent("negative exponent")
         if c == 0:
             return Polynomial(vs, {})
         return Polynomial(vs, {tuple(exponents): c})
 
     @staticmethod
-    def from_terms(vs: VarSet, terms: Mapping[Exponent, Fraction]) -> "Polynomial":
-        clean = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
+    def from_terms(vs: VarSet, terms: Mapping[Exponent, Coefficient]) -> "Polynomial":
+        clean = {tuple(e): coefficient(c) for e, c in terms.items() if c != 0}
         return Polynomial(vs, clean)
 
     # -- basic queries -----------------------------------------------------
@@ -205,8 +237,8 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.varset), Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self.terms.get((0,) * len(self.varset), 0)
 
     def degree_in(self, name: str) -> int:
         i = self.varset.index(name)
@@ -234,7 +266,7 @@ class Polynomial:
             raise DivisionByZero("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder = GRLEX) -> Fraction:
+    def leading_coefficient(self, order: MonomialOrder = GRLEX) -> Coefficient:
         return self.terms[self.leading_monomial(order)]
 
     def _check_same_varset(self, other: "Polynomial"):
@@ -254,6 +286,8 @@ class Polynomial:
                 if not c:
                     del out[e]
                     continue
+                if type(c) is not int:
+                    c = coefficient(c)
             out[e] = c
         return Polynomial(self.varset, out)
 
@@ -269,7 +303,7 @@ class Polynomial:
         self._check_same_varset(other)
         if not self.terms or not other.terms:
             return Polynomial.zero(self.varset)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
@@ -281,20 +315,20 @@ class Polynomial:
                         del out[e]
                 else:
                     out[e] = c1 * c2
-        return Polynomial(self.varset, out)
+        return Polynomial(self.varset, _integral(out))
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if c == 0:
             return Polynomial.zero(self.varset)
-        return Polynomial(self.varset, {e: c * v for e, v in self.terms.items()})
+        return Polynomial(self.varset, _integral({e: c * v for e, v in self.terms.items()}))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise NegativeExponent("negative power of a polynomial")
         result = Polynomial.constant(self.varset, 1)
         base = self
         while n:
@@ -311,7 +345,9 @@ class Polynomial:
         # e -> e - unit_i is one-to-one, so no two terms meet and none cancels
         return Polynomial(
             self.varset,
-            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]},
+            _integral(
+                {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+            ),
         )
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
@@ -353,7 +389,7 @@ class Polynomial:
         positions = []
         for name in self.varset.names:
             positions.append(vs.index(name) if name in vs else None)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coefficient] = {}
         for e, c in self.terms.items():
             ne = [0] * len(vs)
             for i, ei in enumerate(e):
@@ -368,7 +404,7 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder = GRLEX) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self, order: MonomialOrder = GRLEX) -> list[tuple[Exponent, Coefficient]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def to_string(self, order: MonomialOrder = GRLEX) -> str:
@@ -418,9 +454,9 @@ def arith(a: Polynomial, b: Polynomial | None, op: str, n: int | None = None) ->
         return a * b
     if op == "pow":
         if n is None or n < 0:
-            raise ValueError("pow needs a non-negative integer exponent")
+            raise NegativeExponent("pow needs a non-negative integer exponent")
         return a**n
-    raise ValueError(f"unknown op {op!r}")
+    raise UnknownOperation(f"unknown op {op!r}")
 
 
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -434,7 +470,7 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     quotient, remainder = _reduce(p, d, GRLEX, math.inf)
     if remainder:
         raise NotDivisible(Polynomial(p.varset, remainder))
-    return Polynomial(p.varset, quotient)
+    return Polynomial(p.varset, _integral(quotient))
 
 
 def normal_form(
@@ -458,18 +494,20 @@ def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget):
     """Full reduction of p by the nonzero d: (quotient, remainder) as term
     dicts, with p = quotient * d + remainder and no term of the remainder
     divisible by the leading monomial of d.  Both are unique, since a single
-    polynomial is a Groebner basis.
+    polynomial is a Groebner basis.  The remainder is returned in stored
+    form (integral coefficients as ints); the quotient is put in stored form
+    by exact_divide, its only reader.
     """
     p._check_same_varset(d)
     lm = d.leading_monomial(order)
     lc = d.terms[lm]
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, Coefficient] = {}
     work = dict(p.terms)
     steps = 0
     while True:
         reducible = [e for e in work if all(map(ge, e, lm))]
         if not reducible:
-            return quotient, work
+            return quotient, _integral(work)
         e = max(reducible, key=order.key)
         steps += 1
         if steps > step_budget:
@@ -478,7 +516,7 @@ def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget):
             )
         # work -= (work[e] / lc) x^(e - lm) d in place; the term at e cancels
         shift = tuple(map(sub, e, lm))
-        coef = quotient[shift] = work[e] / lc
+        coef = quotient[shift] = exact_quotient(work[e], lc)
         for ed, cd in d.terms.items():
             k = tuple(map(add, shift, ed))
             c = -(coef * cd)
@@ -621,7 +659,7 @@ class _Parser:
                 den = self.take()
                 if not den.isdigit() or int(den) == 0:
                     raise ParseError(f"bad denominator {den!r}")
-                return Polynomial.constant(self.vs, Fraction(num, int(den)))
+                return Polynomial.constant(self.vs, exact_quotient(num, int(den)))
             return Polynomial.constant(self.vs, num)
         if tok in self.vs:
             return Polynomial.variable(self.vs, tok)
@@ -632,29 +670,25 @@ def parse_polynomial(text: str, vs: VarSet) -> Polynomial:
     return _Parser(_tokenize(text), vs).parse()
 
 
-def _fraction_to_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_to_json(p: Polynomial, order: MonomialOrder = GRLEX) -> dict:
     return {
         "vars": list(p.varset.names),
         "terms": [
-            {"c": _fraction_to_str(c), "e": list(e)} for e, c in p.sorted_terms(order)
+            {"c": str(c), "e": list(e)} for e, c in p.sorted_terms(order)
         ],
     }
 
 
 def poly_from_json(data: Mapping) -> Polynomial:
     vs = VarSet(tuple(data["vars"]))
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[Exponent, Coefficient] = {}
     for entry in data["terms"]:
         e = tuple(int(x) for x in entry["e"])
         if len(e) != len(vs):
             raise ParseError("exponent vector length does not match vars")
         if any(x < 0 for x in e):
             raise ParseError("negative exponent in JSON polynomial")
-        c = Fraction(entry["c"])
+        c = coefficient(entry["c"])
         if c:
             terms[e] = terms[e] + c if e in terms else c
-    return Polynomial(vs, {e: c for e, c in terms.items() if c})
+    return Polynomial(vs, _integral({e: c for e, c in terms.items() if c}))

@@ -53,6 +53,10 @@ class BadPrime(SmithError):
     pass
 
 
+class NotASimplex(SmithError, ValueError):
+    """A vertex tuple that is not a simplex of the complex."""
+
+
 # ---------------------------------------------------------------------------
 # simplicial complexes
 
@@ -106,7 +110,7 @@ class SimplicialComplex:
         try:
             return self._positions[len(simplex) - 1][simplex]
         except (IndexError, KeyError):
-            raise ValueError(f"{simplex!r} is not a simplex of the complex") from None
+            raise NotASimplex(f"{simplex!r} is not a simplex of the complex") from None
 
     def all_simplices(self):
         for level in self.simplices:

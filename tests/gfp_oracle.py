@@ -5,6 +5,8 @@ product of two matrices, and the column-space
 basis and the sparse solver that the ambient-basis Smith oracle builds its
 subcomplexes and maps from."""
 
+from fractions import Fraction
+
 from exoticaffine.linalg import _add_multiple, _entries, _ratio, mat_mul_rows, reduce_columns_mod
 
 
@@ -133,9 +135,11 @@ def solve_many_mod(matrix, rhs_cols, p) -> list:
 
 def rref_q(rows) -> tuple[list[list], list[int]]:
     """Reduced row echelon form over Q; returns every row (the first
-    len(pivots) are the pivot rows) and the pivot columns.  The rows must
-    hold Fractions, so that division is exact."""
-    rows = [list(r) for r in rows]
+    len(pivots) are the pivot rows) and the pivot columns.  The entries are
+    exact rationals (ints or Fractions, never floats); they are made
+    Fractions here, so that every division is exact."""
+    assert not any(isinstance(x, float) for r in rows for x in r), rows
+    rows = [[Fraction(x) for x in r] for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []

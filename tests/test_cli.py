@@ -175,6 +175,17 @@ class TestMoreVerbs:
             "reason": "irreducibility of the principal part unproven (no certifying pattern matched)",
         }
 
+    @pytest.mark.parametrize(
+        "poly", ["2*x^2 + 4*x*y + 2*y^2 + x", "0 - x^2 - 2*x*y - y^2 + x", "x^2 + 2*x*y + y^2 + x"]
+    )
+    def test_grade_appropriate_constant_times_square_fails(self, capsys, poly):
+        # 2 (x + y)^2, -(x + y)^2 and (x + y)^2 are all squares over C
+        code, out = run_cli(
+            capsys, "grade", "appropriate", "--vars", "x,y", "--weights", "1,1", "--poly", poly
+        )
+        assert code == 0
+        assert json.loads(out) == {"status": "Failed", "reason": "principal part is a perfect square"}
+
     def test_lnd_check_and_kernel(self, capsys):
         images = json.dumps({"images": {"y": "0-2*z", "z": "x^2"}})
         code, out = run_cli(capsys, "lnd", "check", "--ring", "russell", "--images", images)
@@ -333,6 +344,28 @@ class TestErrorsAndDeterminism:
         code, out = run_cli(capsys, "poly", "divide", "-a", "x^2+1", "-b", "x", "--vars", "x")
         assert code == 1
         assert "NotDivisible" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["poly", "arith", "--vars", "x,x", "-a", "x", "-b", "x", "--op", "add"],
+                "InvalidVarSet: duplicate variable names in ('x', 'x')",
+            ),
+            (
+                ["poly", "arith", "--vars", "x", "-a", "x", "--op", "pow"],
+                "NegativeExponent: pow needs a non-negative integer exponent",
+            ),
+            (
+                ["grade", "appropriate", "--vars", "x,y", "--weights", "1", "--poly", "x"],
+                "WeightCountMismatch: one weight per variable required",
+            ),
+        ],
+    )
+    def test_package_value_errors_exit_one(self, capsys, argv, error):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out) == {"error": error}
 
     @pytest.mark.parametrize("k, l", [("1", "0"), ("0", "3")])
     def test_bezout_non_positive_is_a_domain_error(self, capsys, k, l):

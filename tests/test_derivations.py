@@ -128,6 +128,14 @@ class TestLinearDerivation:
         assert cert.verdict == "Disproved"
         assert cert.witness == "x"
 
+    @pytest.mark.parametrize("c", [2, -3, Fraction(1, 3), Fraction(-5, 2)])
+    def test_disproof_names_the_exact_ratio(self, c):
+        # x -> c x: delta(x) is c times x, an exact rational, never a float
+        d = linear_derivation([[c, 0], [0, 0]], XY)
+        cert = nilpotency_test(d)
+        assert cert.verdict == "Disproved" and cert.witness == "x"
+        assert cert.evidence == f"delta^1(x) = {c} * delta^0(x)"
+
     def test_zero_matrix(self):
         d = linear_derivation([[0, 0], [0, 0]], XY)
         assert all(img.is_zero() for img in d.images.values())
@@ -509,20 +517,24 @@ class TestInvariantCandidates:
 
 
 def dense_image_rows(d, monos):
-    """The matrix of d on the monomials, one dense row per image monomial."""
+    """The matrix of d on the monomials, one dense row per image monomial,
+    with Fraction entries whatever type the polynomials store: the dense
+    elimination divides, and an int over an int is a float."""
     images = [apply(d, Polynomial.monomial(d.ambient, e)) for e in monos]
     out = sorted({e for img in images for e in img.terms})
     rows = [[Fraction(0)] * len(monos) for _ in out]
     for j, img in enumerate(images):
         for e, c in img.terms.items():
-            rows[out.index(e)][j] = c
+            assert not isinstance(c, float), img
+            rows[out.index(e)][j] = Fraction(c)
     return rows
 
 
 def dense_kernel(rows, monos, vs):
     polys = []
     for v in nullspace_q(rows, len(monos)):
-        p = Polynomial.from_terms(vs, dict(zip(monos, v)))
+        assert not any(isinstance(x, float) for x in v), v
+        p = Polynomial.from_terms(vs, {e: Fraction(x) for e, x in zip(monos, v)})
         p = p.scale(lcm(*(c.denominator for c in p.terms.values())))
         p = p.scale(Fraction(1, gcd(*(c.numerator for c in p.terms.values()))))
         polys.append(-p if p.terms[max(p.terms)] < 0 else p)

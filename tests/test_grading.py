@@ -12,10 +12,12 @@ from exoticaffine.grading import (
     NEG_INF,
     Appropriateness,
     DegreeNotStable,
+    GradingError,
     NotAppropriate,
     RUSSELL_RELATION,
     RUSSELL_VARS,
     RUSSELL_WEIGHTS,
+    WeightCountMismatch,
     WeightFunction,
     WrongRing,
     ZeroPolynomial,
@@ -65,6 +67,12 @@ def random_quasi_homogeneous(vs, w, rng):
 
 
 class TestWeightDegree:
+    def test_weight_count_mismatch(self):
+        assert issubclass(WeightCountMismatch, GradingError)
+        assert issubclass(WeightCountMismatch, ValueError)
+        with pytest.raises(WeightCountMismatch):
+            WeightFunction(VS, (1, 2))
+
     def test_x_has_degree_minus_one(self):
         assert weight_degree(P("x"), W) == -1
 
@@ -183,12 +191,26 @@ class TestAppropriateness:
 
 
 class TestRootsAndSquares:
-    def test_isqrt_exact_on_big_integers(self):
+    @pytest.mark.parametrize("lead", [1, 2, -1, 7, Fraction(2, 3), Fraction(-5, 4)])
+    def test_every_constant_multiple_of_a_square_fails(self, lead):
+        # over C every nonzero constant is a square, so c (k x + y)^2 is a
+        # square for every c != 0, whatever its sign or size
+        xy = WeightFunction(VS, (1, 1, 0, 0))
         k = 123456789012345678901
-        assert grading._isqrt_exact(k * k) == k
-        assert grading._isqrt_exact(k * k + 1) is None
-        assert grading._isqrt_exact(10**400) == 10**200
-        assert grading._isqrt_exact(-4) is None
+        pd = P(f"{k}*x + y") ** 2
+        status = check_appropriate(pd.scale(lead) + P("x"), xy)
+        assert status == Appropriateness("Failed", "principal part is a perfect square")
+
+    def test_seeded_squares_fail(self):
+        rng = random.Random(1702)
+        for _ in range(100):
+            n = rng.randint(2, 3)
+            vs = varset(*"xyz"[:n])
+            w = WeightFunction(vs, tuple(rng.randint(1, 4) for _ in range(n)))
+            g = random_quasi_homogeneous(vs, w, rng)
+            c = Fraction(rng.choice((-7, -1, 2, 3, 5)), rng.randint(1, 4))
+            status = check_appropriate((g * g).scale(c), w)
+            assert status.failed, (c, g, status)
 
     def test_big_perfect_square_principal_part_fails(self):
         xy = WeightFunction(VS, (1, 1, 0, 0))
@@ -197,14 +219,14 @@ class TestRootsAndSquares:
         status = check_appropriate(P(f"{k * k}*x^2 + {2 * k}*x*y + y^2 + x"), xy)
         assert status == Appropriateness("Failed", "principal part is a perfect square")
 
-    def test_big_coefficient_is_unverified_not_searched(self):
+    def test_big_coefficient_even_gcd_segment_is_unverified(self):
         # (10^40 + 1) x^2 + y^2 splits over C: the segment from (2,0) to
         # (0,2) has coordinate gcd 2, and the coefficient is never examined
         xy = WeightFunction(VS, (1, 1, 0, 0))
         status = check_appropriate(P(f"{10**40 + 1}*x^2 + y^2 + x"), xy)
         assert status.status == "Unverified"
 
-    def test_search_caps_bound_the_work_not_the_size(self):
+    def test_coprime_segment_with_large_exponent_certifies(self):
         # x^2 + y^27 at weights (27, 2): the segment from (2,0) to (0,27) has
         # coordinate gcd 1, whatever the size of the exponents
         xy = varset("x", "y")

@@ -16,10 +16,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from exoticaffine.fpgroups import snf_diagonal
 from exoticaffine.linalg import (
     apply_columns_mod,
+    coefficient,
     det,
+    exact_quotient,
     mat_mul_rows,
     mat_vec,
     mul_columns_mod,
@@ -216,6 +220,41 @@ class TestColumnReduction:
         assert apply_columns_mod([{0: 1}, {0: 2}], {0: 1, 1: 1}, 3) == {}
 
 
+class TestExactRationals:
+    """One stored form per rational: an int when integral, else a Fraction
+    with denominator greater than 1; never a float or a bool."""
+
+    def test_coefficient(self):
+        for value, expected in [
+            (3, 3),
+            (Fraction(4, 2), 2),
+            (Fraction(-6, 3), -2),
+            (True, 1),
+            ("3/6", Fraction(1, 2)),
+            ("-4", -4),
+            (0.5, Fraction(1, 2)),
+            (Fraction(2, 3), Fraction(2, 3)),
+        ]:
+            got = coefficient(value)
+            assert got == expected and type(got) is type(expected), (value, got)
+
+    def test_exact_quotient(self):
+        big = 2**60 + 1  # a float quotient would round this away
+        for a, b, expected in [
+            (6, 3, 2),
+            (-6, 4, Fraction(-3, 2)),
+            (big, 2, Fraction(big, 2)),
+            (2 * big, 2, big),
+            (Fraction(3, 2), Fraction(1, 2), 3),
+            (1, Fraction(1, 3), 3),
+            (Fraction(1, 3), 2, Fraction(1, 6)),
+        ]:
+            got = exact_quotient(a, b)
+            assert got == expected and type(got) is type(expected), (a, b, got)
+        with pytest.raises(ZeroDivisionError):
+            exact_quotient(1, 0)
+
+
 def q_kernel(cols, ncols):
     """The kernel over Q as dense vectors: the tracked combination of each
     column that reduces to zero."""
@@ -289,6 +328,58 @@ class TestRationalKernel:
             keys = sorted(rng.sample([(a, b) for a in range(3) for b in range(5)], rows))
             tuple_cols = [{keys[i]: m[i][j] for i in range(rows) if m[i][j]} for j in range(cols)]
             assert q_kernel(tuple_cols, cols) == nullspace_q(m, cols), m
+
+    def check_contract(self, cols):
+        """The documented return contract, exactly: each reduced column is
+        its tracked combination of the input columns, with coefficient 1 on
+        itself, and every entry is a nonzero int or a Fraction with a
+        denominator greater than 1."""
+        reduced, combos, lows = reduce_columns_mod(cols, None, track=True)
+        for j, (col, combo) in enumerate(zip(reduced, combos)):
+            assert combo[j] == 1, (j, combo)
+            rows = set(col).union(*(cols[k] for k in combo))
+            spanned = {i: sum(x * cols[k].get(i, 0) for k, x in combo.items()) for i in rows}
+            assert col == {i: x for i, x in spanned.items() if x}, (j, col, combo)
+            for x in [*col.values(), *combo.values()]:
+                assert (type(x) is int and x) or (type(x) is Fraction and x.denominator > 1), x
+        assert sorted(lows.values()) == [j for j, col in enumerate(reduced) if col]
+        assert all(max(reduced[j]) == low for low, j in lows.items())
+
+    def test_mixed_int_and_fraction_entries(self):
+        """Columns holding ints, Fractions and integral Fractions such as
+        Fraction(4, 2), which is Fraction(2, 1) and not the int 2."""
+        rng = random.Random(2013)
+        kinds = [
+            lambda x: x,
+            lambda x: Fraction(x, rng.randint(1, 4)),
+            lambda x: Fraction(2 * x, 2),
+        ]
+        seen = set()
+        for _ in range(200):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            m = [[rng.choice(kinds)(x) for x in row] for row in dependent_matrix(rng, rows, cols)]
+            seen |= {(type(x), x.denominator) for row in m for x in row if x}
+            sparse = sparse_columns(m, None)
+            assert q_kernel(sparse, cols) == nullspace_q(m, cols), m
+            self.check_contract(sparse)
+        assert {(int, 1), (Fraction, 1), (Fraction, 4)} <= seen
+
+    def test_dependent_integer_matrix_entry_growth(self):
+        """12 x 12 integer matrices of rank at most 8: fraction-free
+        elimination multiplies entries together, and the content division
+        and the final normalisation must still give the exact Q kernel."""
+        rng = random.Random(2014)
+        for _ in range(10):
+            scales = [rng.randint(1, 9) ** 3 for _ in range(12)]
+            m = [[x * k for x, k in zip(row, scales)] for row in dependent_matrix(rng, 12, 12)]
+            sparse = sparse_columns(m, None)
+            kernel = q_kernel(sparse, 12)
+            assert len(kernel) >= 4
+            assert kernel == nullspace_q(m, 12), m
+            for v in kernel:
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+            self.check_contract(sparse)
+            assert rank_mod(sparse, None) == 12 - len(kernel)
 
     def test_solutions_over_q(self):
         rng = random.Random(2012)

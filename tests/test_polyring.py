@@ -6,14 +6,21 @@ from math import comb
 
 import pytest
 
+from exoticaffine.derivations import _primitive, exp_flow, linear_derivation, nilpotency_test
 from exoticaffine.polyring import (
     GRLEX,
     LEX,
     DivisionByZero,
+    InvalidVarSet,
     MissingImage,
+    MonomialOrder,
+    NegativeExponent,
     NonTerminatingOrder,
     NotDivisible,
     Polynomial,
+    PolyError,
+    UnknownOperation,
+    UnknownOrder,
     VarSet,
     VarSetMismatch,
     arith,
@@ -345,12 +352,17 @@ class TestParserAndJson:
 
 
 def assert_stored_coefficients(p):
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values()), p.terms
+    """Every stored coefficient is a nonzero int, or a Fraction whose
+    denominator is greater than 1: never a float, a bool, a zero or an
+    integral Fraction."""
+    for c in p.terms.values():
+        assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1), p.terms
 
 
 class TestStoredCoefficients:
-    """Every stored coefficient is a nonzero Fraction.  == compares values,
-    so an int or a cancelled zero left in terms would pass unseen."""
+    """Every stored coefficient is a nonzero int, or a Fraction whose
+    denominator is greater than 1.  == compares values, so a float, a bool,
+    an integral Fraction or a cancelled zero left in terms would pass unseen."""
 
     RUSSELL = "x + x^2*y + z^2 + t^3"
 
@@ -359,6 +371,7 @@ class TestStoredCoefficients:
         russell = P(self.RUSSELL)
         order = weighted_order((1, 3, 0, 0))
         wider = XYZT.extend(["w"])
+        linear = P("2*x + 1")
         for _ in range(30):
             a, b = random_poly(XYZT, rng), random_poly(XYZT, rng)
             results = [
@@ -374,6 +387,10 @@ class TestStoredCoefficients:
                 Polynomial.from_terms(XYZT, {e: int(c * 6) for e, c in a.terms.items()}),
                 poly_from_json(poly_to_json(a)),
                 normal_form(a * b, russell, order),
+                normal_form(a, linear),
+                normal_form(a, linear, LEX),
+                exact_divide(a * linear, linear),
+                exact_divide(a * russell, russell),
             ]
             for p in results:
                 assert_stored_coefficients(p)
@@ -411,3 +428,84 @@ class TestStoredCoefficients:
         for name, (p, expected) in cases.items():
             assert p == expected, name
             assert_stored_coefficients(p)
+
+    def test_integral_results_are_ints(self):
+        """Fractions that combine to an integer are stored as that int, and
+        two ints divide to a Fraction or an int, never to a float."""
+        half_x = P("1/2*x")
+        cases = {
+            "sum": (half_x + half_x, P("x")),
+            "product": (half_x * P("2*y"), P("x*y")),
+            "square": (P("1/2*x + 1/2") * P("2*x + 2"), P("x^2 + 2*x + 1")),
+            "scale": (P("2/3*x").scale(Fraction(3, 2)), P("x")),
+            "partial": (P("1/2*x^2").partial("x"), P("x")),
+            "parsed quotient": (P("4/2*x"), P("2*x")),
+            "constant": (Polynomial.constant(XYZT, Fraction(6, 2)), P("3")),
+            "float constant": (Polynomial.constant(XYZT, 0.5), P("1/2")),
+            "bool monomial": (Polynomial.monomial(XYZT, (1, 0, 0, 0), True), P("x")),
+            "from_terms": (
+                Polynomial.from_terms(XYZT, {(0, 1, 0, 0): Fraction(4, 2), (1, 0, 0, 0): "3/6"}),
+                P("2*y + 1/2*x"),
+            ),
+            "json halves": (
+                poly_from_json(
+                    {"vars": list(XYZT.names), "terms": [{"c": "1/2", "e": [1, 0, 0, 0]}] * 2}
+                ),
+                P("x"),
+            ),
+            # 2x + 1 is not monic: x^2 = (x/2 - 1/4)(2x + 1) + 1/4
+            "normal form by 2x + 1": (normal_form(P("x^2"), P("2*x + 1")), P("1/4")),
+            "quotient by 2x + 1": (exact_divide(P("2*x^2 + 3*x + 1"), P("2*x + 1")), P("x + 1")),
+            "rational quotient": (exact_divide(P("x^2 + x"), P("2*x + 2")), P("1/2*x")),
+        }
+        for name, (p, expected) in cases.items():
+            assert p == expected, name
+            assert_stored_coefficients(p)
+
+    def test_flows_and_primitive_parts(self):
+        # x -> 0, y -> x, z -> y: exp(t delta)(z) = z + t y + t^2 x / 2
+        xyz = varset("x", "y", "z")
+        d = linear_derivation([[0, 0, 0], [1, 0, 0], [0, 1, 0]], xyz)
+        cert = nilpotency_test(d)
+        for t, z_image in [
+            (Fraction(1, 2), "z + 1/2*y + 1/8*x"),
+            (2, "z + 2*y + 2*x"),
+            (Fraction(4, 2), "z + 2*y + 2*x"),
+        ]:
+            flow = exp_flow(d, cert, t)
+            assert flow["z"] == parse_polynomial(z_image, xyz), t
+            for p in flow.values():
+                assert_stored_coefficients(p)
+        for p in exp_flow(d, cert).values():
+            assert_stored_coefficients(p)
+        for text, expected in [
+            ("1/2*x - 3/4*y", "2*x - 3*y"),
+            ("0 - 4*x + 6", "2*x - 3"),
+            ("3/2*x^2 + 9/4", "2*x^2 + 3"),
+            ("7", "1"),
+        ]:
+            p = _primitive(P(text))
+            assert p == P(expected), text
+            assert_stored_coefficients(p)
+
+
+class TestErrorClasses:
+    """The package's own bad-value errors are both polynomial-domain errors
+    and ValueErrors, so either handler catches them."""
+
+    @pytest.mark.parametrize(
+        "error, make",
+        [
+            (InvalidVarSet, lambda: varset("x", "x")),
+            (InvalidVarSet, lambda: varset("x", "")),
+            (UnknownOrder, lambda: MonomialOrder("revlex").key((1, 0))),
+            (NegativeExponent, lambda: Polynomial.monomial(XY, (-1, 0))),
+            (NegativeExponent, lambda: P("x", XY) ** -1),
+            (NegativeExponent, lambda: arith(P("x", XY), None, "pow", None)),
+            (UnknownOperation, lambda: arith(P("x", XY), P("y", XY), "div")),
+        ],
+    )
+    def test_raised_and_caught_as_value_error(self, error, make):
+        assert issubclass(error, PolyError) and issubclass(error, ValueError)
+        with pytest.raises(error):
+            make()

@@ -14,6 +14,7 @@ from exoticaffine.smithhom import (
     BadPrime,
     CyclicAction,
     NotAComplex,
+    NotASimplex,
     NotPrime,
     NotRegular,
     SimplicialComplex,
@@ -97,6 +98,12 @@ class TestComplexes:
             for missing in (("zz",), ("apex", "zz"), k.simplices[-1][0] + ("zz",)):
                 with pytest.raises(ValueError):
                     k.index(missing)
+
+    def test_missing_simplex_is_a_smith_error(self):
+        assert issubclass(NotASimplex, SmithError) and issubclass(NotASimplex, ValueError)
+        k = polygon(4)
+        with pytest.raises(NotASimplex, match="is not a simplex of the complex"):
+            k.index(("zz",))
 
 
 class TestHomology:
