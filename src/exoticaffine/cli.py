@@ -9,7 +9,6 @@ byte-identical for identical inputs; timing goes to stderr only under
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -463,11 +462,11 @@ def _cmd_smith(args):
             "euler": str(x.euler_characteristic()),
         }
     if args.verb == "transfer":
-        return _stringify(dataclasses.asdict(smithhom.transfer_check(k, action, args.q)))
+        return _stringify(vars(smithhom.transfer_check(k, action, args.q)))
     if args.verb == "sequences":
         report = smithhom.verify_smith_sequences(k, action)
         implication = {"prop4_implication_holds": report.prop4_implication_holds}
-        return _stringify(dataclasses.asdict(report) | implication)
+        return _stringify(vars(report) | implication)
     raise CliError(f"unknown smith verb {args.verb}")
 
 

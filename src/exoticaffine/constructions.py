@@ -13,10 +13,9 @@ x + x^2 y^{s1} + z^{s2} + t^{s3}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
 
 from .polyring import (
     GRLEX,
@@ -50,31 +49,35 @@ class VariableNameCollision(ConstructionError):
     pass
 
 
-@dataclass(frozen=True)
 class Hypersurface:
-    ambient: VarSet
-    defining: Polynomial
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("ambient", "defining", "provenance")
 
-    def __post_init__(self):
-        if self.defining.is_zero():
+    def __init__(self, ambient: VarSet, defining: Polynomial, provenance: dict | None = None):
+        self.ambient = ambient
+        self.defining = defining
+        self.provenance = {} if provenance is None else provenance
+        if defining.is_zero():
             raise ConstructionError("defining polynomial must be nonzero")
 
 
-@dataclass(frozen=True)
 class VarietySystem:
-    ambient: VarSet
-    equations: tuple[Polynomial, ...]
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("ambient", "equations", "provenance")
 
-    def __post_init__(self):
-        if not self.equations:
+    def __init__(
+        self, ambient: VarSet, equations: tuple[Polynomial, ...], provenance: dict | None = None
+    ):
+        self.ambient = ambient
+        self.equations = equations
+        self.provenance = {} if provenance is None else provenance
+        if not equations:
             raise ConstructionError("a variety system needs at least one equation")
 
 
-@dataclass(frozen=True)
 class TorusWeights:
-    weights: dict[str, int]
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: dict[str, int]):
+        self.weights = weights
 
 
 def _sign_normalize(p: Polynomial) -> Polynomial:

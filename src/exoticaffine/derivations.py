@@ -9,11 +9,10 @@ on a certificate rather than assuming local nilpotency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Mapping, Sequence
 
 from .grading import (
     NEG_INF,
@@ -57,12 +56,14 @@ class GradedNotWellDefined(DerivationError):
         self.residue = residue
 
 
-@dataclass(frozen=True)
 class Derivation:
     """Generator images of a derivation on C[vars] or on a quotient ring."""
 
-    ring: VarSet | QuotientRing
-    images: dict[str, Polynomial]
+    __slots__ = ("ring", "images")
+
+    def __init__(self, ring: VarSet | QuotientRing, images: dict[str, Polynomial]):
+        self.ring = ring
+        self.images = images
 
     @property
     def ambient(self) -> VarSet:
@@ -78,15 +79,24 @@ class Derivation:
         return f
 
 
-@dataclass(frozen=True)
 class NilpotencyCertificate:
     """verdict: NilpotentOnGenerators | Inconclusive | Disproved."""
 
-    verdict: str
-    orders: dict[str, int] | None = None
-    bound: int | None = None
-    witness: str | None = None
-    evidence: str | None = None
+    __slots__ = ("verdict", "orders", "bound", "witness", "evidence")
+
+    def __init__(
+        self,
+        verdict: str,
+        orders: dict[str, int] | None = None,
+        bound: int | None = None,
+        witness: str | None = None,
+        evidence: str | None = None,
+    ):
+        self.verdict = verdict
+        self.orders = orders
+        self.bound = bound
+        self.witness = witness
+        self.evidence = evidence
 
     @property
     def nilpotent(self) -> bool:
@@ -292,13 +302,15 @@ def compose_flows(
     return out
 
 
-@dataclass(frozen=True)
 class GradedDerivation:
     """Homogeneous part of a filtered derivation on the graded hypersurface."""
 
-    graded: GradedHypersurface
-    images: dict[str, Polynomial]
-    shift: int  # k0 = deg of the derivation
+    __slots__ = ("graded", "images", "shift")
+
+    def __init__(self, graded: GradedHypersurface, images: dict[str, Polynomial], shift: int):
+        self.graded = graded
+        self.images = images
+        self.shift = shift  # k0 = deg of the derivation
 
     def apply(self, fhat: Polynomial) -> Polynomial:
         return self.graded.canonical(_leibniz(self.graded.ambient, self.images, fhat))
@@ -450,7 +462,6 @@ def kernel_elements(
     return _checked_kernel(d, _image_columns(d, monos), monos)
 
 
-@dataclass(frozen=True)
 class InvariantCandidates:
     """One-sided truncations of the Makar-Limanov and Derksen invariants.
 
@@ -461,11 +472,21 @@ class InvariantCandidates:
     derivations could only enlarge it).
     """
 
-    ml_basis: list[Polynomial]
-    dk_generators: list[Polynomial]
-    degree_bound: int
-    ml_semantics: str = "upper bound: superset of the truncated ML invariant"
-    dk_semantics: str = "lower bound: generators of a subalgebra of Dk"
+    __slots__ = ("ml_basis", "dk_generators", "degree_bound", "ml_semantics", "dk_semantics")
+
+    def __init__(
+        self,
+        ml_basis: list[Polynomial],
+        dk_generators: list[Polynomial],
+        degree_bound: int,
+        ml_semantics: str = "upper bound: superset of the truncated ML invariant",
+        dk_semantics: str = "lower bound: generators of a subalgebra of Dk",
+    ):
+        self.ml_basis = ml_basis
+        self.dk_generators = dk_generators
+        self.degree_bound = degree_bound
+        self.ml_semantics = ml_semantics
+        self.dk_semantics = dk_semantics
 
 
 def invariant_candidates(

@@ -15,8 +15,6 @@ greedy construction of an ample divisor supported on the whole boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import det, mat_vec
 
 
@@ -46,20 +44,28 @@ class Disconnected(GraphError):
     pass
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
     """Simple weighted graph; vertices maps id -> weight, edges are 2-sets."""
 
-    vertices: dict[str, int]
-    edges: frozenset[frozenset]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        for e in self.edges:
+    def __init__(self, vertices: dict[str, int], edges: frozenset[frozenset]):
+        self.vertices = vertices
+        self.edges = edges
+        for e in edges:
             if len(e) != 2:
                 raise GraphError(f"edge {set(e)} is not a 2-set")
             for v in e:
-                if v not in self.vertices:
+                if v not in vertices:
                     raise GraphError(f"edge endpoint {v!r} is not a vertex")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"WeightedGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @staticmethod
     def build(vertices, edges) -> "WeightedGraph":
@@ -237,11 +243,15 @@ def ramanujam_graph() -> WeightedGraph:
 # resolution chains
 
 
-@dataclass(frozen=True)
 class ResolutionChain:
-    graph: WeightedGraph
-    order: tuple[str, ...]  # creation order of the exceptional vertices
-    labels: dict[str, tuple[int, int]]  # pullback multiplicities of (x), (y)
+    __slots__ = ("graph", "order", "labels")
+
+    def __init__(
+        self, graph: WeightedGraph, order: tuple[str, ...], labels: dict[str, tuple[int, int]]
+    ):
+        self.graph = graph
+        self.order = order  # creation order of the exceptional vertices
+        self.labels = labels  # pullback multiplicities of (x), (y)
 
 
 def resolution_chain(m: int, n: int) -> ResolutionChain:
@@ -294,11 +304,15 @@ def resolution_chain(m: int, n: int) -> ResolutionChain:
 # intersection matrices
 
 
-@dataclass(frozen=True)
 class IntersectionMatrix:
-    basis: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
-    determinant: int
+    __slots__ = ("basis", "entries", "determinant")
+
+    def __init__(
+        self, basis: tuple[str, ...], entries: tuple[tuple[int, ...], ...], determinant: int
+    ):
+        self.basis = basis
+        self.entries = entries
+        self.determinant = determinant
 
 
 def intersection_matrix(g: WeightedGraph) -> IntersectionMatrix:
@@ -350,10 +364,12 @@ def xt_matrix(m00, n00, m10, n10, m01, n01, m11, n11) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
 class XtCertificate:
-    verdict: str  # "Acyclic" | "NotUnimodular"
-    determinant: int
+    __slots__ = ("verdict", "determinant")
+
+    def __init__(self, verdict: str, determinant: int):
+        self.verdict = verdict  # "Acyclic" | "NotUnimodular"
+        self.determinant = determinant
 
 
 def xt_certificate(t) -> XtCertificate:

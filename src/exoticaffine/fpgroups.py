@@ -11,7 +11,6 @@ covering matrix exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -39,14 +38,14 @@ class WrongShape(GroupError):
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        n = len(self.generators)
-        for word in self.relators:
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        self.generators = generators
+        self.relators = relators
+        n = len(generators)
+        for word in relators:
             for letter in word:
                 if letter == 0 or abs(letter) > n:
                     raise GroupError(f"letter {letter} out of range in relator {word}")
@@ -68,20 +67,31 @@ class Presentation:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
     """Z^free_rank + Z/d1 + ... with the divisibility chain d1 | d2 | ..."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        for d in self.torsion:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        self.free_rank = free_rank
+        self.torsion = torsion
+        for d in torsion:
             if d <= 1:
                 raise GroupError("torsion coefficients must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise GroupError("torsion coefficients must form a divisibility chain")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self) -> str:
+        return f"AbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @property
     def trivial(self) -> bool:

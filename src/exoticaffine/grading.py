@@ -14,7 +14,6 @@ have the explicit shapes x^{-i} C[z,t], y^r C[z,t], x y^r C[z,t].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .linalg import exact_quotient, rank_mod
@@ -63,13 +62,13 @@ class WeightCountMismatch(GradingError, ValueError):
     """A weight vector whose length is not the number of variables."""
 
 
-@dataclass(frozen=True)
 class WeightFunction:
-    varset: VarSet
-    weights: tuple[int, ...]
+    __slots__ = ("varset", "weights")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.varset):
+    def __init__(self, varset: VarSet, weights: tuple[int, ...]):
+        self.varset = varset
+        self.weights = weights
+        if len(weights) != len(varset):
             raise WeightCountMismatch("one weight per variable required")
 
     def of(self, name: str) -> int:
@@ -120,12 +119,25 @@ def is_quasi_homogeneous(p: Polynomial, w: WeightFunction) -> bool:
 # appropriateness of a weight for a principal ideal
 
 
-@dataclass(frozen=True)
 class Appropriateness:
     """Outcome of the appropriateness check: Certified / Unverified / Failed."""
 
-    status: str  # "Certified" | "Unverified" | "Failed"
-    reason: str | None = None
+    __slots__ = ("status", "reason")
+
+    def __init__(self, status: str, reason: str | None = None):
+        self.status = status  # "Certified" | "Unverified" | "Failed"
+        self.reason = reason
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.status, self.reason) == (other.status, other.reason)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.status, self.reason))
+
+    def __repr__(self) -> str:
+        return f"Appropriateness(status={self.status!r}, reason={self.reason!r})"
 
     @property
     def failed(self) -> bool:
@@ -234,31 +246,40 @@ def check_appropriate(p: Polynomial, w: WeightFunction) -> Appropriateness:
 # quotient rings and their graded shadows
 
 
-@dataclass(frozen=True)
 class QuotientRing:
     """C[ambient]/(relation) with a fixed order choosing the leading monomial."""
 
-    ambient: VarSet
-    relation: Polynomial
-    order: MonomialOrder
+    __slots__ = ("ambient", "relation", "order")
 
-    def __post_init__(self):
-        if self.relation.is_zero() or self.relation.is_constant():
+    def __init__(self, ambient: VarSet, relation: Polynomial, order: MonomialOrder):
+        self.ambient = ambient
+        self.relation = relation
+        self.order = order
+        if relation.is_zero() or relation.is_constant():
             raise GradingError("quotient relation must be a nonzero nonunit")
 
     def canonical(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.relation, self.order)
 
 
-@dataclass(frozen=True)
 class GradedHypersurface:
     """The associated graded hypersurface: quotient by the principal part."""
 
-    ambient: VarSet
-    relation_top: Polynomial
-    weight: WeightFunction
-    status: Appropriateness
-    order: MonomialOrder
+    __slots__ = ("ambient", "relation_top", "weight", "status", "order")
+
+    def __init__(
+        self,
+        ambient: VarSet,
+        relation_top: Polynomial,
+        weight: WeightFunction,
+        status: Appropriateness,
+        order: MonomialOrder,
+    ):
+        self.ambient = ambient
+        self.relation_top = relation_top
+        self.weight = weight
+        self.status = status
+        self.order = order
 
     def canonical(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.relation_top, self.order)

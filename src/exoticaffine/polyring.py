@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import add, ge, mul, sub
-from typing import Iterable, Mapping
 
 from .linalg import coefficient, exact_quotient
 
@@ -93,17 +92,28 @@ def _integral(terms: dict) -> dict:
     return terms
 
 
-@dataclass(frozen=True)
 class VarSet:
     """An ordered tuple of distinct variable names; exponents index into it."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise InvalidVarSet(f"duplicate variable names in {self.names}")
-        if any(not n for n in self.names):
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        if len(set(names)) != len(names):
+            raise InvalidVarSet(f"duplicate variable names in {names}")
+        if any(not n for n in names):
             raise InvalidVarSet("empty variable name")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.names == other.names
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"VarSet(names={self.names!r})"
 
     def __len__(self) -> int:
         return len(self.names)
@@ -142,7 +152,6 @@ def varset(*names: str) -> VarSet:
 # monomial orders
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative order on exponent tuples.
 
@@ -152,8 +161,11 @@ class MonomialOrder:
     against the rest with a step budget.
     """
 
-    kind: str
-    weights: tuple[int, ...] | None = None
+    __slots__ = ("kind", "weights")
+
+    def __init__(self, kind: str, weights: tuple[int, ...] | None = None):
+        self.kind = kind
+        self.weights = weights
 
     def key(self, e: Exponent):
         if self.kind == "lex":
@@ -185,13 +197,20 @@ def weighted_order(weights: Iterable[int]) -> MonomialOrder:
 # polynomials
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Sparse polynomial: exponent tuple -> nonzero coefficient, an int when
     integral and a Fraction otherwise."""
 
-    varset: VarSet
-    terms: dict[Exponent, Coefficient] = field(default_factory=dict)
+    __slots__ = ("varset", "terms")
+
+    def __init__(self, varset: VarSet, terms: dict[Exponent, Coefficient] | None = None):
+        self.varset = varset
+        self.terms = {} if terms is None else terms
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.varset, self.terms) == (other.varset, other.terms)
+        return NotImplemented
 
     # -- constructors ------------------------------------------------------
 
@@ -503,12 +522,11 @@ def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget):
     lc = d.terms[lm]
     quotient: dict[Exponent, Coefficient] = {}
     work = dict(p.terms)
+    # the order key of each term of work that lm divides, taken once per term
+    reducible = {e: order.key(e) for e in work if all(map(ge, e, lm))}
     steps = 0
-    while True:
-        reducible = [e for e in work if all(map(ge, e, lm))]
-        if not reducible:
-            return quotient, _integral(work)
-        e = max(reducible, key=order.key)
+    while reducible:
+        e = max(reducible, key=reducible.__getitem__)
         steps += 1
         if steps > step_budget:
             raise NonTerminatingOrder(
@@ -524,8 +542,12 @@ def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget):
                 c += work[k]
                 if not c:
                     del work[k]
+                    reducible.pop(k, None)
                     continue
+            elif all(map(ge, k, lm)):
+                reducible[k] = order.key(k)
             work[k] = c
+    return quotient, _integral(work)
 
 
 def jacobian_matrix(fs: list[Polynomial]) -> list[list[Polynomial]]:

@@ -23,7 +23,6 @@ the repair tool: the second subdivision of any simplicial action is regular.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, gcd, isqrt, lcm
 
@@ -61,11 +60,24 @@ class NotASimplex(SmithError, ValueError):
 # simplicial complexes
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Finite complex; simplices[k] is the sorted tuple of k-simplices."""
 
-    simplices: tuple[tuple[tuple[str, ...], ...], ...]
+    # no __slots__: the cached properties below are kept in __dict__
+
+    def __init__(self, simplices: tuple[tuple[tuple[str, ...], ...], ...]):
+        self.simplices = simplices
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.simplices == other.simplices
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.simplices)
+
+    def __repr__(self) -> str:
+        return f"SimplicialComplex(simplices={self.simplices!r})"
 
     @staticmethod
     def build(simplices) -> "SimplicialComplex":
@@ -168,16 +180,24 @@ def suspension_complex(
 # cyclic actions
 
 
-@dataclass(frozen=True)
 class CyclicAction:
     """Order-s action given by the vertex permutation of a chosen generator."""
 
-    order: int
-    perm: dict[str, str]
+    __slots__ = ("order", "perm")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise SmithError(f"group order {self.order} is not positive")
+    def __init__(self, order: int, perm: dict[str, str]):
+        self.order = order
+        self.perm = perm
+        if order < 1:
+            raise SmithError(f"group order {order} is not positive")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.perm) == (other.order, other.perm)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CyclicAction(order={self.order!r}, perm={self.perm!r})"
 
     def orbit_of_vertex(self, v: str) -> tuple[str, ...]:
         out = [v]
@@ -230,11 +250,13 @@ def validate_action(k: SimplicialComplex, a: CyclicAction):
     return length, {v: rep[v] for v in k.vertices()}, t
 
 
-@dataclass(frozen=True)
 class _Orbits:
-    t: tuple  # per dimension, the (row, sign) the generator sends each simplex to
-    rep: dict  # the smallest vertex of each vertex's orbit
-    violations: tuple  # what check_regularity returned
+    __slots__ = ("t", "rep", "violations")
+
+    def __init__(self, t: tuple, rep: dict, violations: tuple):
+        self.t = t  # per dimension, the (row, sign) the generator sends each simplex to
+        self.rep = rep  # the smallest vertex of each vertex's orbit
+        self.violations = violations  # what check_regularity returned
 
 
 def check_regularity(k: SimplicialComplex, a: CyclicAction) -> list[str]:
@@ -349,18 +371,18 @@ def _ensure_regular(k, a, max_rounds=2):
 # chain complexes
 
 
-@dataclass(frozen=True)
 class ChainComplex:
     """Boundary matrices over Z or Z_p; boundaries[k] maps C_k to C_{k-1}."""
 
-    coefficients: object  # "Z" or a prime int
-    dims: tuple[int, ...]
-    boundaries: tuple  # boundaries[k]: dims[k] sparse columns on dims[k-1] rows
+    __slots__ = ("coefficients", "dims", "boundaries")
 
-    def __post_init__(self):
-        p = None if self.coefficients == "Z" else int(self.coefficients)
-        for k in range(2, len(self.boundaries)):
-            if any(mul_columns_mod(self.boundaries[k - 1], self.boundaries[k], p)):
+    def __init__(self, coefficients: object, dims: tuple[int, ...], boundaries: tuple):
+        self.coefficients = coefficients  # "Z" or a prime int
+        self.dims = dims
+        self.boundaries = boundaries  # boundaries[k]: dims[k] sparse columns on dims[k-1] rows
+        p = None if coefficients == "Z" else int(coefficients)
+        for k in range(2, len(boundaries)):
+            if any(mul_columns_mod(boundaries[k - 1], boundaries[k], p)):
                 raise NotAComplex("boundary squared is nonzero")
 
 
@@ -508,12 +530,25 @@ def chain_map_from_vertex_map(
 # Smith operators
 
 
-@dataclass(frozen=True)
 class SmithOperators:
-    p: int
-    sigma: tuple  # per dimension, the sparse columns of 1 + t + ... + t^{p-1} over Z_p
-    tau: tuple  # per dimension, the sparse columns of 1 - t over Z_p
-    t: tuple  # per dimension, the (row, sign) that t sends each simplex to
+    __slots__ = ("p", "sigma", "tau", "t")
+
+    def __init__(self, p: int, sigma: tuple, tau: tuple, t: tuple):
+        self.p = p
+        self.sigma = sigma  # per dimension, the sparse columns of 1 + t + ... + t^{p-1} over Z_p
+        self.tau = tau  # per dimension, the sparse columns of 1 - t over Z_p
+        self.t = t  # per dimension, the (row, sign) that t sends each simplex to
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            mine = (self.p, self.sigma, self.tau, self.t)
+            return mine == (other.p, other.sigma, other.tau, other.t)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"SmithOperators(p={self.p!r}, sigma={self.sigma!r}, tau={self.tau!r}, t={self.t!r})"
+        )
 
 
 def _prime_order(a: CyclicAction) -> int:
@@ -590,7 +625,6 @@ def operator_power(ops: SmithOperators, i: int) -> list:
 # C(Y; Z_p) in orbit-shift coordinates
 
 
-@dataclass
 class _OrbitShiftComplex:
     """C(Y; Z_p) of a regular Z_p action in orbit-shift coordinates.
 
@@ -602,10 +636,13 @@ class _OrbitShiftComplex:
     range of coordinates per dimension, starting at 0 or at nf (see levels).
     """
 
-    p: int
-    counts: list  # counts[d]: (nf, F)
-    chains: ChainComplex  # the boundaries in these coordinates
-    _homologies: dict = field(default_factory=dict)
+    # no __slots__: _reductions is a cached property, kept in __dict__
+
+    def __init__(self, p: int, counts: list, chains: ChainComplex, _homologies: dict | None = None):
+        self.p = p
+        self.counts = counts  # counts[d]: (nf, F)
+        self.chains = chains  # the boundaries in these coordinates
+        self._homologies = {} if _homologies is None else _homologies
 
     def levels(self, j, fixed=False) -> tuple[range, ...]:
         """Per dimension, the coordinates of level >= j, and the fixed ones
@@ -701,15 +738,17 @@ def _orbit_shift_complex(k: SimplicialComplex, a: CyclicAction) -> _OrbitShiftCo
 # homology with representatives over GF(p)
 
 
-@dataclass
 class _HomologyBasis:
-    p: int
-    dims: list
-    reps: list  # reps[d]: sparse cycles spanning H_d
-    boundary_basis: list  # sparse basis of im(boundary_{d+1})
-    # owners[d]: the lowest nonzero row of each column of reps[d] +
-    # boundary_basis[d] -> (its index there, the column); all distinct
-    owners: list
+    __slots__ = ("p", "dims", "reps", "boundary_basis", "owners")
+
+    def __init__(self, p: int, dims: list, reps: list, boundary_basis: list, owners: list):
+        self.p = p
+        self.dims = dims
+        self.reps = reps  # reps[d]: sparse cycles spanning H_d
+        self.boundary_basis = boundary_basis  # sparse basis of im(boundary_{d+1})
+        # owners[d]: the lowest nonzero row of each column of reps[d] +
+        # boundary_basis[d] -> (its index there, the column); all distinct
+        self.owners = owners
 
     def classify_many(self, d: int, vecs) -> list:
         """The class of each cycle, as sparse coordinates on reps[d]: the
@@ -799,18 +838,31 @@ def _orbit_complex(k, a):
     return SimplicialComplex.build(simplices), dict(rep)
 
 
-@dataclass
 class TransferReport:
-    group_order: int
-    prime: int
-    mu_is_chain_map: bool
-    chain_level_pi_mu_is_s: bool
-    action_homologically_trivial: bool
-    pi_mu_is_s_on_homology: bool
-    mu_pi_is_sigma_on_homology: bool
-    projection_iso_on_homology: bool
-    homology_dims_y: list
-    homology_dims_x: list
+    # no __slots__: the CLI prints vars(report), in this order
+    def __init__(
+        self,
+        group_order: int,
+        prime: int,
+        mu_is_chain_map: bool,
+        chain_level_pi_mu_is_s: bool,
+        action_homologically_trivial: bool,
+        pi_mu_is_s_on_homology: bool,
+        mu_pi_is_sigma_on_homology: bool,
+        projection_iso_on_homology: bool,
+        homology_dims_y: list,
+        homology_dims_x: list,
+    ):
+        self.group_order = group_order
+        self.prime = prime
+        self.mu_is_chain_map = mu_is_chain_map
+        self.chain_level_pi_mu_is_s = chain_level_pi_mu_is_s
+        self.action_homologically_trivial = action_homologically_trivial
+        self.pi_mu_is_s_on_homology = pi_mu_is_s_on_homology
+        self.mu_pi_is_sigma_on_homology = mu_pi_is_sigma_on_homology
+        self.projection_iso_on_homology = projection_iso_on_homology
+        self.homology_dims_y = homology_dims_y
+        self.homology_dims_x = homology_dims_x
 
     @property
     def all_identities_hold(self) -> bool:
@@ -946,18 +998,31 @@ def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
     return _dims_mod([len(cols) for cols in keep], boundaries, p)
 
 
-@dataclass
 class SequenceReport:
-    p: int
-    subdivisions_for_quotient: int
-    ses_exact: bool
-    les_rho_exact: bool  # sequences through H(Y) and the fixed set
-    les_tau_exact: bool  # tau-power sequences into H^sigma
-    special_matches_pair: bool
-    special_dims_sigma: list
-    pair_dims: list
-    prop4_premises: bool
-    prop4_conclusion: bool
+    # no __slots__: the CLI prints vars(report), in this order
+    def __init__(
+        self,
+        p: int,
+        subdivisions_for_quotient: int,
+        ses_exact: bool,
+        les_rho_exact: bool,
+        les_tau_exact: bool,
+        special_matches_pair: bool,
+        special_dims_sigma: list,
+        pair_dims: list,
+        prop4_premises: bool,
+        prop4_conclusion: bool,
+    ):
+        self.p = p
+        self.subdivisions_for_quotient = subdivisions_for_quotient
+        self.ses_exact = ses_exact
+        self.les_rho_exact = les_rho_exact  # sequences through H(Y) and the fixed set
+        self.les_tau_exact = les_tau_exact  # tau-power sequences into H^sigma
+        self.special_matches_pair = special_matches_pair
+        self.special_dims_sigma = special_dims_sigma
+        self.pair_dims = pair_dims
+        self.prop4_premises = prop4_premises
+        self.prop4_conclusion = prop4_conclusion
 
     @property
     def prop4_implication_holds(self) -> bool:

@@ -19,7 +19,7 @@ import pytest
 
 from exoticaffine import smithhom
 from exoticaffine.linalg import apply_columns_mod, mul_columns_mod, rank_mod
-from exoticaffine.smithhom import SequenceReport, SmithError, chain_complex, operator_power
+from exoticaffine.smithhom import SmithError, chain_complex, operator_power
 from gfp_oracle import column_space_basis_mod, solve_columns_mod
 
 
@@ -37,6 +37,22 @@ class SubComplex:
     @cached_property
     def homology(self):
         return smithhom._homology_basis(self.dims(), self.boundaries, self.p)
+
+
+@dataclass
+class SequenceReport:
+    """The fields of smithhom.SequenceReport, in the order the CLI prints them."""
+
+    p: int
+    subdivisions_for_quotient: int
+    ses_exact: bool
+    les_rho_exact: bool
+    les_tau_exact: bool
+    special_matches_pair: bool
+    special_dims_sigma: list
+    pair_dims: list
+    prop4_premises: bool
+    prop4_conclusion: bool
 
 
 def check_operator_identities(p, sigma, tau):

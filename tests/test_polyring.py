@@ -1,11 +1,13 @@
 """Core polynomial arithmetic: examples with independent oracles, ring axioms."""
 
+import math
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from exoticaffine import polyring
 from exoticaffine.derivations import _primitive, exp_flow, linear_derivation, nilpotency_test
 from exoticaffine.polyring import (
     GRLEX,
@@ -212,6 +214,35 @@ def leading_term_division(p, d):
     return q, r
 
 
+def rescanning_reduce(p, d, order):
+    """The reduction loop that keys every reducible term again at every
+    step: (quotient, remainder, steps, keys taken, reducible terms that
+    entered the work).  The oracle for polyring._reduce."""
+    lm = d.leading_monomial(order)
+    lc = d.terms[lm]
+
+    def divisible(e):
+        return all(a >= b for a, b in zip(e, lm))
+
+    quotient, work = {}, dict(p.terms)
+    steps, keyed, entered = 0, 0, sum(map(divisible, work))
+    while reducible := [e for e in work if divisible(e)]:
+        keyed += len(reducible)
+        e = max(reducible, key=order.key)
+        steps += 1
+        shift = tuple(a - b for a, b in zip(e, lm))
+        coef = quotient[shift] = Fraction(work[e]) / lc
+        for ed, cd in d.terms.items():
+            k = tuple(a + b for a, b in zip(shift, ed))
+            entered += k not in work and divisible(k)
+            c = work.get(k, 0) - coef * cd
+            if c:
+                work[k] = c
+            else:
+                del work[k]
+    return quotient, work, steps, keyed, entered
+
+
 class TestJacobian:
     def test_identity(self):
         assert jacobian_det([parse_polynomial("x", XY), parse_polynomial("y", XY)]) == \
@@ -284,6 +315,32 @@ class TestNormalForm:
 
     def test_leading_monomial_under_russell_order(self):
         assert RUSSELL.leading_monomial(RUSSELL_ORDER) == (2, 1, 0, 0)
+
+    def test_reduction_keys_each_term_once(self, monkeypatch):
+        """The same quotient, remainder and step count as the loop that keys
+        every reducible term at every step, with one order key per term
+        that enters the work (and one per term of d, for its leading
+        monomial)."""
+        key = MonomialOrder.key
+        calls = []
+        monkeypatch.setattr(MonomialOrder, "key", lambda order, e: calls.append(e) or key(order, e))
+        rng = random.Random(59)
+        total_keyed = total_calls = 0
+        for order in (LEX, GRLEX, RUSSELL_ORDER):
+            for _ in range(12):
+                p = random_poly(XYZT, rng, max_terms=8, max_exp=4)
+                d = random_poly(XYZT, rng, max_terms=3) + P("x*y")
+                want_q, want_r, steps, keyed, entered = rescanning_reduce(p, d, order)
+                assert polyring._reduce(p, d, order, math.inf) == (want_q, want_r)
+                calls.clear()
+                assert normal_form(p, d, order, step_budget=steps).terms == want_r
+                assert len(calls) == len(d.terms) + entered
+                total_keyed += len(d.terms) + keyed
+                total_calls += len(calls)
+                if steps:
+                    with pytest.raises(NonTerminatingOrder):
+                        normal_form(p, d, order, step_budget=steps - 1)
+        assert total_calls < total_keyed
 
     def test_negative_weights_hit_the_budget(self):
         # with weight (x: -1) the leading monomial of x + x^2*y is x, and
