@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import constructions, derivations, dualgraph, fpgroups, grading, polyring, smithhom
-from .polyring import Polynomial, VarSet, parse_polynomial, poly_from_json, poly_to_json
+from .polyring import Polynomial, VarSet, parse_polynomial, poly_from_json, terms_text
 
 STEP_BUDGET_ENV = "EXOTIC_STEP_BUDGET"
 
@@ -64,9 +64,13 @@ def _stringify(value):
 
 
 def _poly_out(p: Polynomial) -> dict:
-    data = poly_to_json(p)
-    data["text"] = str(p)
-    return data
+    """poly_to_json(p) with the text str(p), from one sort of the terms."""
+    terms = p.sorted_terms()
+    return {
+        "vars": list(p.varset.names),
+        "terms": [{"c": str(c), "e": list(e)} for e, c in terms],
+        "text": terms_text(p.varset.names, terms),
+    }
 
 
 def _ring_from_arg(spec: str):
@@ -225,6 +229,8 @@ def _cmd_lnd(args):
     if args.verb == "check":
         return cert_payload
     if args.verb == "degree":
+        if args.poly is None:
+            raise CliError("lnd degree needs --poly")
         f = parse_polynomial(args.poly, d.ambient)
         return {
             "deg": _stringify(derivations.partial_degree(d, cert, f)),
@@ -236,6 +242,8 @@ def _cmd_lnd(args):
             t = Fraction(args.t)
         except ValueError:
             pass
+        except ZeroDivisionError:
+            raise CliError(f"--t {args.t!r} has a zero denominator") from None
         flow = derivations.exp_flow(d, cert, t)
         return {name: _poly_out(p) for name, p in flow.items()}
     if args.verb == "kernel":

@@ -18,12 +18,14 @@ from math import gcd
 
 from .linalg import exact_quotient, rank_mod
 from .polyring import (
+    DEFAULT_STEP_BUDGET,
     GRLEX,
     MonomialOrder,
     Polynomial,
     PolyError,
     VarSet,
     VarSetMismatch,
+    _reduce,
     normal_form,
     parse_polynomial,
     varset,
@@ -247,9 +249,10 @@ def check_appropriate(p: Polynomial, w: WeightFunction) -> Appropriateness:
 
 
 class QuotientRing:
-    """C[ambient]/(relation) with a fixed order choosing the leading monomial."""
+    """C[ambient]/(relation) with a fixed order choosing the leading monomial,
+    which is taken once, here, for every canonical form."""
 
-    __slots__ = ("ambient", "relation", "order")
+    __slots__ = ("ambient", "relation", "order", "lead")
 
     def __init__(self, ambient: VarSet, relation: Polynomial, order: MonomialOrder):
         self.ambient = ambient
@@ -257,15 +260,17 @@ class QuotientRing:
         self.order = order
         if relation.is_zero() or relation.is_constant():
             raise GradingError("quotient relation must be a nonzero nonunit")
+        self.lead = relation.leading_monomial(order)
 
     def canonical(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.relation, self.order)
+        """normal_form(f, relation, order), without re-taking the leading monomial."""
+        return _canonical(f, self.relation, self.order, self.lead)
 
 
 class GradedHypersurface:
     """The associated graded hypersurface: quotient by the principal part."""
 
-    __slots__ = ("ambient", "relation_top", "weight", "status", "order")
+    __slots__ = ("ambient", "relation_top", "weight", "status", "order", "lead")
 
     def __init__(
         self,
@@ -280,9 +285,14 @@ class GradedHypersurface:
         self.weight = weight
         self.status = status
         self.order = order
+        self.lead = relation_top.leading_monomial(order)
 
     def canonical(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.relation_top, self.order)
+        return _canonical(f, self.relation_top, self.order, self.lead)
+
+
+def _canonical(f: Polynomial, relation: Polynomial, order: MonomialOrder, lead) -> Polynomial:
+    return Polynomial(f.varset, _reduce(f, relation, order, DEFAULT_STEP_BUDGET, lead)[1])
 
 
 RUSSELL_VARS = varset("x", "y", "z", "t")
@@ -301,7 +311,7 @@ def is_russell(q: QuotientRing) -> bool:
     return (
         q.ambient == RUSSELL_VARS
         and q.relation == RUSSELL_RELATION
-        and q.relation.leading_monomial(q.order) == (2, 1, 0, 0)
+        and q.lead == (2, 1, 0, 0)
     )
 
 

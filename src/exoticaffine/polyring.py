@@ -427,36 +427,32 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def to_string(self, order: MonomialOrder = GRLEX) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms(order):
-            factors = []
-            for i, ei in enumerate(e):
-                if ei == 1:
-                    factors.append(self.varset.names[i])
-                elif ei > 1:
-                    factors.append(f"{self.varset.names[i]}^{ei}")
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return terms_text(self.varset.names, self.sorted_terms(order))
 
     def __str__(self) -> str:
         return self.to_string()
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()!r}, vars={self.varset.names})"
+
+
+def terms_text(names: tuple[str, ...], terms: list[tuple[Exponent, Coefficient]]) -> str:
+    """The text of the polynomial whose terms, in print order, are terms."""
+    if not terms:
+        return "0"
+    parts = []
+    for e, c in terms:
+        mono = "*".join(n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k)
+        size = abs(c)
+        if not mono:
+            body = str(size)
+        elif size == 1:
+            body = mono
+        else:
+            body = f"{size}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +505,17 @@ def normal_form(
     return Polynomial(p.varset, _reduce(p, d, order, step_budget)[1])
 
 
-def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget):
+def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget, lm=None):
     """Full reduction of p by the nonzero d: (quotient, remainder) as term
     dicts, with p = quotient * d + remainder and no term of the remainder
-    divisible by the leading monomial of d.  Both are unique, since a single
-    polynomial is a Groebner basis.  The remainder is returned in stored
-    form (integral coefficients as ints); the quotient is put in stored form
-    by exact_divide, its only reader.
+    divisible by the leading monomial lm of d (taken here when not given).
+    Both are unique, since a single polynomial is a Groebner basis.  The
+    remainder is returned in stored form (integral coefficients as ints);
+    the quotient is put in stored form by exact_divide, its only reader.
     """
     p._check_same_varset(d)
-    lm = d.leading_monomial(order)
+    if lm is None:
+        lm = d.leading_monomial(order)
     lc = d.terms[lm]
     quotient: dict[Exponent, Coefficient] = {}
     work = dict(p.terms)
@@ -593,26 +590,25 @@ def jacobian_det(fs: list[Polynomial]) -> Polynomial:
 # parsing and JSON
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|-|\(|\)|/))")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[\^*+\-()/]")
+# the first character that starts no token and is not a blank
+_BAD_CHARACTER = re.compile(r"[^\s\dA-Za-z_^*+\-()/]")
 
 
 def _tokenize(text: str) -> list[str]:
     text = text.replace("−", "-").replace("·", "*")
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r} at {pos}")
-            break
-        tokens.append(m.group(1) or m.group(2) or m.group(3))
-        pos = m.end()
-    return tokens
+    bad = _BAD_CHARACTER.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r} at {bad.start()}")
+    return _TOKEN.findall(text)
 
 
 class _Parser:
-    """Recursive-descent parser for `3/2*x^2*y - 1` style input."""
+    """Recursive-descent parser for `3/2*x^2*y - 1` style input.
+
+    The numbers and variables of a product fold into one coefficient and
+    exponent list; only a parenthesised factor becomes a Polynomial.
+    """
 
     def __init__(self, tokens: list[str], vs: VarSet):
         self.tokens = tokens
@@ -630,65 +626,82 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        terms = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
-        return p
+        return Polynomial(self.vs, terms)
 
-    def expr(self) -> Polynomial:
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        p = self.term().scale(sign)
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            sign = 1 if op == "+" else -1
+    def expr(self) -> dict:
+        """Signed terms added into one dict, a term deleted when it cancels."""
+        out: dict[Exponent, Coefficient] = {}
+        while True:
+            sign = 1
             while self.peek() in ("+", "-"):
                 if self.take() == "-":
                     sign = -sign
-            p = p + self.term().scale(sign)
-        return p
+            for e, c in self.term(sign):
+                if e in out:
+                    c += out[e]
+                    if not c:
+                        del out[e]
+                        continue
+                out[e] = c
+            if self.peek() not in ("+", "-"):
+                return _integral(out)
 
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while self.peek() == "*":
+    def term(self, coef: Coefficient) -> list[tuple[Exponent, Coefficient]]:
+        """The terms of coef times a product of factors."""
+        names = self.vs.names
+        exps = [0] * len(names)
+        product = None  # the parenthesised factors, multiplied out
+        while True:
+            tok = self.take()
+            if tok == "(":
+                p = Polynomial(self.vs, self.expr())
+                if self.take() != ")":
+                    raise ParseError("missing closing parenthesis")
+                k = self.exponent()
+                if k != 1:
+                    p = p**k
+                product = p if product is None else product * p
+            elif tok.isdigit():
+                num = int(tok)
+                if self.peek() == "/":
+                    self.take()
+                    den = self.take()
+                    if not den.isdigit() or int(den) == 0:
+                        raise ParseError(f"bad denominator {den!r}")
+                    num = exact_quotient(num, int(den))
+                coef *= num ** self.exponent()
+            elif tok in names:
+                exps[names.index(tok)] += self.exponent()
+            else:
+                raise ParseError(f"unknown token {tok!r} (variables are {names})")
+            if self.peek() != "*":
+                break
             self.take()
-            p = p * self.factor()
-        return p
+        if not coef:
+            return []
+        if product is None:
+            return [(tuple(exps), coef)]
+        # a shift by exps is one-to-one, and coef is nonzero: nothing cancels
+        return [(tuple(map(add, e, exps)), c * coef) for e, c in product.terms.items()]
 
-    def factor(self) -> Polynomial:
-        base = self.atom()
+    def exponent(self) -> int:
+        """The product of the ^ chain that follows, 1 if none: a^b^c is (a^b)^c = a^(b*c)."""
+        k = 1
         while self.peek() == "^":
             self.take()
             tok = self.take()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-            base = base ** int(tok)
-        return base
-
-    def atom(self) -> Polynomial:
-        tok = self.take()
-        if tok == "(":
-            p = self.expr()
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
-            return p
-        if tok.isdigit():
-            num = int(tok)
-            if self.peek() == "/":
-                self.take()
-                den = self.take()
-                if not den.isdigit() or int(den) == 0:
-                    raise ParseError(f"bad denominator {den!r}")
-                return Polynomial.constant(self.vs, exact_quotient(num, int(den)))
-            return Polynomial.constant(self.vs, num)
-        if tok in self.vs:
-            return Polynomial.variable(self.vs, tok)
-        raise ParseError(f"unknown token {tok!r} (variables are {self.vs.names})")
+            k *= int(tok)
+        return k
 
 
 def parse_polynomial(text: str, vs: VarSet) -> Polynomial:
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, not {type(text).__name__}")
     return _Parser(_tokenize(text), vs).parse()
 
 

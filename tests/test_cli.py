@@ -6,13 +6,16 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from exoticaffine import cli
 from exoticaffine.cli import main
+from exoticaffine.polyring import varset
 from test_fpgroups import rank_deficient_matrix
+from test_polyring import random_poly
 
 
 def run_cli(capsys, *argv):
@@ -764,3 +767,87 @@ class TestPinnedSnfOutput:
         code, out = run_cli(capsys, "group", "snf", "--matrix", json.dumps(matrix))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SNF_STDOUT[shape]
+
+
+class TestParseBoundary:
+    """Bad polynomial text and bad lnd options are domain errors (exit 1
+    with a JSON error naming the problem), not tracebacks."""
+
+    TRIANGULAR = json.dumps({"x": "0", "y": "x", "z": "y"})
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["poly", "subst", "-a", "x+y", "--vars", "x,y", "--map", '{"x": 3, "y": "x"}'],
+                "ParseError: polynomial text must be a string, not int",
+            ),
+            (
+                ["lnd", "degree", "--ring", "C3", "--images", TRIANGULAR],
+                "CliError: lnd degree needs --poly",
+            ),
+            (
+                ["lnd", "flow", "--ring", "C3", "--images", TRIANGULAR, "--t", "1/0"],
+                "CliError: --t '1/0' has a zero denominator",
+            ),
+            (
+                ["poly", "arith", "-a", "x + 3 #", "-b", "y"],
+                "ParseError: unexpected character '#' at 6",
+            ),
+        ],
+        ids=["subst-non-string", "degree-no-poly", "flow-zero-denominator", "bad-character"],
+    )
+    def test_exit_one_with_json_error(self, capsys, argv, error):
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (1, {"error": error})
+
+    def test_non_rational_t_stays_a_parameter_name(self, capsys):
+        code, out = run_cli(capsys, "lnd", "flow", "--ring", "C3", "--images", self.TRIANGULAR,
+                            "--t", "s")
+        assert code == 0
+        assert json.loads(out)["z"]["text"] == "1/2*x*s^2 + y*s + z"
+
+
+def pinned_poly_argv(command: str) -> list[str]:
+    """One seeded input for each pinned polynomial command."""
+    rng = random.Random(f"pinned {command}")
+
+    def text(names, max_terms, max_exp):
+        while True:
+            p = random_poly(varset(*names), rng, max_terms, max_exp)
+            if len(p.terms) > 1:
+                return str(p)
+
+    xyzt = ("x", "y", "z", "t")
+    images = json.dumps({"x": "0", "y": text("x", 2, 2), "z": text("xy", 3, 2)})
+    triangular = ["--ring", "C3", "--images", images]
+    return {
+        "poly nf": ["poly", "nf", f"-a=x^2*y*({text(xyzt, 4, 3)}) - {text(xyzt, 3, 3)}",
+                    "-b=x + x^2*y + z^2 + t^3",
+                    "--order-weights", "1,3,0,0"],
+        "grade canonical": ["grade", "canonical", f"--poly={text(xyzt, 6, 5)}"],
+        "poly arith --op pow": ["poly", "arith", f"-a={text(xyzt, 3, 2)}", "--op", "pow", "-n", "4"],
+        "lnd flow": ["lnd", "flow", *triangular, f"--t={Fraction(rng.randint(-5, 5), 3)}"],
+        "lnd kernel": ["lnd", "kernel", *triangular, "--degree-bound", "3"],
+        "lnd invariants": ["lnd", "invariants", *triangular, "--degree-bound", "3"],
+    }[command]
+
+
+# sha256 of the stdout of each command on its seeded input, pinned before
+# the parser folded products and the printer sorted each polynomial once
+PINNED_POLY_STDOUT = {
+    "poly nf": "8024e3f56beed72f5705eaa8ef762690dfc9bfc0adf6a2723b8b9c2121dacd08",
+    "grade canonical": "809fb92931436730b0dde6fe3a432828a11751d114e8c117296893655f71d711",
+    "poly arith --op pow": "888f14e3b11dff07b0983e6703eed77b3c1303f5a6a66e0de9e17431f457ad87",
+    "lnd flow": "ea1658719789b05b570367da5000ac0ddc1fd42617e14c524629a0e3392b919b",
+    "lnd kernel": "6014cecba36567d417b4a5f9119f454d38c08b31db8405ef01f598a9eeb82968",
+    "lnd invariants": "adf4d5a643d66e339d6d03dada8b63c697dd80a0b28e3555904133ae404d64da",
+}
+
+
+class TestPinnedPolynomialOutput:
+    @pytest.mark.parametrize("command", sorted(PINNED_POLY_STDOUT))
+    def test_stdout_sha256(self, capsys, command):
+        code, out = run_cli(capsys, *pinned_poly_argv(command))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_POLY_STDOUT[command]

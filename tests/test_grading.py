@@ -33,7 +33,7 @@ from exoticaffine.grading import (
     russell_quotient,
     weight_degree,
 )
-from exoticaffine.polyring import Polynomial, parse_polynomial, varset
+from exoticaffine.polyring import MonomialOrder, Polynomial, normal_form, parse_polynomial, varset
 
 VS = RUSSELL_VARS
 W = RUSSELL_WEIGHTS
@@ -449,3 +449,38 @@ class TestFiltration:
             di = quotient_degree(f, q, W)
             dj = quotient_degree(g, q, W)
             assert quotient_degree(f * g, q, W) == di + dj
+
+
+class TestLeadingMonomialOncePerRing:
+    """A ring takes its relation's leading monomial once, when it is built;
+    its canonical forms are normal_form's, without re-keying the relation."""
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        key = MonomialOrder.key
+        calls = []
+        monkeypatch.setattr(MonomialOrder, "key", lambda order, e: calls.append(e) or key(order, e))
+        return calls
+
+    def test_built_with_one_key_per_relation_term(self, key_calls):
+        q = russell_quotient()
+        assert key_calls == list(RUSSELL_RELATION.terms)
+        assert q.lead == (2, 1, 0, 0)
+
+    @pytest.mark.parametrize("make", [russell_quotient, russell_graded], ids=["quotient", "graded"])
+    def test_canonical_forms_do_not_key_the_relation(self, key_calls, make):
+        ring = make()
+        relation = ring.relation if make is russell_quotient else ring.relation_top
+        rng = random.Random(2202)
+        fs = [random_poly(VS, rng) for _ in range(25)]
+        key_calls.clear()
+        want = [normal_form(f, relation, ring.order) for f in fs]
+        direct = len(key_calls)
+        key_calls.clear()
+        assert [ring.canonical(f) for f in fs] == want
+        assert len(key_calls) == direct - len(fs) * len(relation.terms)
+        # nothing of z^2 + t is divisible by x^2*y: no key at all, however many calls
+        key_calls.clear()
+        for _ in range(10):
+            assert ring.canonical(P("z^2 + t")) == P("z^2 + t")
+        assert key_calls == []

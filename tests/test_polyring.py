@@ -1,5 +1,6 @@
 """Core polynomial arithmetic: examples with independent oracles, ring axioms."""
 
+import ast
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from exoticaffine.polyring import (
     NegativeExponent,
     NonTerminatingOrder,
     NotDivisible,
+    ParseError,
     Polynomial,
     PolyError,
     UnknownOperation,
@@ -35,6 +37,7 @@ from exoticaffine.polyring import (
     varset,
     weighted_order,
 )
+import parse_oracle
 
 XYZT = varset("x", "y", "z", "t")
 XY = varset("x", "y")
@@ -566,3 +569,135 @@ class TestErrorClasses:
         assert issubclass(error, PolyError) and issubclass(error, ValueError)
         with pytest.raises(error):
             make()
+
+
+WORDY = set("0123456789٣abcdefghijklmnopqrstuvwxyz_")
+MUTATIONS = ("+", "-", "*", "^", "(", ")", "/", "0", "2", "x", "w", "#", "$", ".", "²", "٣", "é", "−", "·")
+
+
+def random_expression(rng, names, depth=0) -> list[str]:
+    """The tokens of a seeded sum of products: sign runs, n and n/d (zero
+    denominators too), ^ chains, nested parentheses and an unknown name."""
+    tokens = []
+    for i in range(rng.randint(1, 3)):
+        signs = rng.choice(["", "", "+", "-", "--", "-+-"])
+        tokens += signs or (rng.choice("+-") if i else "")
+        for j in range(rng.randint(1, 3)):
+            if j:
+                tokens.append("*")
+            r = rng.random()
+            if r < 0.15 and depth < 2:
+                tokens += ["(", *random_expression(rng, names, depth + 1), ")"]
+                links = rng.choice([0, 0, 1])
+            elif r < 0.45:
+                tokens.append(str(rng.choice([0, 1, 2, 3, 5, 12, 360, 10**20])))
+                if rng.random() < 0.3:
+                    tokens += ["/", str(rng.choice([1, 2, 3, 4, 6, 0]))]
+                links = rng.choice([0, 0, 0, 1, 2])
+            else:
+                tokens.append(rng.choice(names + ("w",)))
+                links = rng.choice([0, 0, 0, 1, 2])
+            for _ in range(links):
+                tokens += ["^", str(rng.randint(0, 3))]
+    return tokens
+
+
+def random_text(rng, names) -> str:
+    """A seeded expression, sometimes mutated by deleting, inserting or
+    replacing a token, joined by random blanks (never merging two words)."""
+    tokens = random_expression(rng, names)
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        i = rng.randrange(len(tokens) + 1)
+        kind = rng.randrange(3)
+        if kind == 0 and i < len(tokens):
+            del tokens[i]
+        elif kind == 1 or i == len(tokens):
+            tokens.insert(i, rng.choice(MUTATIONS))
+        else:
+            tokens[i] = rng.choice(MUTATIONS)
+    text = rng.choice(["", " ", "\t"])
+    for a, b in zip(tokens, tokens[1:] + [""]):
+        text += a
+        blank = rng.choice(["", "", " ", "  ", "\t", "\xa0"])
+        if not blank and b and a[-1] in WORDY and b[0] in WORDY:
+            blank = " "
+        text += blank if b else rng.choice(["", "", " "])
+    return text
+
+
+def parse_outcome(parse, text, vs):
+    """The terms with their coefficient types, or the error class and message."""
+    try:
+        p = parse(text, vs)
+    except PolyError as exc:
+        return type(exc), str(exc)
+    assert p.varset == vs
+    return {e: (c, type(c)) for e, c in p.terms.items()}
+
+
+def with_position_fix(outcome, text):
+    """The oracle's outcome, with a bad character reported at itself, not at
+    the blanks in front of it."""
+    if isinstance(outcome, dict) or not outcome[1].startswith("unexpected character "):
+        return outcome, False
+    char, _, pos = outcome[1].removeprefix("unexpected character ").rpartition(" at ")
+    pos = int(pos)
+    if not ast.literal_eval(char).isspace():
+        return outcome, False
+    text = text.replace("−", "-").replace("·", "*")
+    pos += len(text[pos:]) - len(text[pos:].lstrip())
+    return (ParseError, f"unexpected character {text[pos]!r} at {pos}"), True
+
+
+class TestFoldingParser:
+    VARSETS = (XYZT, XYZT, XYZT, varset("x"), varset(), varset("a_1", "x", "y"), varset("1", "x"))
+
+    def test_matches_the_factor_by_factor_oracle(self):
+        """On 20k seeded texts: the same terms with the same coefficient
+        types, or the same error class and message, except that a bad
+        character is named at its own position."""
+        rng = random.Random(2201)
+        fixed = parsed = 0
+        messages = set()
+        for _ in range(20000):
+            vs = rng.choice(self.VARSETS)
+            text = random_text(rng, vs.names or ("x",))
+            want, moved = with_position_fix(parse_outcome(parse_oracle.parse_polynomial, text, vs), text)
+            assert parse_outcome(parse_polynomial, text, vs) == want, (text, vs)
+            fixed += moved
+            if isinstance(want, dict):
+                parsed += 1
+            else:
+                messages.add(want[1].split(" ")[0])
+        # the sample reaches every error path, the position fix and plain parses
+        assert messages == {"unexpected", "trailing", "exponent", "missing", "bad", "unknown"}
+        assert fixed > 1000 and parsed > 4000
+
+    def test_bad_character_is_named_at_its_position(self):
+        with pytest.raises(ParseError, match=r"^unexpected character '#' at 6$"):
+            P("x + 3 #")
+        with pytest.raises(ParseError, match=r"^unexpected character '\$' at 1$"):
+            P("x$")
+
+    @pytest.mark.parametrize("text", [3, None, ["x"], b"x"])
+    def test_non_string_text_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="must be a string"):
+            parse_polynomial(text, XYZT)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x^2^3", "x^6"),
+            ("2^2^3", "64"),
+            ("3/2^2", "9/4"),
+            ("(x+1)^2^2", "(x+1)^4"),
+            ("0^0*x", "x"),
+            ("2*x*3/4*y - 3/2*y*x", "0"),
+            ("x*(y+1)*2*(y-1)^0", "2*x*y + 2*x"),
+            ("1/2*x + 1/2*x", "x"),
+        ],
+    )
+    def test_folded_products(self, text, expected):
+        p = P(text)
+        assert p == parse_oracle.parse_polynomial(expected, XYZT)
+        assert_stored_coefficients(p)
