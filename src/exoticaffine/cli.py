@@ -1,9 +1,17 @@
 """Single command-line entry point: every module as a subcommand.
 
-JSON in, JSON out (DOT for graphs with --dot); every number is serialized as
-a string so downstream consumers never lose precision.  Output is
-byte-identical for identical inputs; timing goes to stderr only under
---verbose.  Exit codes: 0 success, 1 domain error, 2 usage error.
+JSON in, JSON out (DOT for `graph dot`), every number as a string; output is
+byte-identical for identical inputs, and --verbose adds timing on stderr.
+
+Outside input crosses one boundary: JSON options are read by `_json_arg`
+(`-` is stdin, inline JSON is read as is, other text is a file path),
+integer options by `_int_list`, and the options each verb needs are checked
+once, from REQUIRED; each raises a CliError naming the option.  The package
+readers own their formats and raise their package's error.
+
+Exit codes: 0 success; 1 bad input ({"error": ...} on stdout); 2 usage error
+(argparse); 3 a bug ({"error": "InternalError: ..."} on stdout, the
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -26,25 +34,95 @@ class CliError(Exception):
     pass
 
 
-def _stdin_json(args):
-    if getattr(args, "json_in", False):
-        return json.loads(sys.stdin.read())
-    return None
+def _json_arg(text: str, option: str):
+    """The JSON an option gives: `-` reads stdin; text that starts with `{`
+    or `[`, or is any other JSON value, is inline; anything else is a path."""
+    try:
+        if text == "-":
+            return json.load(sys.stdin)
+        try:
+            return json.loads(text)
+        except ValueError:
+            if text.lstrip()[:1] in ("{", "["):
+                raise
+        with open(text) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise CliError(f"{option}: cannot read {text!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or a file that is not text
+        raise CliError(f"{option}: not JSON: {exc}") from None
+
+
+def _int_list(text: str, option: str, count: int | None = None) -> list[int]:
+    """The comma-separated integers of an option, exactly `count` of them
+    when count is given."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        what = "an integer" if count == 1 else f"{count or 'a list of'} comma-separated integers"
+        raise CliError(f"{option} takes {what}, not {text!r}")
+    return values
+
+
+def _need(args, option: str):
+    """The value of an option the verb cannot run without."""
+    value = getattr(args, option.lstrip("-"))
+    if value is None:
+        raise CliError(f"{args.command} {args.verb} needs {option}")
+    return value
+
+
+# The options a command needs, checked once before dispatch; a key names a
+# whole command or one of its verbs.
+REQUIRED = {
+    "poly arith": "-a", "poly subst": "-a --map", "poly diff": "-a --by",
+    "poly divide": "-a -b", "poly nf": "-a -b", "poly jacobian": "--fs",
+    "lnd": "--images", "lnd degree": "--poly",
+    "graph blowup": "--site", "graph contract": "--site", "graph chain": "--m --n",
+    "graph xt": "--entries", "graph tdp": "--entries", "graph ample": "--seed",
+    "group abel": "--presentation", "group snf": "--matrix", "group named": "--name",
+    "group triangle": "--k --l --s", "group sphere": "--k --l --s",
+    "group xt": "--entries", "group bezout": "--k --l",
+}
+
+
+def _check_required(args):
+    verb = getattr(args, "verb", None)
+    for key in (args.command, f"{args.command} {verb}"):
+        for option in REQUIRED.get(key, "").split():
+            _need(args, option)
+
+
+def _one_source(args, options: tuple[str, ...], what: str):
+    """The one option of `options` that is given, or None."""
+    given = [o for o in options if getattr(args, o.lstrip("-")) not in (None, False)]
+    if len(given) > 1:
+        raise CliError(f"{given[0]} and {given[1]} both give the {what}; pass one")
+    return given[0] if given else None
 
 
 def _vars_from_arg(spec: str) -> VarSet:
     return VarSet(tuple(name.strip() for name in spec.split(",") if name.strip()))
 
 
-def _poly_arg(text: str, vs: VarSet) -> Polynomial:
+def _poly_arg(text: str, vs: VarSet, option: str) -> Polynomial:
     text = text.strip()
     if text.startswith("{"):
-        return poly_from_json(json.loads(text))
+        return poly_from_json(_json_arg(text, option))
     return parse_polynomial(text, vs)
 
 
-def _emit(payload, args):
-    print(json.dumps(payload, indent=2 if args.pretty else None))
+def _poly_map(data, vs: VarSet, option: str) -> dict[str, Polynomial]:
+    """{name: polynomial} from a JSON object whose values are polynomial
+    text or polynomial JSON; any other value is a ParseError."""
+    if not isinstance(data, dict):
+        raise CliError(f"{option} takes a JSON object of polynomials")
+    return {
+        name: poly_from_json(value) if isinstance(value, dict) else parse_polynomial(value, vs)
+        for name, value in data.items()
+    }
 
 
 def _stringify(value):
@@ -77,67 +155,54 @@ def _ring_from_arg(spec: str):
     spec = spec.strip()
     if spec.lower() == "russell":
         return grading.russell_quotient()
-    if spec.upper().startswith("C") and spec[1:].isdigit():
+    if spec.upper().startswith("C") and spec[1:].isdecimal():
         n = int(spec[1:])
         names = ("x", "y", "z", "t", "u", "v", "w")[:n]
         if len(names) < n:
             names = tuple(f"x{i}" for i in range(1, n + 1))
         return VarSet(names)
     if spec.startswith("{"):
-        data = json.loads(spec)
-        return VarSet(tuple(data["vars"]))
+        return polyring.varset_from_json(_json_arg(spec, "--ring"))
     return _vars_from_arg(spec)
 
 
 def _derivation_from_args(args) -> derivations.Derivation:
-    data = _stdin_json(args)
-    if data is None:
-        if args.images is None:
-            raise CliError("provide --images (file or inline JSON) or --json-in")
-        if args.images.strip().startswith("{"):
-            data = json.loads(args.images)
-        else:
-            with open(args.images) as handle:
-                data = json.load(handle)
-    ring = _ring_from_arg(args.ring if args.ring else data.get("ring", "russell"))
+    data = _json_arg(args.images, "--images")
+    if not isinstance(data, dict):
+        raise CliError("--images takes a JSON object of generator images")
+    if args.ring is not None and "ring" in data:
+        raise CliError('--ring and the "ring" of --images both give the ring; pass one')
+    spec = data.get("ring", "russell") if args.ring is None else args.ring
+    if not isinstance(spec, str):
+        raise CliError(f'the "ring" of --images must be a string, not {spec!r}')
+    ring = _ring_from_arg(spec)
     ambient = ring if isinstance(ring, VarSet) else ring.ambient
-    images = {}
-    for name, text in data.get("images", data).items():
-        if name == "ring":
-            continue
-        if isinstance(text, dict):
-            images[name] = poly_from_json(text)
-        else:
-            images[name] = parse_polynomial(str(text), ambient)
+    images = data["images"] if "images" in data else {n: v for n, v in data.items() if n != "ring"}
+    images = _poly_map(images, ambient, "--images")
+    extra = sorted(set(images) - set(ambient.names))
+    if extra:
+        raise CliError(f"--images maps {extra}, not ring variables")
     for name in ambient.names:
         images.setdefault(name, Polynomial.zero(ambient))
     return derivations.make_derivation(ring, images)
 
 
 def _graph_from_args(args) -> dualgraph.WeightedGraph:
-    data = _stdin_json(args)
-    if data is not None:
-        return dualgraph.graph_from_json(data)
-    if args.file:
-        with open(args.file) as handle:
-            return dualgraph.graph_from_json(json.load(handle))
-    if args.json:
-        return dualgraph.graph_from_json(json.loads(args.json))
-    if args.chain:
-        weights = [int(w) for w in args.chain.split(",")]
-        return dualgraph.chain_graph(weights)
-    if args.ramanujam:
+    source = _one_source(args, ("--json", "--chain", "--ramanujam"), "graph")
+    if source == "--json":
+        return dualgraph.graph_from_json(_json_arg(args.json, "--json"))
+    if source == "--chain":
+        return dualgraph.chain_graph(_int_list(args.chain, "--chain"))
+    if source == "--ramanujam":
         return dualgraph.ramanujam_graph()
-    raise CliError("provide a graph via --file, --json, --chain or --ramanujam")
+    raise CliError("provide a graph via --json (or --file), --chain or --ramanujam")
 
 
 def _weights_from_arg(spec: str, vs: VarSet) -> grading.WeightFunction:
     spec = spec.strip()
     if spec.startswith("{"):
-        data = json.loads(spec)
-        vs = VarSet(tuple(data["vars"]))
-        return grading.WeightFunction(vs, tuple(int(w) for w in data["weights"]))
-    return grading.WeightFunction(vs, tuple(int(w) for w in spec.split(",")))
+        return grading.weights_from_json(_json_arg(spec, "--weights"))
+    return grading.WeightFunction(vs, tuple(_int_list(spec, "--weights")))
 
 
 # ---------------------------------------------------------------------------
@@ -146,42 +211,32 @@ def _weights_from_arg(spec: str, vs: VarSet) -> grading.WeightFunction:
 
 def _cmd_poly(args):
     vs = _vars_from_arg(args.vars)
-    if args.verb == "arith":
-        a = _poly_arg(args.a, vs)
-        b = _poly_arg(args.b, vs) if args.b else None
-        result = polyring.arith(a, b, args.op, args.n)
-        return _poly_out(result)
-    if args.verb == "subst":
-        p = _poly_arg(args.a, vs)
-        mapping = json.loads(args.map)
-        target = _vars_from_arg(args.target_vars) if args.target_vars else vs
-        images = {k: parse_polynomial(v, target) for k, v in mapping.items()}
-        return _poly_out(p.substitute(images))
-    if args.verb == "diff":
-        return _poly_out(_poly_arg(args.a, vs).partial(args.by))
-    if args.verb == "divide":
-        q = polyring.exact_divide(_poly_arg(args.a, vs), _poly_arg(args.b, vs))
-        return _poly_out(q)
-    if args.verb == "nf":
-        budget = int(os.environ.get(STEP_BUDGET_ENV, polyring.DEFAULT_STEP_BUDGET))
-        order = polyring.GRLEX
-        if args.order_weights:
-            order = polyring.weighted_order(
-                int(w) for w in args.order_weights.split(",")
-            )
-        r = polyring.normal_form(
-            _poly_arg(args.a, vs), _poly_arg(args.b, vs), order, budget
-        )
-        return _poly_out(r)
     if args.verb == "jacobian":
-        fs = [_poly_arg(t, vs) for t in args.fs.split(";")]
+        fs = [_poly_arg(t, vs, "--fs") for t in args.fs.split(";")]
         return _poly_out(polyring.jacobian_det(fs))
-    raise CliError(f"unknown poly verb {args.verb}")
+    a = _poly_arg(args.a, vs, "-a")
+    if args.verb == "arith":
+        b = None if args.op == "pow" else _poly_arg(_need(args, "-b"), vs, "-b")
+        return _poly_out(polyring.arith(a, b, args.op, args.n))
+    if args.verb == "subst":
+        target = _vars_from_arg(args.target_vars) if args.target_vars else vs
+        return _poly_out(a.substitute(_poly_map(_json_arg(args.map, "--map"), target, "--map")))
+    if args.verb == "diff":
+        return _poly_out(a.partial(args.by))
+    b = _poly_arg(args.b, vs, "-b")
+    if args.verb == "divide":
+        return _poly_out(polyring.exact_divide(a, b))
+    # nf
+    budget = os.environ.get(STEP_BUDGET_ENV, str(polyring.DEFAULT_STEP_BUDGET))
+    order = polyring.GRLEX
+    if args.order_weights is not None:
+        order = polyring.weighted_order(_int_list(args.order_weights, "--order-weights"))
+    return _poly_out(polyring.normal_form(a, b, order, _int_list(budget, STEP_BUDGET_ENV, 1)[0]))
 
 
 def _cmd_grade(args):
     vs = _vars_from_arg(args.vars)
-    p = _poly_arg(args.poly, vs)
+    p = _poly_arg(args.poly, vs, "--poly")
     w = _weights_from_arg(args.weights, vs)
     if args.verb == "degree":
         return {"degree": _stringify(grading.weight_degree(p, w))}
@@ -201,19 +256,16 @@ def _cmd_grade(args):
             "status": g.status.status,
             "reason": g.status.reason,
         }
-    if args.verb == "canonical":
-        q = grading.russell_quotient()
-        a, b, c = grading.canonical_form_decomposition(p, q)
-        return {
-            "canonical": _poly_out(q.canonical(p)),
-            "a": _poly_out(a),
-            "b": _poly_out(b),
-            "c": _poly_out(c),
-            "quotient_degree": _stringify(
-                grading.quotient_degree(p, q, grading.RUSSELL_WEIGHTS)
-            ),
-        }
-    raise CliError(f"unknown grade verb {args.verb}")
+    # canonical
+    q = grading.russell_quotient()
+    a, b, c = grading.canonical_form_decomposition(p, q)
+    return {
+        "canonical": _poly_out(q.canonical(p)),
+        "a": _poly_out(a),
+        "b": _poly_out(b),
+        "c": _poly_out(c),
+        "quotient_degree": _stringify(grading.quotient_degree(p, q, grading.RUSSELL_WEIGHTS)),
+    }
 
 
 def _cmd_lnd(args):
@@ -229,19 +281,16 @@ def _cmd_lnd(args):
     if args.verb == "check":
         return cert_payload
     if args.verb == "degree":
-        if args.poly is None:
-            raise CliError("lnd degree needs --poly")
         f = parse_polynomial(args.poly, d.ambient)
         return {
             "deg": _stringify(derivations.partial_degree(d, cert, f)),
             "certificate": cert_payload,
         }
     if args.verb == "flow":
-        t: str | Fraction = args.t
         try:
             t = Fraction(args.t)
-        except ValueError:
-            pass
+        except ValueError:  # a parameter name
+            t = args.t
         except ZeroDivisionError:
             raise CliError(f"--t {args.t!r} has a zero denominator") from None
         flow = derivations.exp_flow(d, cert, t)
@@ -256,38 +305,31 @@ def _cmd_lnd(args):
             "shift": _stringify(gd.shift),
             "images": {n: _poly_out(p) for n, p in gd.images.items()},
         }
-    if args.verb == "invariants":
-        result = derivations.invariant_candidates([d], [cert], args.degree_bound)
-        return {
-            "ml_basis": [_poly_out(p) for p in result.ml_basis],
-            "dk_generators": [_poly_out(p) for p in result.dk_generators],
-            "ml_semantics": result.ml_semantics,
-            "dk_semantics": result.dk_semantics,
-        }
-    raise CliError(f"unknown lnd verb {args.verb}")
+    # invariants
+    result = derivations.invariant_candidates([d], [cert], args.degree_bound)
+    return {
+        "ml_basis": [_poly_out(p) for p in result.ml_basis],
+        "dk_generators": [_poly_out(p) for p in result.dk_generators],
+        "ml_semantics": result.ml_semantics,
+        "dk_semantics": result.dk_semantics,
+    }
 
 
 def _cmd_family(args):
     params = {}
-    if args.s:
-        parts = [int(x) for x in args.s.split(",")]
-        for i, value in enumerate(parts, start=1):
-            params[f"s{i}"] = value
+    if args.s is not None:
+        params.update((f"s{i}", v) for i, v in enumerate(_int_list(args.s, "--s"), start=1))
     for key in ("k", "l", "n", "m"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-    if args.s and args.name in ("tdp_general", "brieskorn"):
-        params["s"] = int(args.s)
-    if args.p:
-        vs = _vars_from_arg(args.vars) if args.vars else None
-        if vs is None:
-            raise CliError("--p needs --vars")
-        params["p"] = parse_polynomial(args.p, vs)
-    if args.f:
-        vs = _vars_from_arg(args.vars or "x,y")
-        params["f"] = parse_polynomial(args.f, vs)
-        params["g"] = parse_polynomial(args.g, vs)
+    if args.s is not None and args.name in ("tdp_general", "brieskorn"):
+        params["s"] = _int_list(args.s, "--s", 1)[0]
+    if args.p is not None and args.vars is None:
+        raise CliError("--p needs --vars")
+    for key in ("p", "f", "g"):
+        if getattr(args, key) is not None:
+            params[key] = parse_polynomial(getattr(args, key), _vars_from_arg(args.vars or "x,y"))
     surface = constructions.family(args.name, **params)
     return {
         "ambient": list(surface.ambient.names),
@@ -309,11 +351,15 @@ def _cmd_graph(args):
         cert = dualgraph.xt_certificate(_xt_arg(args.entries))
         return {"verdict": cert.verdict, "determinant": str(cert.determinant)}
     if args.verb == "tdp":
-        m1, n1, m2, n2 = (int(x) for x in args.entries.split(","))
+        m1, n1, m2, n2 = _int_list(args.entries, "--entries", 4)
         return {"contractible": dualgraph.tdp_contractibility(m1, n1, m2, n2)}
     g = _graph_from_args(args)
     if args.verb == "blowup":
-        site = args.site if "," not in args.site else tuple(args.site.split(","))
+        site = args.site
+        if "," in site:
+            site = tuple(site.split(","))
+            if len(site) != 2:
+                raise CliError(f"--site takes a vertex id or one edge u,v, not {args.site!r}")
         return {"graph": dualgraph.graph_to_json(dualgraph.blow_up(g, site))}
     if args.verb == "contract":
         return {"graph": dualgraph.graph_to_json(dualgraph.contract(g, args.site))}
@@ -331,45 +377,27 @@ def _cmd_graph(args):
         }
     if args.verb == "ample":
         im = dualgraph.intersection_matrix(g)
-        h = [int(x) for x in args.seed.split(",")]
-        result = dualgraph.ample_support_divisor(im, h)
-        if result == "Infeasible":
-            return {"result": "Infeasible"}
-        return {"result": [str(x) for x in result]}
-    if args.verb == "dot":
-        return dualgraph.to_dot(g)
-    raise CliError(f"unknown graph verb {args.verb}")
+        result = dualgraph.ample_support_divisor(im, _int_list(args.seed, "--seed"))
+        return {"result": _stringify(result)}
+    # dot
+    return dualgraph.to_dot(g)
 
 
 def _cmd_group(args):
     if args.verb == "abel":
-        data = _stdin_json(args) or json.loads(args.presentation)
-        p = fpgroups.Presentation(
-            tuple(data["gens"]), tuple(tuple(w) for w in data["rels"])
-        )
+        p = fpgroups.presentation_from_json(_json_arg(args.presentation, "--presentation"))
         ab = fpgroups.abelianization(p)
-        return {
-            "free_rank": str(ab.free_rank),
-            "torsion": [str(d) for d in ab.torsion],
-            "text": str(ab),
-        }
+        return _stringify({"free_rank": ab.free_rank, "torsion": ab.torsion, "text": str(ab)})
     if args.verb == "snf":
-        matrix = json.loads(args.matrix)
-        u, s, v = fpgroups.smith_normal_form(matrix)
+        u, s, v = fpgroups.smith_normal_form(_json_arg(args.matrix, "--matrix"))
         return {
             "U": [[str(x) for x in row] for row in u],
             "S": [[str(x) for x in row] for row in s],
             "V": [[str(x) for x in row] for row in v],
         }
     if args.verb == "named":
-        params = {}
-        for key in ("k", "l", "s"):
-            value = getattr(args, key)
-            if value is not None:
-                params[key] = value
-        if args.entries:
-            params["t"] = _xt_arg(args.entries)
-        p = fpgroups.named_presentation(args.name, **params)
+        t = None if args.entries is None else _xt_arg(args.entries)
+        p = fpgroups.named_presentation(args.name, k=args.k, l=args.l, s=args.s, t=t)
         return {
             "gens": list(p.generators),
             "rels": [list(w) for w in p.relators],
@@ -378,52 +406,38 @@ def _cmd_group(args):
     if args.verb == "triangle":
         return {"class": fpgroups.triangle_classification(args.k, args.l, args.s)}
     if args.verb == "sphere":
-        return {
-            "homology_sphere": fpgroups.homology_sphere_check(args.k, args.l, args.s)
-        }
+        return {"homology_sphere": fpgroups.homology_sphere_check(args.k, args.l, args.s)}
     if args.verb == "xt":
-        t = _xt_arg(args.entries)
-        return {"exponent": str(fpgroups.xt_exponent(t))}
-    if args.verb == "bezout":
-        p, q, word = fpgroups.bezout_alpha(args.k, args.l)
-        pres = fpgroups.named_presentation("bkl", k=args.k, l=args.l)
-        return {"p": str(p), "q": str(q), "alpha": pres.spell(word)}
-    raise CliError(f"unknown group verb {args.verb}")
+        return {"exponent": str(fpgroups.xt_exponent(_xt_arg(args.entries)))}
+    # bezout
+    p, q, word = fpgroups.bezout_alpha(args.k, args.l)
+    pres = fpgroups.named_presentation("bkl", k=args.k, l=args.l)
+    return {"p": str(p), "q": str(q), "alpha": pres.spell(word)}
 
 
 def _xt_arg(entries: str):
-    values = [int(x) for x in entries.split(",")]
-    return dualgraph.xt_matrix(*values)
+    return dualgraph.xt_matrix(*_int_list(entries, "--entries", 8))
 
 
 def _smith_complex(args):
-    piped = _stdin_json(args)
-    if piped is not None:
-        k = smithhom.complex_from_json(piped)
-        action = smithhom.action_from_json(piped["action"]) if "action" in piped else None
-        return k, action
-    if args.file:
-        with open(args.file) as handle:
-            data = json.load(handle)
-    elif args.json:
-        data = json.loads(args.json)
-    elif args.model:
+    source = _one_source(args, ("--json", "--model"), "complex")
+    if source is None:
+        raise CliError("provide a complex via --json (or --file) or --model")
+    if source == "--model":
+        _one_source(args, ("--model", "--action"), "action")
         return _smith_model(args.model)
-    else:
-        raise CliError("provide --file, --json or --model")
+    data = _json_arg(args.json, "--json")
     k = smithhom.complex_from_json(data)
-    action = None
+    if args.action is None:
+        return k, smithhom.action_from_json(data["action"]) if "action" in data else None
     if "action" in data:
-        action = smithhom.action_from_json(data["action"])
-    elif args.action:
-        action = smithhom.action_from_json(json.loads(args.action))
-    return k, action
+        raise CliError('--action and the "action" of --json both give the action; pass one')
+    return k, smithhom.action_from_json(_json_arg(args.action, "--action"))
 
 
 def _smith_model(name: str):
-    parts = name.split(":")
-    kind = parts[0]
-    p = int(parts[1]) if len(parts) > 1 else 3
+    kind, colon, p = name.partition(":")
+    p = _int_list(p, "--model", 1)[0] if colon else 3
     if kind == "disc":
         base = smithhom.polygon(p)
         k = smithhom.cone_complex(base, "apex")
@@ -451,9 +465,8 @@ def _cmd_smith(args):
         return {"dims": [str(d) for d in h], "mod": str(coeff)}
     if action is None:
         raise CliError(f"verb {args.verb} needs an action")
-    if args.subdivide:
-        for _ in range(args.subdivide):
-            k, action = smithhom.barycentric_subdivide(k, action)
+    for _ in range(args.subdivide):
+        k, action = smithhom.barycentric_subdivide(k, action)
     if args.repair:
         k, action, rounds = smithhom.ensure_regular(k, action)
     if args.verb == "subdivide":
@@ -471,11 +484,10 @@ def _cmd_smith(args):
         }
     if args.verb == "transfer":
         return _stringify(vars(smithhom.transfer_check(k, action, args.q)))
-    if args.verb == "sequences":
-        report = smithhom.verify_smith_sequences(k, action)
-        implication = {"prop4_implication_holds": report.prop4_implication_holds}
-        return _stringify(vars(report) | implication)
-    raise CliError(f"unknown smith verb {args.verb}")
+    # sequences
+    report = smithhom.verify_smith_sequences(k, action)
+    implication = {"prop4_implication_holds": report.prop4_implication_holds}
+    return _stringify(vars(report) | implication)
 
 
 # ---------------------------------------------------------------------------
@@ -726,15 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exotic",
         description="Exact computer algebra for exotic affine structures",
+        epilog="A JSON option takes inline JSON, a file path, or - for stdin.",
         allow_abbrev=False,
     )
     parser.add_argument("--verbose", action="store_true", help="timing on stderr")
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    parser.add_argument(
-        "--json-in",
-        action="store_true",
-        help="read the primary JSON input (graph/complex/derivation/presentation) from stdin",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="polynomial arithmetic")
@@ -744,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("-b", help="second polynomial")
     poly.add_argument("--op", choices=["add", "sub", "mul", "pow"], default="add")
     poly.add_argument("-n", type=int, help="exponent for pow")
-    poly.add_argument("--map", help="JSON map variable -> polynomial text")
+    poly.add_argument("--map", help="JSON object variable -> polynomial (text or JSON)")
     poly.add_argument("--target-vars", help="varset of substitution images")
     poly.add_argument("--by", help="variable for diff")
     poly.add_argument("--order-weights", help="weights for the reduction order")
@@ -759,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     lnd = sub.add_parser("lnd", help="locally nilpotent derivation calculus")
     lnd.add_argument("verb", choices=["check", "degree", "flow", "kernel", "graded", "invariants"])
     lnd.add_argument("--ring", help="C2/C3/C4, russell, or JSON varset")
-    lnd.add_argument("--images", help="JSON file or inline JSON (or --json-in)")
+    lnd.add_argument("--images", help="JSON object of generator images")
     lnd.add_argument("--bound", type=int, default=derivations.DEFAULT_NILPOTENCY_BOUND)
     lnd.add_argument("--poly", help="element for degree")
     lnd.add_argument("--t", default="t", help="flow parameter (name or rational)")
@@ -780,8 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="weighted dual graph calculus")
     graph.add_argument("verb", choices=["blowup", "contract", "minimal", "ramanujam", "chain", "det", "xt", "tdp", "ample", "dot"])
-    graph.add_argument("--file", help="graph JSON file")
-    graph.add_argument("--json", help="inline graph JSON")
+    graph.add_argument("--json", "--file", help="graph JSON")
     graph.add_argument("--chain", help="comma weights for a linear chain")
     graph.add_argument("--ramanujam", action="store_true", help="built-in Ramanujam graph")
     graph.add_argument("--site", help="vertex id or u,v edge")
@@ -802,9 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     smith = sub.add_parser("smith", help="Smith theory on simplicial complexes")
     smith.add_argument("verb", choices=["homology", "orbit", "transfer", "sequences", "subdivide"])
-    smith.add_argument("--file", help="complex JSON file")
-    smith.add_argument("--json", help="inline complex JSON")
-    smith.add_argument("--action", help="inline action JSON")
+    smith.add_argument("--json", "--file", help="complex JSON, with or without an action")
+    smith.add_argument("--action", help="action JSON")
     smith.add_argument("--model", help="disc:p, sphere:p or circle:p")
     smith.add_argument("--mod", type=int, help="prime coefficient field")
     smith.add_argument("--q", type=int, default=2, help="transfer prime")
@@ -816,28 +822,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Bad input; any other exception is a bug.
 DOMAIN_ERRORS = (
-    polyring.PolyError,
-    dualgraph.GraphError,
-    fpgroups.GroupError,
-    smithhom.SmithError,
-    CliError,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
+    polyring.PolyError, dualgraph.GraphError, fpgroups.GroupError, smithhom.SmithError, CliError
 )
 
 
 HANDLERS = {
-    "poly": _cmd_poly,
-    "grade": _cmd_grade,
-    "lnd": _cmd_lnd,
-    "family": _cmd_family,
-    "graph": _cmd_graph,
-    "group": _cmd_group,
-    "smith": _cmd_smith,
-    "repro": _cmd_repro,
+    "poly": _cmd_poly, "grade": _cmd_grade, "lnd": _cmd_lnd, "family": _cmd_family,
+    "graph": _cmd_graph, "group": _cmd_group, "smith": _cmd_smith, "repro": _cmd_repro,
 }
 
 
@@ -846,14 +839,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        _check_required(args)
         payload = HANDLERS[args.command](args)
     except DOMAIN_ERRORS as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return 1
-    if isinstance(payload, str):
-        print(payload)
-    else:
-        _emit(payload, args)
+    except Exception as exc:  # a bug, never reported as bad input
+        import traceback
+
+        traceback.print_exc()
+        print(json.dumps({"error": f"InternalError: {type(exc).__name__}: {exc}"}))
+        return 3
+    indent = 2 if args.pretty else None
+    print(payload if isinstance(payload, str) else json.dumps(payload, indent=indent))
     if args.verbose:
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return 0

@@ -224,6 +224,13 @@ def _tdp_core(k: int, l: int, s: int, m: int) -> Polynomial:
         raise DivisibilityFailure(f"tom Dieck-Petrie division failed: {exc}") from exc
 
 
+def _params(key: str, params: dict, *names: str) -> list:
+    missing = [n for n in names if params.get(n) is None]
+    if missing:
+        raise InvalidParams(f"{key} needs {', '.join(missing)}")
+    return [params[n] for n in names]
+
+
 def family(name: str, **params) -> Hypersurface:
     """Construct a named hypersurface family member.
 
@@ -233,7 +240,7 @@ def family(name: str, **params) -> Hypersurface:
     key = name.lower().replace("-", "_")
     prov: dict = {"family": key, "params": dict(params)}
     if key == "tdp":
-        k, l = params["k"], params["l"]
+        k, l = _params(key, params, "k", "l")
         if k < 1 or l < 1:
             raise InvalidParams("tdp needs k, l >= 1")
         warnings = []
@@ -246,12 +253,12 @@ def family(name: str, **params) -> Hypersurface:
         prov["normalization"] = "emits ((xz+1)^k - (yz+1)^l - z)/z = 0, the p - 1 shift"
         return Hypersurface(varset("x", "y", "z"), _tdp_core(k, l, 1, 1), prov)
     if key == "tdp_general":
-        k, l, s, m = params["k"], params["l"], params["s"], params["m"]
+        k, l, s, m = _params(key, params, "k", "l", "s", "m")
         if min(k, l, s) < 1 or m < 0 or m > s:
             raise InvalidParams("tdp_general needs k,l,s >= 1 and 0 <= m <= s")
         return Hypersurface(varset("x", "y", "z"), _tdp_core(k, l, s, m), prov)
     if key == "koras_russell":
-        s1, s2, s3 = params["s1"], params["s2"], params["s3"]
+        s1, s2, s3 = _params(key, params, "s1", "s2", "s3")
         if min(s1, s2, s3) < 1:
             raise InvalidParams("koras_russell needs positive exponents")
         vs = varset("x", "y", "z", "t")
@@ -260,7 +267,7 @@ def family(name: str, **params) -> Hypersurface:
         prov["sign"] = "plus form x + x^2 y^s1 + z^s2 + t^s3"
         return Hypersurface(vs, p, prov)
     if key == "brieskorn":
-        k, l, s = params["k"], params["l"], params["s"]
+        k, l, s = _params(key, params, "k", "l", "s")
         if min(k, l, s) < 1:
             raise InvalidParams("brieskorn needs positive exponents")
         vs = varset("x", "y", "z")
@@ -268,14 +275,14 @@ def family(name: str, **params) -> Hypersurface:
         prov["sign"] = "x^k - y^l - z^s"
         return Hypersurface(vs, x**k - y**l - z**s, prov)
     if key == "danielewski":
-        n = params["n"]
+        (n,) = _params(key, params, "n")
         if n < 1:
             raise InvalidParams("danielewski needs n >= 1")
         vs = varset("x", "y", "z")
         x, y, z = (Polynomial.variable(vs, nm) for nm in "xyz")
         return Hypersurface(vs, x**n * y + z**2 - Polynomial.constant(vs, 1), prov)
     if key == "ml_suspension":
-        p: Polynomial = params["p"]
+        (p,) = _params(key, params, "p")
         vs = p.varset
         u = vs.fresh_name("u")
         vs = vs.extend([u])
@@ -285,7 +292,7 @@ def family(name: str, **params) -> Hypersurface:
         prov["sign"] = "uv - p"
         return Hypersurface(vs, eq, prov)
     if key == "sathaye_wright":
-        f, g, n = params["f"], params["g"], params["n"]
+        f, g, n = _params(key, params, "f", "g", "n")
         if n < 1:
             raise InvalidParams("sathaye_wright needs n >= 1")
         base = f.varset

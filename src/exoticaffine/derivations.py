@@ -330,14 +330,15 @@ def graded_derivation(
     q: QuotientRing = d.ring
     graded = associated_graded_hypersurface(q.relation, w, q.order)
     names = d.ambient.names
+    top = graded.relation_top
     degs = {
-        name: stable_degree(q.canonical(Polynomial.variable(d.ambient, name)), graded)
+        name: stable_degree(q.canonical(Polynomial.variable(d.ambient, name)), top, w)
         for name in names
     }
     canonical = {
         name: q.canonical(d.images[name]) for name in names if not d.images[name].is_zero()
     }
-    shifts = [stable_degree(nf, graded) - degs[name] for name, nf in canonical.items()]
+    shifts = [stable_degree(nf, top, w) - degs[name] for name, nf in canonical.items()]
     k0 = max(shifts) if shifts else 0
     images = {}
     for name in names:

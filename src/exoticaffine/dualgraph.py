@@ -492,6 +492,23 @@ def graph_to_json(g: WeightedGraph) -> dict:
 
 
 def graph_from_json(data) -> WeightedGraph:
-    vertices = {entry["id"]: int(entry["w"]) for entry in data["vertices"]}
-    edges = [tuple(e) for e in data.get("edges", [])]
-    return WeightedGraph.build(vertices, edges)
+    """Malformed graph JSON is a WrongShape."""
+    entries = data.get("vertices") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise WrongShape('a graph needs a "vertices" list')
+    vertices = {}
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and type(entry.get("w")) is int):
+            raise WrongShape(f"vertex {entry!r} needs a string id and an integer weight w")
+        if entry["id"] in vertices:
+            raise WrongShape(f"vertex id {entry['id']!r} is repeated")
+        vertices[entry["id"]] = entry["w"]
+    edges = data.get("edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and e[0] != e[1]
+        and all(isinstance(v, str) and v in vertices for v in e)
+        for e in edges
+    ):
+        raise WrongShape('"edges" must be pairs of distinct vertex ids')
+    return WeightedGraph.build(vertices, [tuple(e) for e in edges])

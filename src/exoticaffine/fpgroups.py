@@ -67,6 +67,19 @@ class Presentation:
         return "*".join(parts)
 
 
+def presentation_from_json(data) -> Presentation:
+    """{"gens": [names], "rels": [[signed 1-based generator indices]]}."""
+    gens = data.get("gens") if isinstance(data, dict) else None
+    rels = data.get("rels") if isinstance(data, dict) else None
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise GroupError('a presentation needs a "gens" list of generator names')
+    if not isinstance(rels, list) or not all(
+        isinstance(w, list) and all(type(x) is int for x in w) for w in rels
+    ):
+        raise GroupError('a presentation needs a "rels" list of integer words')
+    return Presentation(tuple(gens), tuple(tuple(w) for w in rels))
+
+
 class AbelianGroup:
     """Z^free_rank + Z/d1 + ... with the divisibility chain d1 | d2 | ..."""
 
@@ -349,16 +362,16 @@ def named_presentation(name: str, **params) -> Presentation:
     b3quot(s), xtquot(t)."""
     key = name.lower()
     if key == "bkl":
-        k, l = params["k"], params["l"]
+        k, l = _params(key, params, "k", "l")
         _positive(k, l)
         return Presentation(("a", "b"), (_power(1, k) + _power(2, -l),))
     if key == "bkls":
-        k, l, s = params["k"], params["l"], params["s"]
+        k, l, s = _params(key, params, "k", "l", "s")
         _positive(k, l, s)
         p, q, alpha = bezout_alpha(k, l)
         return Presentation(("a", "b"), (_power(1, k) + _power(2, -l), alpha * s))
     if key == "gkls":
-        k, l, s = params["k"], params["l"], params["s"]
+        k, l, s = _params(key, params, "k", "l", "s")
         _positive(k, l, s)
         central = (1, 2, 3)
         return Presentation(
@@ -370,7 +383,7 @@ def named_presentation(name: str, **params) -> Presentation:
             ),
         )
     if key == "tkls":
-        k, l, s = params["k"], params["l"], params["s"]
+        k, l, s = _params(key, params, "k", "l", "s")
         _positive(k, l, s)
         return Presentation(
             ("b1", "b2", "b3"),
@@ -384,12 +397,12 @@ def named_presentation(name: str, **params) -> Presentation:
             ),
         )
     if key == "b3quot":
-        s = params["s"]
+        (s,) = _params(key, params, "s")
         _positive(s)
         braid = (1, 2, 1, -2, -1, -2)
         return Presentation(("s1", "s2"), (braid, _power(1, s), _power(2, s)))
     if key == "xtquot":
-        t = params["t"]
+        (t,) = _params(key, params, "t")
         m00, n00, m10, n10, m01, n01, m11, n11 = _covering(dualgraph._xt_validate, t)
         # generators a0, a1, b0, b1 = 1, 2, 3, 4
         commutators = []
@@ -404,6 +417,13 @@ def named_presentation(name: str, **params) -> Presentation:
         ]
         return Presentation(("a0", "a1", "b0", "b1"), tuple(relators))
     raise InvalidParams(f"unknown presentation {name!r}")
+
+
+def _params(key: str, params: dict, *names: str) -> list:
+    missing = [n for n in names if params.get(n) is None]
+    if missing:
+        raise InvalidParams(f"{key} needs {', '.join(missing)}")
+    return [params[n] for n in names]
 
 
 def _positive(*values):

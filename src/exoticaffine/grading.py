@@ -29,6 +29,7 @@ from .polyring import (
     normal_form,
     parse_polynomial,
     varset,
+    varset_from_json,
     weighted_order,
 )
 
@@ -78,6 +79,15 @@ class WeightFunction:
 
     def monomial_weight(self, e: tuple[int, ...]) -> int:
         return sum(w * k for w, k in zip(self.weights, e))
+
+
+def weights_from_json(data) -> WeightFunction:
+    """{"vars": [names], "weights": [integers]}."""
+    vs = varset_from_json(data)
+    weights = data.get("weights")
+    if not isinstance(weights, list) or any(type(x) is not int for x in weights):
+        raise GradingError('weight JSON needs a "weights" list of integers')
+    return WeightFunction(vs, tuple(weights))
 
 
 def weight_degree(p: Polynomial, w: WeightFunction):
@@ -333,19 +343,17 @@ def quotient_degree(f: Polynomial, q: QuotientRing, w: WeightFunction):
     status = check_appropriate(q.relation, w)
     if status.failed:
         raise UncertifiedGrading(f"weight fails appropriateness: {status.reason}")
-    graded = GradedHypersurface(q.ambient, principal_part(q.relation, w), w, status, q.order)
-    return stable_degree(q.canonical(f), graded)
+    return stable_degree(q.canonical(f), principal_part(q.relation, w), w)
 
 
-def stable_degree(nf: Polynomial, graded: GradedHypersurface):
+def stable_degree(nf: Polynomial, relation_top: Polynomial, w: WeightFunction):
     """Weight degree of the canonical form nf, refused when its principal
     component lies in the graded ideal (relation_top): divisibility is the
     membership test for a principal ideal."""
     if nf.is_zero():
         return NEG_INF
-    w = graded.weight
     _, nf_top = quasi_homogeneous_decompose(nf, w)
-    if normal_form(nf_top, graded.relation_top).is_zero():
+    if normal_form(nf_top, relation_top).is_zero():
         raise DegreeNotStable(
             "principal part of the canonical form lies in the graded ideal"
         )

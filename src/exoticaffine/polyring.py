@@ -714,16 +714,35 @@ def poly_to_json(p: Polynomial, order: MonomialOrder = GRLEX) -> dict:
     }
 
 
+def varset_from_json(data) -> VarSet:
+    """The {"vars": [names]} that polynomial, weight and ring JSON share."""
+    names = data.get("vars") if isinstance(data, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ParseError('JSON needs a "vars" list of variable names')
+    return VarSet(tuple(names))
+
+
 def poly_from_json(data: Mapping) -> Polynomial:
-    vs = VarSet(tuple(data["vars"]))
+    vs = varset_from_json(data)
+    if not isinstance(data.get("terms"), list):
+        raise ParseError('polynomial JSON needs a "terms" list')
     terms: dict[Exponent, Coefficient] = {}
     for entry in data["terms"]:
-        e = tuple(int(x) for x in entry["e"])
+        e = entry.get("e") if isinstance(entry, dict) else None
+        if not isinstance(e, list) or any(type(x) is not int for x in e):
+            raise ParseError(f"term {entry!r} needs an exponent list e of integers")
+        e = tuple(e)
         if len(e) != len(vs):
             raise ParseError("exponent vector length does not match vars")
         if any(x < 0 for x in e):
             raise ParseError("negative exponent in JSON polynomial")
-        c = coefficient(entry["c"])
+        c = entry.get("c")
+        try:
+            c = coefficient(c) if type(c) in (int, str) else None
+        except (ValueError, ZeroDivisionError):
+            c = None
+        if c is None:
+            raise ParseError(f"term {entry!r} needs a coefficient c, an integer or num/den text")
         if c:
             terms[e] = terms[e] + c if e in terms else c
     return Polynomial(vs, _integral({e: c for e, c in terms.items() if c}))

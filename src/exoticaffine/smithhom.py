@@ -139,9 +139,10 @@ def _vertex_id(v) -> str:
 
 
 def complex_from_json(data) -> SimplicialComplex:
-    return SimplicialComplex.build(
-        [tuple(_vertex_id(v) for v in s) for s in data["simplices"]]
-    )
+    simplices = data.get("simplices") if isinstance(data, dict) else None
+    if not isinstance(simplices, list) or not all(isinstance(s, list) for s in simplices):
+        raise NotAComplex('a complex needs a "simplices" list of vertex lists')
+    return SimplicialComplex.build([tuple(_vertex_id(v) for v in s) for s in simplices])
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:
@@ -209,8 +210,11 @@ class CyclicAction:
 
 
 def action_from_json(data) -> CyclicAction:
-    perm = {_vertex_id(u): _vertex_id(v) for u, v in dict(data["perm"]).items()}
-    return CyclicAction(int(data["order"]), perm)
+    if not (isinstance(data, dict) and type(data.get("order")) is int
+            and isinstance(data.get("perm"), dict)):
+        raise SmithError('an action needs an integer "order" and a "perm" object')
+    perm = {_vertex_id(u): _vertex_id(v) for u, v in data["perm"].items()}
+    return CyclicAction(data["order"], perm)
 
 
 def action_to_json(a: CyclicAction) -> dict:

@@ -1,6 +1,8 @@
 """CLI dispatch: JSON output, exit codes, determinism."""
 
 import hashlib
+import importlib
+import io
 import json
 import os
 import random
@@ -16,6 +18,9 @@ from exoticaffine.cli import main
 from exoticaffine.polyring import varset
 from test_fpgroups import rank_deficient_matrix
 from test_polyring import random_poly
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import WORKLOADS, generate  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -851,3 +856,241 @@ class TestPinnedPolynomialOutput:
         code, out = run_cli(capsys, *pinned_poly_argv(command))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_POLY_STDOUT[command]
+
+
+GRAPH_AB = {"vertices": [{"id": "a", "w": -1}, {"id": "b", "w": -2}], "edges": [["a", "b"]]}
+EDGE = {"simplices": [["a", "b"]], "action": {"order": 2, "perm": {"a": "b", "b": "a"}}}
+
+
+def with_action(**action):
+    return json.dumps({"simplices": EDGE["simplices"], "action": action})
+
+
+class TestInputBoundary:
+    """Every malformed input that once ended in a traceback, a silently
+    truncated number, a dropped option or a Python-internal message is exit
+    1 with one JSON error that names the option or the JSON field."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # tracebacks: a required option missing
+            (["group", "snf"], "CliError: group snf needs --matrix"),
+            (["graph", "chain", "--m", "5"], "CliError: graph chain needs --n"),
+            (["graph", "chain", "--chain", "a,b"], "CliError: graph chain needs --m"),
+            (["graph", "chain", "--chain", ""], "CliError: graph chain needs --m"),
+            (["poly", "nf", "-a", "x"], "CliError: poly nf needs -b"),
+            (["poly", "arith", "-a", "x"], "CliError: poly arith needs -b"),
+            (["poly", "subst", "-a", "x+y", "--vars", "x,y"], "CliError: poly subst needs --map"),
+            (["group", "named", "--k", "2"], "CliError: group named needs --name"),
+            (["group", "sphere", "--l", "3", "--s", "5"], "CliError: group sphere needs --k"),
+            (["lnd", "kernel"], "CliError: lnd kernel needs --images"),
+            # tracebacks: JSON of the wrong shape
+            (["smith", "orbit", "--json", "0"],
+             'NotAComplex: a complex needs a "simplices" list of vertex lists'),
+            (["smith", "homology", "--json", "[]"],
+             'NotAComplex: a complex needs a "simplices" list of vertex lists'),
+            (["poly", "subst", "-a", "x", "--vars", "x", "--map", "[1]"],
+             "CliError: --map takes a JSON object of polynomials"),
+            (["graph", "blowup", "--site", "a", "--json", '{"vertices":1}'],
+             'WrongShape: a graph needs a "vertices" list'),
+            (["graph", "det", "--json", "[]"], 'WrongShape: a graph needs a "vertices" list'),
+            (["graph", "det", "--json", '{"vertices": [{"id": "a", "w": -1}], "edges": [["a", "a"]]}'],
+             'WrongShape: "edges" must be pairs of distinct vertex ids'),
+            (["graph", "xt", "--entries", "1,2"],
+             "CliError: --entries takes 8 comma-separated integers, not '1,2'"),
+            (["graph", "blowup", "--json", json.dumps(GRAPH_AB), "--site", "a,b,c"],
+             "CliError: --site takes a vertex id or one edge u,v, not 'a,b,c'"),
+            (["group", "abel", "--presentation", '{"gens":["a"],"rels":[["b"]]}'],
+             'GroupError: a presentation needs a "rels" list of integer words'),
+            (["group", "named", "--name", "xtquot"], "InvalidParams: xtquot needs t"),
+            # Python-internal messages: integer options and JSON keys
+            (["poly", "nf", "-a", "x", "-b", "y", "--order-weights", "a,b"],
+             "CliError: --order-weights takes a list of comma-separated integers, not 'a,b'"),
+            (["grade", "degree", "--poly", "x", "--weights", "a,b,c,d"],
+             "CliError: --weights takes a list of comma-separated integers, not 'a,b,c,d'"),
+            (["grade", "degree", "--poly", "x", "--weights", "1/2,1,1,1"],
+             "CliError: --weights takes a list of comma-separated integers, not '1/2,1,1,1'"),
+            (["family", "brieskorn", "--k", "2", "--l", "3", "--s", "x"],
+             "CliError: --s takes a list of comma-separated integers, not 'x'"),
+            (["family", "brieskorn", "--k", "2", "--l", "3", "--s", "1,2"],
+             "CliError: --s takes an integer, not '1,2'"),
+            (["graph", "ample", "--ramanujam", "--seed", "x"],
+             "CliError: --seed takes a list of comma-separated integers, not 'x'"),
+            (["smith", "homology", "--model", "disc:x"], "CliError: --model takes an integer, not 'x'"),
+            (["lnd", "check", "--ring", "{}", "--images", '{"x": "0"}'],
+             'ParseError: JSON needs a "vars" list of variable names'),
+            (["family", "tdp"], "InvalidParams: tdp needs k, l"),
+            (["family", "sathaye_wright", "--f", "x", "--g", "y"], "InvalidParams: sathaye_wright needs n"),
+            (["graph", "blowup", "--site", "a", "--json", "{}"],
+             'WrongShape: a graph needs a "vertices" list'),
+            (["group", "abel", "--presentation", "{}"],
+             'GroupError: a presentation needs a "gens" list of generator names'),
+            (["smith", "homology", "--json", "{}"],
+             'NotAComplex: a complex needs a "simplices" list of vertex lists'),
+            (["graph", "det", "--json", "{"],
+             "CliError: --json: not JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+            (["graph", "det", "--json", "no/such/file.json"],
+             "CliError: --json: cannot read 'no/such/file.json': No such file or directory"),
+            # JSON integers are ints, not truncated floats or bools
+            (["graph", "det", "--json", '{"vertices":[{"id":"a","w":2.7}]}'],
+             "WrongShape: vertex {'id': 'a', 'w': 2.7} needs a string id and an integer weight w"),
+            (["graph", "det", "--json", '{"vertices":[{"id":"a","w":true}]}'],
+             "WrongShape: vertex {'id': 'a', 'w': True} needs a string id and an integer weight w"),
+            (["grade", "degree", "--poly", "x", "--vars", "x", "--weights",
+              '{"vars":["x"],"weights":[1.9]}'],
+             'GradingError: weight JSON needs a "weights" list of integers'),
+            (["smith", "orbit", "--json", with_action(order=2.5, perm=EDGE["action"]["perm"])],
+             'SmithError: an action needs an integer "order" and a "perm" object'),
+            (["smith", "orbit", "--json", with_action(order=True, perm=EDGE["action"]["perm"])],
+             'SmithError: an action needs an integer "order" and a "perm" object'),
+            (["poly", "diff", "--by", "x", "--vars", "x", "-a",
+              '{"vars": ["x"], "terms": [{"c": "1", "e": [1.7]}]}'],
+             "ParseError: term {'c': '1', 'e': [1.7]} needs an exponent list e of integers"),
+            # a second source for one input is refused, not dropped
+            (["smith", "sequences", "--model", "sphere:3", "--action", "{}"],
+             "CliError: --model and --action both give the action; pass one"),
+            (["smith", "orbit", "--json", json.dumps(EDGE), "--action", json.dumps(EDGE["action"])],
+             'CliError: --action and the "action" of --json both give the action; pass one'),
+            (["graph", "minimal", "--chain=-1,-2", "--ramanujam"],
+             "CliError: --chain and --ramanujam both give the graph; pass one"),
+            (["smith", "homology", "--json", json.dumps(EDGE), "--model", "disc:3"],
+             "CliError: --json and --model both give the complex; pass one"),
+            (["lnd", "check", "--ring", "C2", "--images", '{"ring": "C3", "x": "0", "y": "x"}'],
+             'CliError: --ring and the "ring" of --images both give the ring; pass one'),
+            (["lnd", "check", "--ring", "C2", "--images", '{"x": "0", "y": "x", "z": "y"}'],
+             "CliError: --images maps ['z'], not ring variables"),
+            # one rule for polynomial values in --map and --images
+            (["lnd", "check", "--ring", "C2", "--images", '{"x": 1}'],
+             "ParseError: polynomial text must be a string, not int"),
+        ],
+    )
+    def test_exit_one_with_json_error(self, capsys, argv, error):
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)) == (1, {"error": error})
+
+    @pytest.mark.parametrize(
+        "reader, data, error",
+        [
+            ("dualgraph.graph_from_json", {"vertices": [{"id": "a", "w": 1.0}]}, "GraphError"),
+            ("dualgraph.graph_from_json", {"vertices": [{"id": "a", "w": False}]}, "GraphError"),
+            ("grading.weights_from_json", {"vars": ["x"], "weights": [1.0]}, "PolyError"),
+            ("grading.weights_from_json", {"vars": ["x"], "weights": [True]}, "PolyError"),
+            ("smithhom.action_from_json", {"order": 2.0, "perm": {}}, "SmithError"),
+            ("smithhom.action_from_json", {"order": True, "perm": {}}, "SmithError"),
+            ("polyring.poly_from_json", {"vars": ["x"], "terms": [{"c": "1", "e": [1.0]}]},
+             "PolyError"),
+            ("polyring.poly_from_json", {"vars": ["x"], "terms": [{"c": "1", "e": [True]}]},
+             "PolyError"),
+            ("polyring.poly_from_json", {"vars": ["x"], "terms": [{"c": 0.5, "e": [1]}]},
+             "PolyError"),
+            ("fpgroups.presentation_from_json", {"gens": ["a"], "rels": [[1.0]]}, "GroupError"),
+        ],
+    )
+    def test_json_integers_are_ints(self, reader, data, error):
+        module, name = reader.split(".")
+        with pytest.raises(cli.DOMAIN_ERRORS) as exc:
+            getattr(importlib.import_module(f"exoticaffine.{module}"), name)(data)
+        assert error in [cls.__name__ for cls in type(exc.value).__mro__]
+
+    def test_polynomial_json_in_a_map(self, capsys):
+        image = {"vars": ["x", "y"], "terms": [{"c": "2", "e": [0, 1]}]}
+        code, out = run_cli(capsys, "poly", "subst", "-a", "x+y", "--vars", "x,y",
+                            "--map", json.dumps({"x": image, "y": "y"}))
+        assert (code, json.loads(out)["text"]) == (0, "3*y")
+
+    def test_dash_reads_stdin_and_file_is_an_alias_of_json(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GRAPH_AB)))
+        assert run_cli(capsys, "graph", "det", "--file", "-") == run_cli(
+            capsys, "graph", "det", "--json", json.dumps(GRAPH_AB)
+        )
+        path = tmp_path / "matrix.json"
+        path.write_text("[[2, 4], [6, 8]]")
+        code, out = run_cli(capsys, "group", "snf", "--matrix", str(path))
+        assert (code, json.loads(out)["S"]) == (0, [["2", "0"], ["0", "4"]])
+
+    def test_json_in_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["--json-in", "graph", "det"])
+        assert exc.value.code == 2
+
+    def test_domain_errors_hold_no_builtin_exception(self):
+        assert not [cls for cls in cli.DOMAIN_ERRORS if cls.__module__ == "builtins"]
+
+    def test_a_bug_exits_three_with_its_traceback(self, capsys, monkeypatch):
+        def broken(args):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli.HANDLERS, "group", broken)
+        code = main(["group", "triangle", "--k", "2", "--l", "3", "--s", "5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {"error": "InternalError: KeyError: 'missing'"}
+        assert captured.err.startswith("Traceback") and "KeyError" in captured.err
+
+    def test_cold_import_loads_no_traceback(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import exoticaffine.cli; "
+            "print('traceback' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
+
+
+# Small junk for option values: the guards against inputs that blow up
+# (huge exponents, subdivision counts, ring sizes) are not in place yet.
+JUNK = ["", "0", "-1", "2", "x", "a,b", "1.5", "1/0", "{}", "[]", "[1]", "null",
+        '{"x": 1}', '{"vertices": 1}', "-", "no/such/file"]
+
+
+def option_slots(argv):
+    """argv as [command, verb, ...] plus (option, value or None) pairs."""
+    words, slots, i = [], [], 0
+    while i < len(argv):
+        word = argv[i]
+        if not word.startswith("-"):
+            words.append(word)
+        elif "=" in word:
+            slots.append(tuple(word.split("=", 1)))
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            slots.append((word, argv[i + 1]))
+            i += 1
+        else:
+            slots.append((word, None))
+        i += 1
+    return words, slots
+
+
+class TestFuzzedBenchCommands:
+    """Each bench task of the three workloads (reduced sizes) with one option
+    dropped or its value replaced by junk: the outcome is exit 0, exit 1
+    with a JSON error, or argparse's exit 2 -- never a bug (exit 3) and
+    never an exception out of main."""
+
+    def test_mutations(self, capsys, monkeypatch):
+        tasks = [t.argv for w in WORKLOADS for t in generate(w, 7, reduced=True)]
+        rng = random.Random(5)
+        outcomes = {}
+        for _ in range(500):
+            words, slots = option_slots(rng.choice([t for t in tasks if len(t) > 2]))
+            i = rng.randrange(len(slots))
+            option, value = slots[i]
+            if value is None or rng.random() < 0.4:
+                del slots[i]
+            else:
+                slots[i] = (option, rng.choice(JUNK))
+            argv = words + [o if v is None else f"{o}={v}" for o, v in slots]
+            monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), (argv, out)
+            if code == 1:
+                assert set(json.loads(out)) == {"error"}, argv
+            outcomes[code] = outcomes.get(code, 0) + 1
+        assert outcomes.get(1, 0) > 150 and outcomes.get(0, 0) > 20

@@ -316,6 +316,18 @@ class TestQuotientDegree:
         with pytest.raises(DegreeNotStable):
             quotient_degree(parse_polynomial("x*y + z^2", xyz), q, w)
 
+    def test_no_graded_hypersurface_is_built(self, monkeypatch):
+        # the degree reads only the principal part and the weight; the
+        # appropriateness guard still runs on every call
+        def refuse(*args):
+            raise AssertionError("quotient_degree built a GradedHypersurface")
+
+        monkeypatch.setattr(grading, "GradedHypersurface", refuse)
+        q = russell_quotient()
+        assert quotient_degree(P("y*z"), q, W) == 2
+        with pytest.raises(grading.UncertifiedGrading):
+            quotient_degree(P("y"), grading.QuotientRing(VS, P("x + 1"), q.order), W)
+
     def test_degree_axioms_on_canonical_elements(self):
         q = russell_quotient()
         rng = random.Random(47)
