@@ -5,9 +5,12 @@ byte-identical for identical inputs, and --verbose adds timing on stderr.
 
 Outside input crosses one boundary: JSON options are read by `_json_arg`
 (`-` is stdin, inline JSON is read as is, other text is a file path),
-integer options by `_int_list`, and the options each verb needs are checked
-once, from REQUIRED; each raises a CliError naming the option.  The package
-readers own their formats and raise their package's error.
+integer options by `_int_list`, and the options each verb needs or refuses
+are checked once, from REQUIRED and REFUSED; each raises a CliError naming
+the option.  The package readers own their formats and raise their
+package's error; rational text goes through `linalg.coefficient`, which
+refuses exponent notation, and variable names through
+`polyring.readable_varset`.
 
 Exit codes: 0 success; 1 bad input ({"error": ...} on stdout); 2 usage error
 (argparse); 3 a bug ({"error": "InternalError: ..."} on stdout, the
@@ -25,6 +28,7 @@ import time
 from fractions import Fraction
 
 from . import constructions, derivations, dualgraph, fpgroups, grading, polyring, smithhom
+from .linalg import coefficient
 from .polyring import Polynomial, VarSet, parse_polynomial, poly_from_json, terms_text
 
 STEP_BUDGET_ENV = "EXOTIC_STEP_BUDGET"
@@ -88,11 +92,19 @@ REQUIRED = {
 }
 
 
-def _check_required(args):
+# The options a verb refuses: these verbs read no graph, and would otherwise
+# drop one given to them without a word.
+REFUSED = dict.fromkeys(("graph chain", "graph xt", "graph tdp"), "--json --chain --ramanujam")
+
+
+def _check_options(args):
     verb = getattr(args, "verb", None)
     for key in (args.command, f"{args.command} {verb}"):
         for option in REQUIRED.get(key, "").split():
             _need(args, option)
+        for option in REFUSED.get(key, "").split():
+            if getattr(args, option.lstrip("-")) not in (None, False):
+                raise CliError(f"{key} reads no graph; drop {option}")
 
 
 def _one_source(args, options: tuple[str, ...], what: str):
@@ -104,7 +116,7 @@ def _one_source(args, options: tuple[str, ...], what: str):
 
 
 def _vars_from_arg(spec: str) -> VarSet:
-    return VarSet(tuple(name.strip() for name in spec.split(",") if name.strip()))
+    return polyring.readable_varset(name.strip() for name in spec.split(",") if name.strip())
 
 
 def _poly_arg(text: str, vs: VarSet, option: str) -> Polynomial:
@@ -288,9 +300,9 @@ def _cmd_lnd(args):
         }
     if args.verb == "flow":
         try:
-            t = Fraction(args.t)
-        except ValueError:  # a parameter name
-            t = args.t
+            t = coefficient(args.t)
+        except ValueError:  # a parameter name, one the parser reads
+            t = polyring.readable_varset([args.t]).names[0]
         except ZeroDivisionError:
             raise CliError(f"--t {args.t!r} has a zero denominator") from None
         flow = derivations.exp_flow(d, cert, t)
@@ -839,7 +851,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        _check_required(args)
+        _check_options(args)
         payload = HANDLERS[args.command](args)
     except DOMAIN_ERRORS as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))

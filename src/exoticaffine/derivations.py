@@ -29,9 +29,10 @@ from .polyring import (
     PolyError,
     VarSet,
     VarSetMismatch,
-    jacobian_det,
+    jacobian_matrix,
+    maximal_minors,
 )
-from .linalg import coefficient, exact_quotient, reduce_columns_mod
+from .linalg import apply_columns_mod, coefficient, exact_quotient, reduce_columns_mod
 
 DEFAULT_NILPOTENCY_BOUND = 64
 
@@ -161,17 +162,19 @@ def linear_derivation(matrix: Sequence[Sequence], vs: VarSet) -> Derivation:
 
 
 def jacobian_derivation(fs: Sequence[Polynomial]) -> Derivation:
-    """delta(g) = det of the gradients of f_1..f_{n-1}, g, in that row order."""
+    """delta(g) = det of the gradients of f_1..f_{n-1}, g, in that row order:
+    delta(x_i) = (-1)^(n+i) times the Jacobian minor of the f without column i."""
     if not fs:
         raise DimensionMismatch("need n-1 polynomials")
     vs = fs[0].varset
-    if len(fs) != len(vs) - 1:
-        raise DimensionMismatch(
-            f"need {len(vs) - 1} polynomials in {len(vs)} variables, got {len(fs)}"
-        )
-    images = {}
-    for name in vs.names:
-        images[name] = jacobian_det(list(fs) + [Polynomial.variable(vs, name)])
+    n = len(vs)
+    if len(fs) != n - 1:
+        raise DimensionMismatch(f"need {n - 1} polynomials in {n} variables, got {len(fs)}")
+    minors = maximal_minors(jacobian_matrix(fs))
+    images = {
+        name: minors.get((1 << n) - 1 - (1 << i), Polynomial.zero(vs)).scale((-1) ** (n - 1 - i))
+        for i, name in enumerate(vs.names)
+    }
     return make_derivation(vs, images)
 
 
@@ -417,19 +420,21 @@ def _shifted(terms: dict, e) -> dict:
     return {tuple(map(add, k, e)): c for k, c in terms.items()}
 
 
-def _kernel(cols, monos, vs) -> list[Polynomial]:
-    """Q-basis of the kernel of the columns, one polynomial per column that
-    reduces to zero: its tracked combination, the reduced echelon kernel
-    vector of that free column, scaled to primitive integer coefficients
-    with a positive leading term.  Sorted by terms."""
+def _kernel_vectors(cols) -> list[dict]:
+    """The reduced echelon Q-basis of the kernel of the columns: the tracked
+    combination of each column that reduces to zero, in column order."""
     reduced, combos, _ = reduce_columns_mod(cols, None, track=True)
+    return [combo for col, combo in zip(reduced, combos) if not col]
+
+
+def _polynomials(vectors, monos, vs) -> list[Polynomial]:
+    """Kernel vectors on the monomials as polynomials, scaled to primitive
+    integer coefficients with a positive leading term.  Sorted by terms."""
     polys = [
-        _primitive(Polynomial.from_terms(vs, {monos[j]: c for j, c in combo.items()}))
-        for col, combo in zip(reduced, combos)
-        if not col
+        _primitive(Polynomial.from_terms(vs, {monos[j]: c for j, c in vec.items()}))
+        for vec in vectors
     ]
-    polys.sort(key=lambda p: sorted(p.terms))
-    return polys
+    return sorted(polys, key=lambda p: sorted(p.terms))
 
 
 def _primitive(p: Polynomial) -> Polynomial:
@@ -441,12 +446,10 @@ def _primitive(p: Polynomial) -> Polynomial:
     return Polynomial(p.varset, {e: c // g for e, c in p.terms.items()})
 
 
-def _checked_kernel(d: Derivation, cols, monos) -> list[Polynomial]:
-    """_kernel of d's image columns, every element re-checked by apply."""
-    polys = _kernel(cols, monos, d.ambient)
-    for p in polys:
-        if not apply(d, p).is_zero():
-            raise DerivationError("kernel solve produced a non-kernel element")
+def _checked(d: Derivation, polys: list[Polynomial]) -> list[Polynomial]:
+    """Kernel elements of d, every one re-checked by apply."""
+    if any(not apply(d, p).is_zero() for p in polys):
+        raise DerivationError("kernel solve produced a non-kernel element")
     return polys
 
 
@@ -460,7 +463,7 @@ def kernel_elements(
     """
     _require_nilpotent(cert)
     monos = _canonical_monomials(d, degree_bound)
-    return _checked_kernel(d, _image_columns(d, monos), monos)
+    return _checked(d, _polynomials(_kernel_vectors(_image_columns(d, monos)), monos, d.ambient))
 
 
 class InvariantCandidates:
@@ -473,21 +476,14 @@ class InvariantCandidates:
     derivations could only enlarge it).
     """
 
-    __slots__ = ("ml_basis", "dk_generators", "degree_bound", "ml_semantics", "dk_semantics")
+    __slots__ = ("ml_basis", "dk_generators", "degree_bound")
+    ml_semantics = "upper bound: superset of the truncated ML invariant"
+    dk_semantics = "lower bound: generators of a subalgebra of Dk"
 
-    def __init__(
-        self,
-        ml_basis: list[Polynomial],
-        dk_generators: list[Polynomial],
-        degree_bound: int,
-        ml_semantics: str = "upper bound: superset of the truncated ML invariant",
-        dk_semantics: str = "lower bound: generators of a subalgebra of Dk",
-    ):
+    def __init__(self, ml_basis: list[Polynomial], dk_generators: list[Polynomial], degree_bound):
         self.ml_basis = ml_basis
         self.dk_generators = dk_generators
         self.degree_bound = degree_bound
-        self.ml_semantics = ml_semantics
-        self.dk_semantics = dk_semantics
 
 
 def invariant_candidates(
@@ -507,19 +503,14 @@ def invariant_candidates(
             raise VarSetMismatch("derivations act on different rings")
     monos = _canonical_monomials(base, degree_bound)
     columns = [_image_columns(d, monos) for d in ds]
-    kernels = [_checked_kernel(d, cols, monos) for d, cols in zip(ds, columns)]
-    if len(ds) == 1:
-        ml_basis = kernels[0]
-    else:
-        # stack the derivations: row (k, e) is the e-coefficient of the k-th
-        stacked = [
-            {(k, e): c for k, cols in enumerate(columns) for e, c in cols[j].items()}
-            for j in range(len(monos))
-        ]
-        ml_basis = _kernel(stacked, monos, base.ambient)
+    kernels = [_kernel_vectors(cols) for cols in columns]
     dk: list[Polynomial] = []
-    for kernel in kernels:
-        for p in kernel:
-            if p not in dk:
-                dk.append(p)
-    return InvariantCandidates(ml_basis, dk, degree_bound)
+    for d, vectors in zip(ds, kernels):
+        dk += [p for p in _checked(d, _polynomials(vectors, monos, base.ambient)) if p not in dk]
+    # ML, the intersection of the kernels: the zero columns among the next
+    # derivation's images of the basis so far combine it into the next basis
+    ml = kernels[0]
+    for cols in columns[1:]:
+        images = [apply_columns_mod(cols, vec, None) for vec in ml]
+        ml = [apply_columns_mod(ml, combo, None) for combo in _kernel_vectors(images)]
+    return InvariantCandidates(_polynomials(ml, monos, base.ambient), dk, degree_bound)

@@ -23,10 +23,14 @@ from math import gcd, lcm
 
 def coefficient(c):
     """The exact rational c as an int when it is integral, else as a
-    Fraction; c may be anything Fraction() accepts."""
+    Fraction.  c may be anything Fraction() accepts except text in exponent
+    notation, a ValueError: rational text comes from outside the program,
+    and '1e9999999' names an integer that takes seconds to build."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if type(c) is str and ("e" in c or "E" in c):
+            raise ValueError(f"{c!r}: exponent notation is not read")
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -549,48 +549,48 @@ def _reduce(p: Polynomial, d: Polynomial, order: MonomialOrder, step_budget, lm=
 
 def jacobian_matrix(fs: list[Polynomial]) -> list[list[Polynomial]]:
     vs = fs[0].varset
+    if any(f.varset != vs for f in fs):
+        raise VarSetMismatch("jacobian entries use different varsets")
     return [[f.partial(name) for name in vs.names] for f in fs]
 
 
-def poly_det(rows: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square matrix of polynomials by cofactor expansion."""
-    n = len(rows)
-    vs = rows[0][0].varset
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    result = Polynomial.zero(vs)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cof = entry * poly_det(minor)
-        result = result + (cof if j % 2 == 0 else -cof)
-    return result
+def maximal_minors(rows: list[list[Polynomial]]) -> dict[int, Polynomial]:
+    """The nonzero minors of a k x n polynomial matrix on all k rows, keyed by
+    the bitmask of their columns, each formed once in one Laplace pass down
+    the rows: minor(rows 0..r, S) is the sum over j in S of rows[r][j] times
+    minor(rows 0..r-1, S - {j}), negated if S has odd many columns after j."""
+    minors = {0: Polynomial.constant(rows[0][0].varset, 1)}
+    for row in rows:
+        below = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if not (cols >> j & 1 or entry.is_zero()):
+                    term = -entry * minor if (cols >> j).bit_count() % 2 else entry * minor
+                    key = cols | 1 << j
+                    below[key] = below[key] + term if key in below else term
+        minors = {cols: minor for cols, minor in below.items() if not minor.is_zero()}
+    return minors
 
 
 def jacobian_det(fs: list[Polynomial]) -> Polynomial:
     """Determinant of the matrix of partials of n polynomials in n variables."""
     if not fs:
         raise DimensionMismatch("empty polynomial list")
+    rows = jacobian_matrix(fs)
     vs = fs[0].varset
-    for f in fs:
-        if f.varset != vs:
-            raise VarSetMismatch("jacobian entries use different varsets")
     if len(fs) != len(vs):
         raise DimensionMismatch(
             f"need {len(vs)} polynomials for variables {vs.names}, got {len(fs)}"
         )
-    return poly_det(jacobian_matrix(fs))
+    return maximal_minors(rows).get((1 << len(vs)) - 1, Polynomial.zero(vs))
 
 
 # ---------------------------------------------------------------------------
 # parsing and JSON
 
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[\^*+\-()/]")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\d+|{_NAME.pattern}|[\^*+\-()/]")
 # the first character that starts no token and is not a blank
 _BAD_CHARACTER = re.compile(r"[^\s\dA-Za-z_^*+\-()/]")
 
@@ -714,12 +714,23 @@ def poly_to_json(p: Polynomial, order: MonomialOrder = GRLEX) -> dict:
     }
 
 
+def readable_varset(names: Iterable[str]) -> VarSet:
+    """The VarSet of names read from outside the program.  Each must be a
+    name the parser reads, so printed text means one polynomial; VarSet
+    itself takes any distinct nonempty names."""
+    names = tuple(names)
+    for name in names:
+        if not _NAME.fullmatch(name):
+            raise InvalidVarSet(f"{name!r} is not a variable name [A-Za-z_][A-Za-z_0-9]*")
+    return VarSet(names)
+
+
 def varset_from_json(data) -> VarSet:
     """The {"vars": [names]} that polynomial, weight and ring JSON share."""
     names = data.get("vars") if isinstance(data, dict) else None
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ParseError('JSON needs a "vars" list of variable names')
-    return VarSet(tuple(names))
+    return readable_varset(names)
 
 
 def poly_from_json(data: Mapping) -> Polynomial:

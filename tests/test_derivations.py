@@ -33,8 +33,17 @@ from exoticaffine.grading import (
     russell_graded,
     russell_quotient,
 )
-from exoticaffine.polyring import Polynomial, parse_polynomial, varset
+from exoticaffine.linalg import reduce_columns_mod
+from exoticaffine.polyring import (
+    DimensionMismatch,
+    Polynomial,
+    VarSetMismatch,
+    jacobian_det,
+    parse_polynomial,
+    varset,
+)
 from gfp_oracle import nullspace_q
+from test_polyring import random_poly
 
 VS = varset("x", "y", "z", "t")
 W = RUSSELL_WEIGHTS
@@ -165,6 +174,25 @@ class TestJacobianDerivation:
         d = jacobian_derivation(fs)
         for f in fs:
             assert apply(d, f).is_zero()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_images_are_determinants_with_a_unit_row(self, n):
+        # delta(x_i) is the determinant of the gradients of the f and of x_i
+        rng = random.Random(f"jacobian derivation {n}")
+        vs = varset(*(f"x{i}" for i in range(n)))
+        for _ in range(3):
+            fs = [random_poly(vs, rng, 3, 2) for _ in range(n - 1)]
+            d = jacobian_derivation(fs)
+            for name in vs.names:
+                assert d.images[name] == jacobian_det(fs + [Polynomial.variable(vs, name)])
+
+    def test_refusals_keep_class_and_message(self):
+        with pytest.raises(DimensionMismatch, match="^need n-1 polynomials$"):
+            jacobian_derivation([])
+        with pytest.raises(DimensionMismatch, match="^need 2 polynomials in 3 variables, got 1$"):
+            jacobian_derivation([P("x", XYZ)])
+        with pytest.raises(VarSetMismatch, match="^jacobian entries use different varsets$"):
+            jacobian_derivation([P("x", XYZ), P("y", varset("x", "y", "w"))])
 
 
 class TestApply:
@@ -553,9 +581,11 @@ def dense_invariants(ds, bound):
     return ml, dk
 
 
-def random_triangular(rng, vs=XYZ):
-    """x -> 0 and each later variable to a random polynomial in the ones
-    before it (x, y, z on C[x, y, z]): locally nilpotent."""
+def random_triangular(rng, vs=XYZ, order=None):
+    """The first variable of `order` (vs's own order by default) -> 0 and
+    each later one to a random polynomial in the ones before it (x, y, z on
+    C[x, y, z]): locally nilpotent."""
+    names = order or vs.names
 
     def poly(names, degree):
         terms = {}
@@ -566,9 +596,9 @@ def random_triangular(rng, vs=XYZ):
             terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
         return Polynomial.from_terms(vs, terms)
 
-    images = {vs.names[0]: Polynomial.zero(vs)}
+    images = {names[0]: Polynomial.zero(vs)}
     for i in range(1, len(vs)):
-        images[vs.names[i]] = poly("".join(vs.names[:i]), 2)
+        images[names[i]] = poly(names[:i], 2)
     return make_derivation(vs, images)
 
 
@@ -610,6 +640,80 @@ class TestKernelsAgainstDenseRoute:
         d = delta1()
         with pytest.raises(derivations.DerivationError):
             invariant_candidates([d, delta2()], [nilpotency_test(d)], 2)
+
+
+def stacked_ml_basis(ds, bound):
+    """The ML basis by one reduction of the stacked image columns of all the
+    derivations, row (k, e) the e-coefficient of the k-th: the oracle of the
+    successive kernels."""
+    monos = derivations._canonical_monomials(ds[0], bound)
+    columns = [derivations._image_columns(d, monos) for d in ds]
+    stacked = [
+        {(k, e): c for k, cols in enumerate(columns) for e, c in cols[j].items()}
+        for j in range(len(monos))
+    ]
+    reduced, combos, _ = reduce_columns_mod(stacked, None, track=True)
+    vectors = [combo for col, combo in zip(reduced, combos) if not col]
+    return derivations._polynomials(vectors, monos, ds[0].ambient)
+
+
+class TestSuccessiveKernels:
+    """invariant_candidates cuts the first kernel down by one derivation at a
+    time; one stacked reduction and the kernels one by one are the oracle."""
+
+    def check(self, ds, bound):
+        certs = [nilpotency_test(d) for d in ds]
+        result = invariant_candidates(ds, certs, bound)
+        assert result.ml_basis == stacked_ml_basis(ds, bound)
+        dk = []
+        for d, cert in zip(ds, certs):
+            dk += [p for p in kernel_elements(d, cert, bound) if p not in dk]
+        assert result.dk_generators == dk
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4])
+    def test_russell_deltas(self, bound):
+        self.check([delta1(), delta2()], bound)
+        self.check([delta2(), delta1()], bound)
+
+    def test_seeded_triangular_families(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            vs = rng.choice((XYZ, VS))
+            ds = []
+            for _ in range(rng.randint(2, 3)):
+                order = list(vs.names)
+                rng.shuffle(order)
+                ds.append(random_triangular(rng, vs, order))
+            self.check(ds, rng.randint(1, 3))
+
+    def test_one_reduction_per_kernel_then_kernel_sized_ones(self, monkeypatch):
+        """k reductions of all image columns, then k - 1 of at most
+        dim-kernel columns; one derivation makes one reduction."""
+        rng = random.Random(2025)
+        d1, d2, d3 = (random_triangular(rng) for _ in range(3))
+        bound = 3
+        monos = derivations._canonical_monomials(d1, bound)
+        dims = [len(stacked_ml_basis(ds, bound)) for ds in ([d1], [d1, d2])]
+        certs = [nilpotency_test(d) for d in (d1, d2, d3)]
+        counts = []
+
+        def counting(cols, p, track=False):
+            counts.append(len(cols))
+            return reduce_columns_mod(cols, p, track)
+
+        monkeypatch.setattr(derivations, "reduce_columns_mod", counting)
+        invariant_candidates([d1, d2, d3], certs, bound)
+        assert counts == [len(monos)] * 3 + dims
+        assert dims[0] < len(monos)
+        counts.clear()
+        russell = [delta1(), delta2()]
+        invariant_candidates(russell, [nilpotency_test(d) for d in russell], bound)
+        assert len(counts) == 3 and counts[0] == counts[1] > counts[2]
+        for run in (lambda: invariant_candidates([d1], certs[:1], bound),
+                    lambda: kernel_elements(d1, certs[0], bound)):
+            counts.clear()
+            run()
+            assert counts == [len(monos)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Core polynomial arithmetic: examples with independent oracles, ring axioms."""
 
 import ast
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from exoticaffine.polyring import (
     GRLEX,
     LEX,
     DivisionByZero,
+    DimensionMismatch,
     InvalidVarSet,
     MissingImage,
     MonomialOrder,
@@ -30,6 +32,7 @@ from exoticaffine.polyring import (
     arith,
     exact_divide,
     jacobian_det,
+    maximal_minors,
     normal_form,
     parse_polynomial,
     poly_from_json,
@@ -275,6 +278,65 @@ class TestJacobian:
             det = det + prod
         assert jacobian_det(fs) == det
         assert det == parse_polynomial("0 - y", xyz)
+
+
+def cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row: the oracle of
+    the one-pass minors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = Polynomial.zero(rows[0][0].varset)
+    for j, entry in enumerate(rows[0]):
+        cofactor = entry * cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        det = det - cofactor if j % 2 else det + cofactor
+    return det
+
+
+def seeded_matrices(rows, cols, rng):
+    """Polynomial matrices of one shape: dense, sparse, and with a zero row."""
+    def matrix(density):
+        return [
+            [random_poly(XYZT, rng, 3, 2) if rng.random() < density else Polynomial.zero(XYZT)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    dense, sparse, zero_row = matrix(1), matrix(0.35), matrix(1)
+    zero_row[rng.randrange(rows)] = [Polynomial.zero(XYZT)] * cols
+    return [dense, sparse, zero_row]
+
+
+class TestMaximalMinors:
+    """One Laplace pass against cofactor expansion of each column subset."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_square_determinants(self, n):
+        rng = random.Random(f"square {n}")
+        for rows in seeded_matrices(n, n, rng) + seeded_matrices(n, n, rng):
+            minors = maximal_minors(rows)
+            assert set(minors) <= {(1 << n) - 1}
+            assert minors.get((1 << n) - 1, Polynomial.zero(XYZT)) == cofactor_det(rows)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 4), (3, 5), (4, 6), (5, 6)])
+    def test_every_maximal_minor(self, k, n):
+        rng = random.Random(f"wide {k} {n}")
+        for rows in seeded_matrices(k, n, rng):
+            minors = maximal_minors(rows)
+            for cols in itertools.combinations(range(n), k):
+                mask = sum(1 << j for j in cols)
+                expect = cofactor_det([[row[j] for j in cols] for row in rows])
+                assert minors.get(mask, Polynomial.zero(XYZT)) == expect
+                assert mask not in minors or not minors[mask].is_zero()
+
+    def test_jacobian_refusals_keep_class_and_message(self):
+        with pytest.raises(DimensionMismatch, match="^empty polynomial list$"):
+            jacobian_det([])
+        with pytest.raises(VarSetMismatch, match="^jacobian entries use different varsets$"):
+            jacobian_det([P("x", XY), P("y")])
+        with pytest.raises(
+            DimensionMismatch, match=r"^need 2 polynomials for variables \('x', 'y'\), got 1$"
+        ):
+            jacobian_det([P("x", XY)])
 
 
 RUSSELL = P("x + x^2*y + z^2 + t^3")
