@@ -97,6 +97,20 @@ REQUIRED = {
 REFUSED = dict.fromkeys(("graph chain", "graph xt", "graph tdp"), "--json --chain --ramanujam")
 
 
+class _Alias(argparse.Action):
+    """Store an option's value and, in `<dest>_typed`, the spelling it was
+    given by: argparse keeps one dest for `--json` and its alias `--file`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_typed", option_string)
+
+
+def _typed(args, option: str) -> str:
+    """The spelling of a given option that the command line used."""
+    return getattr(args, f"{option.lstrip('-')}_typed", option)
+
+
 def _check_options(args):
     verb = getattr(args, "verb", None)
     for key in (args.command, f"{args.command} {verb}"):
@@ -104,14 +118,15 @@ def _check_options(args):
             _need(args, option)
         for option in REFUSED.get(key, "").split():
             if getattr(args, option.lstrip("-")) not in (None, False):
-                raise CliError(f"{key} reads no graph; drop {option}")
+                raise CliError(f"{key} reads no graph; drop {_typed(args, option)}")
 
 
 def _one_source(args, options: tuple[str, ...], what: str):
     """The one option of `options` that is given, or None."""
     given = [o for o in options if getattr(args, o.lstrip("-")) not in (None, False)]
     if len(given) > 1:
-        raise CliError(f"{given[0]} and {given[1]} both give the {what}; pass one")
+        first, second = (_typed(args, o) for o in given[:2])
+        raise CliError(f"{first} and {second} both give the {what}; pass one")
     return given[0] if given else None
 
 
@@ -202,7 +217,7 @@ def _derivation_from_args(args) -> derivations.Derivation:
 def _graph_from_args(args) -> dualgraph.WeightedGraph:
     source = _one_source(args, ("--json", "--chain", "--ramanujam"), "graph")
     if source == "--json":
-        return dualgraph.graph_from_json(_json_arg(args.json, "--json"))
+        return dualgraph.graph_from_json(_json_arg(args.json, _typed(args, "--json")))
     if source == "--chain":
         return dualgraph.chain_graph(_int_list(args.chain, "--chain"))
     if source == "--ramanujam":
@@ -285,8 +300,8 @@ def _cmd_lnd(args):
     cert = derivations.nilpotency_test(d, args.bound)
     cert_payload = {
         "verdict": cert.verdict,
-        "orders": _stringify(cert.orders) if cert.orders else None,
-        "bound": _stringify(cert.bound) if cert.bound else None,
+        "orders": None if cert.orders is None else _stringify(cert.orders),
+        "bound": None if cert.bound is None else _stringify(cert.bound),
         "witness": cert.witness,
         "evidence": cert.evidence,
     }
@@ -438,12 +453,14 @@ def _smith_complex(args):
     if source == "--model":
         _one_source(args, ("--model", "--action"), "action")
         return _smith_model(args.model)
-    data = _json_arg(args.json, "--json")
+    data = _json_arg(args.json, _typed(args, "--json"))
     k = smithhom.complex_from_json(data)
     if args.action is None:
         return k, smithhom.action_from_json(data["action"]) if "action" in data else None
     if "action" in data:
-        raise CliError('--action and the "action" of --json both give the action; pass one')
+        raise CliError(
+            f'--action and the "action" of {_typed(args, "--json")} both give the action; pass one'
+        )
     return k, smithhom.action_from_json(_json_arg(args.action, "--action"))
 
 
@@ -800,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser("graph", help="weighted dual graph calculus")
     graph.add_argument("verb", choices=["blowup", "contract", "minimal", "ramanujam", "chain", "det", "xt", "tdp", "ample", "dot"])
-    graph.add_argument("--json", "--file", help="graph JSON")
+    graph.add_argument("--json", "--file", action=_Alias, help="graph JSON")
     graph.add_argument("--chain", help="comma weights for a linear chain")
     graph.add_argument("--ramanujam", action="store_true", help="built-in Ramanujam graph")
     graph.add_argument("--site", help="vertex id or u,v edge")
@@ -821,7 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     smith = sub.add_parser("smith", help="Smith theory on simplicial complexes")
     smith.add_argument("verb", choices=["homology", "orbit", "transfer", "sequences", "subdivide"])
-    smith.add_argument("--json", "--file", help="complex JSON, with or without an action")
+    smith.add_argument("--json", "--file", action=_Alias,
+                       help="complex JSON, with or without an action")
     smith.add_argument("--action", help="action JSON")
     smith.add_argument("--model", help="disc:p, sphere:p or circle:p")
     smith.add_argument("--mod", type=int, help="prime coefficient field")

@@ -8,9 +8,10 @@ A contraction that would create a multi-edge is refused; that keeps every
 graph the dual graph of an SNC divisor.
 
 Also here: the Euclidean resolution chain for x^m/y^n, exact intersection
-determinants via fraction-free elimination, the unimodularity certificate for
-the 4x4 covering matrices T, the Diophantine contractibility test, and the
-greedy construction of an ample divisor supported on the whole boundary.
+determinants (a forest's in one leaf-to-root pass, fraction-free elimination
+only for a graph with a cycle), the unimodularity certificate for the 4x4
+covering matrices T, the Diophantine contractibility test, and the greedy
+construction of an ample divisor supported on the whole boundary.
 """
 
 from __future__ import annotations
@@ -327,7 +328,54 @@ def intersection_matrix(g: WeightedGraph) -> IntersectionMatrix:
         u, v = tuple(e)
         entries[index[u]][index[v]] = 1
         entries[index[v]][index[u]] = 1
-    return IntersectionMatrix(basis, tuple(tuple(r) for r in entries), det(entries))
+    determinant = _forest_det(g)
+    if determinant is None:  # a cycle: no leaf-to-root order, so eliminate
+        determinant = det(entries)
+    return IntersectionMatrix(basis, tuple(tuple(r) for r in entries), determinant)
+
+
+def _forest_det(g: WeightedGraph) -> int | None:
+    """The intersection determinant of a forest in one leaf-to-root pass, or
+    None when g has a cycle.
+
+    Expanding along a vertex v of a tree T gives
+    det T = w_v det(T - v) - sum over children c of det(T - v - c).  So each
+    vertex carries A_v = det of its subtree and B_v = det of that subtree
+    without v; its children fold in as (P, S) <- (P A_c, S A_c + B_c P) from
+    (1, 0), and A_v = w_v P - S, B_v = P.  On a chain this is the continuant
+    d_k = w_k d_{k-1} - d_{k-2} of Hirzebruch-Jung continued fractions.  No
+    division, so a zero weight is no special case.
+    """
+    adjacent: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        u, v = e
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    parent: dict[str, str | None] = {}
+    fold: dict[str, tuple[int, int]] = {}
+    determinant = 1
+    for root in g.vertices:
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:  # breadth first; order grows as it is read
+            for w in adjacent[v]:
+                if w != parent[v]:
+                    if w in parent:  # a second path to w
+                        return None
+                    parent[w] = v
+                    order.append(w)
+        for v in reversed(order):
+            p, s = fold.pop(v, (1, 0))
+            a = g.vertices[v] * p - s
+            up = parent[v]
+            if up is None:
+                determinant *= a
+            else:
+                q, t = fold.get(up, (1, 0))
+                fold[up] = (q * a, t * a + p * q)
+    return determinant
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from exoticaffine import cli
+from exoticaffine import cli, dualgraph, linalg
 from exoticaffine.cli import main
 from exoticaffine.polyring import varset
 from test_fpgroups import rank_deficient_matrix
 from test_polyring import random_poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from workloads import WORKLOADS, generate  # noqa: E402
+from workloads import CHAIN_LENGTHS, WORKLOADS, chain_pair, generate  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,15 @@ class TestMoreVerbs:
             0, "Inconclusive", "1")
         code, out = run_cli(capsys, *argv, "--bound", "2")
         assert (code, json.loads(out)["orders"]) == (0, {"x": "0", "y": "1", "z": "2"})
+
+    def test_lnd_check_bound_zero_is_printed(self, capsys):
+        # 0 is a bound, not a missing one; and a ring without variables
+        # has an empty set of orders, not none
+        argv = ["lnd", "check", "--ring", "C3", "--images", '{"x": "0", "y": "x", "z": "y"}']
+        code, out = run_cli(capsys, *argv, "--bound", "0")
+        assert (code, json.loads(out)["bound"]) == (0, "0")
+        code, out = run_cli(capsys, "lnd", "check", "--ring", "C0", "--images", "{}")
+        assert (code, json.loads(out)["orders"]) == (0, {})
 
     def test_verbose_times_on_stderr_only(self, capsys):
         argv = ["poly", "jacobian", "--vars", "x,y", "--fs", "x^2 + y;x*y"]
@@ -804,6 +813,94 @@ class TestPinnedSnfOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SNF_STDOUT[shape]
 
 
+def pinned_chain_argv(length: int) -> list[str]:
+    """A seeded `graph chain` whose resolution has `length` curves."""
+    m, n = chain_pair(random.Random(f"graph chain {length}"), length)
+    return ["graph", "chain", "--m", str(m), "--n", str(n)]
+
+
+def seeded_forest(rng, sizes, low=-5, high=3) -> dict:
+    """Graph JSON of one seeded tree of each size in `sizes`."""
+    vertices, edges = [], []
+    for c, size in enumerate(sizes):
+        ids = [f"c{c}v{i}" for i in range(size)]
+        vertices += [{"id": v, "w": rng.randint(low, high)} for v in ids]
+        edges += [[ids[i], ids[rng.randrange(i)]] for i in range(1, size)]
+    return {"vertices": vertices, "edges": edges}
+
+
+def pinned_det_graph(name: str) -> dict:
+    """The graph JSON behind each pinned `graph det`."""
+    rng = random.Random(f"graph det {name}")
+    if name.startswith("tree-"):
+        return seeded_forest(rng, [int(name[5:])])
+    if name == "forest":
+        return seeded_forest(rng, [1, 4, 9, 2])
+    if name == "zero-weight":
+        g = seeded_forest(rng, [12])
+        g["vertices"][5]["w"] = 0
+        return g
+    if name == "empty":
+        return {"vertices": [], "edges": []}
+    # a tree with two chords: two cycles, trees hanging off them
+    g = seeded_forest(rng, [10])
+    g["edges"] += [["c0v2", "c0v9"], ["c0v3", "c0v8"]]
+    return g
+
+
+# sha256 of the stdout of `graph chain` at every chain length of the
+# integer-linalg bench, and of `graph det` on seeded forests and on a graph
+# with cycles, pinned while every intersection determinant was a Bareiss
+# elimination of the dense matrix
+PINNED_CHAIN_STDOUT = {
+    3: "5c4378c831355888ffa1d1f8449e7619903e00dfbebcddf483db8b8915ae549a",
+    5: "e45f0b50cb7746ca9fca79cfe136d9154f4ab80e0129c6433871958fd8383a14",
+    8: "3678ae8e7dc231a6acc6e34ffaf933ac3d6559d2597155759bcfc0697b889d1d",
+    12: "a5566e09a914c27c182dab5383de040ca871a28999b147d9047c2b9a511e865f",
+    16: "72e5404ebe54dd1db8f0d4feb35eb9daaea586bf80dca7c47f2d37239bfd13dc",
+    20: "b33af113eb2aa8052a349b074640902507be55fee2dcb6c9b85e073445c5d5e5",
+    25: "fcd8fe8d6904c1964b7f586c3f070fdfebafe5c81c166f8a3102f7a63864a1f3",
+    30: "5088d5576049c05044b6f975bb0b80f297e502a3f112a97267bd4c1f94125c83",
+}
+PINNED_DET_STDOUT = {
+    "tree-1": "aa3fdc34dbd64ab47e6e28da528d4b669b06ac8c2030766a3b921a667e67fe98",
+    "tree-8": "8b1128bfa7827ef6982e9e386f65aed1f93ff4a003b421066acf3a4ce56a283b",
+    "tree-30": "e7e25e804012f79f6245bff578b333d10a11ba474f9cf58b47228903eb9fc87a",
+    "tree-60": "0cbe5477a67056068a9f04547278b11d2e43dfaeaca9273696a9d4b512d93fb0",
+    "forest": "1afb7cab037d47bd3f650d9f33625bdb33fdaddbf9c2cbafac78c5663957388a",
+    "zero-weight": "e4451cd0d7dfdda01570556cd8f0c4c63d3f323b77b3837e428b0d74c923be87",
+    "empty": "9e184576e8f54473f1e4d41e08a6fa9096dec12a361af1e9f10d83a5d5d7c334",
+    "cycle": "a42586e25835b309e32c849cd2eef7b13394647305b1e8be48a79d588b1bebad",
+}
+
+
+class TestPinnedDeterminantOutput:
+    @pytest.mark.parametrize("length", CHAIN_LENGTHS)
+    def test_chain_stdout_sha256(self, capsys, length):
+        code, out = run_cli(capsys, *pinned_chain_argv(length))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHAIN_STDOUT[length]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DET_STDOUT))
+    def test_det_stdout_sha256(self, capsys, name):
+        code, out = run_cli(capsys, "graph", "det", "--json", json.dumps(pinned_det_graph(name)))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DET_STDOUT[name]
+
+    def test_only_a_cycle_is_eliminated(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dualgraph, "det", lambda m: calls.append(m) or linalg.det(m))
+        for length in CHAIN_LENGTHS:
+            assert run_cli(capsys, *pinned_chain_argv(length))[0] == 0
+        for name in ("tree-30", "forest", "zero-weight", "empty"):
+            forest = json.dumps(pinned_det_graph(name))
+            assert run_cli(capsys, "graph", "det", "--json", forest)[0] == 0
+        assert len(calls) == 0
+        cycle = json.dumps(pinned_det_graph("cycle"))
+        assert run_cli(capsys, "graph", "det", "--json", cycle)[0] == 0
+        assert len(calls) == 1
+
+
 class TestParseBoundary:
     """Bad polynomial text and bad lnd options are domain errors (exit 1
     with a JSON error naming the problem), not tracebacks."""
@@ -1047,8 +1144,17 @@ class TestInputBoundary:
              "CliError: graph xt reads no graph; drop --chain"),
             (["graph", "tdp", "--entries", "2,1,3,2", "--ramanujam"],
              "CliError: graph tdp reads no graph; drop --ramanujam"),
+            # a refusal names the spelling typed: --file is an alias of --json
             (["graph", "tdp", "--entries", "2,1,3,2", "--file", "graph.json"],
-             "CliError: graph tdp reads no graph; drop --json"),
+             "CliError: graph tdp reads no graph; drop --file"),
+            (["graph", "det", "--file", "graph.json", "--chain", "3,2"],
+             "CliError: --file and --chain both give the graph; pass one"),
+            (["graph", "det", "--file", "no/such/file.json"],
+             "CliError: --file: cannot read 'no/such/file.json': No such file or directory"),
+            (["smith", "homology", "--file", json.dumps(EDGE), "--model", "disc:3"],
+             "CliError: --file and --model both give the complex; pass one"),
+            (["smith", "orbit", "--file", json.dumps(EDGE), "--action", json.dumps(EDGE["action"])],
+             'CliError: --action and the "action" of --file both give the action; pass one'),
         ],
     )
     def test_exit_one_with_json_error(self, capsys, argv, error):

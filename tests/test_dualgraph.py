@@ -28,7 +28,9 @@ from exoticaffine.dualgraph import (
     xt_certificate,
     xt_matrix,
 )
+from exoticaffine import dualgraph
 from exoticaffine.dualgraph import _q_connected
+from exoticaffine.linalg import det
 
 
 def random_tree(rng, max_vertices=12):
@@ -423,6 +425,66 @@ class TestComponentCount:
             else:
                 expected = "NotC2"
             assert ramanujam_verdict(g) == expected
+
+
+def random_forest(rng, max_vertices=14):
+    """Up to four seeded trees (any may be a single vertex, and there may be
+    none), weights from -4 to 4."""
+    vertices, edges = {}, []
+    for c in range(rng.randint(0, 4)):
+        ids = [f"c{c}v{i}" for i in range(rng.randint(1, max_vertices // 2))]
+        vertices.update((v, rng.randint(-4, 4)) for v in ids)
+        edges += [(ids[i], ids[rng.randrange(i)]) for i in range(1, len(ids))]
+    return graph(vertices, edges)
+
+
+def continuant(weights):
+    """d_k = w_k d_(k-1) - d_(k-2) from d_0 = 1, d_(-1) = 0."""
+    d, before = 1, 0
+    for w in weights:
+        d, before = w * d - before, d
+    return d
+
+
+class TestForestDeterminant:
+    """A forest's determinant comes from one leaf-to-root pass; elimination
+    (linalg.det) is its oracle, and the path taken for a graph with a cycle."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dualgraph, "det", lambda m: calls.append(m) or det(m))
+        return calls
+
+    def test_matches_elimination_on_seeded_forests(self, det_calls):
+        rng = random.Random(151)
+        forests = [graph({}), graph({"v": 0}), graph({"v": -3})]
+        forests += [random_forest(rng) for _ in range(1200)]
+        components = set()
+        for g in forests:
+            im = intersection_matrix(g)
+            assert im.determinant == det(im.entries)
+            components.add(len(g.vertices) - len(g.edges))
+        assert det_calls == [] and components >= {0, 1, 2, 3, 4}
+
+    def test_chain_is_the_continuant(self, det_calls):
+        rng = random.Random(157)
+        for _ in range(300):
+            weights = [rng.randint(-5, 5) for _ in range(rng.randint(0, 30))]
+            assert intersection_matrix(chain_graph(weights)).determinant == continuant(weights)
+        assert det_calls == []
+
+    def test_a_cycle_is_eliminated_once(self, det_calls):
+        rng = random.Random(163)
+        cyclic = 0
+        for _ in range(400):
+            g = random_graph(rng)
+            before = len(det_calls)
+            im = intersection_matrix(g)
+            assert im.determinant == det(im.entries)
+            assert len(det_calls) - before == g.has_cycle()
+            cyclic += g.has_cycle()
+        assert cyclic >= 100
 
 
 def _minimalize_by_contract(g):
