@@ -372,7 +372,7 @@ def _cmd_graph(args):
             "graph": dualgraph.graph_to_json(rc.graph),
             "order": list(rc.order),
             "labels": {v: [str(a) for a in lab] for v, lab in rc.labels.items()},
-            "determinant": str(dualgraph.intersection_matrix(rc.graph).determinant),
+            "determinant": str(dualgraph.intersection_determinant(rc.graph)),
         }
     if args.verb == "xt":
         cert = dualgraph.xt_certificate(_xt_arg(args.entries))

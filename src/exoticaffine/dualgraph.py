@@ -46,19 +46,23 @@ class Disconnected(GraphError):
 
 
 class WeightedGraph:
-    """Simple weighted graph; vertices maps id -> weight, edges are 2-sets."""
+    """Simple weighted graph; vertices maps id -> weight, edges are 2-sets,
+    adjacent maps id -> neighbours (built once: a graph is never mutated)."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("vertices", "edges", "adjacent")
 
     def __init__(self, vertices: dict[str, int], edges: frozenset[frozenset]):
         self.vertices = vertices
         self.edges = edges
+        self.adjacent = adjacent = {v: [] for v in vertices}
         for e in edges:
             if len(e) != 2:
                 raise GraphError(f"edge {set(e)} is not a 2-set")
-            for v in e:
-                if v not in vertices:
-                    raise GraphError(f"edge endpoint {v!r} is not a vertex")
+            u, v = e
+            if u not in adjacent or v not in adjacent:
+                raise GraphError(f"edge endpoint {v if u in adjacent else u!r} is not a vertex")
+            adjacent[u].append(v)
+            adjacent[v].append(u)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -68,12 +72,6 @@ class WeightedGraph:
     def __repr__(self) -> str:
         return f"WeightedGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
-    @staticmethod
-    def build(vertices, edges) -> "WeightedGraph":
-        vs = dict(vertices)
-        es = frozenset(frozenset(e) for e in edges)
-        return WeightedGraph(vs, es)
-
     def ids(self) -> list[str]:
         return sorted(self.vertices)
 
@@ -81,25 +79,20 @@ class WeightedGraph:
         return self.vertices[v]
 
     def neighbors(self, v: str) -> list[str]:
-        out = []
-        for e in self.edges:
-            if v in e:
-                (other,) = e - {v}
-                out.append(other)
-        return sorted(out)
+        return sorted(self.adjacent[v])
 
     def valence(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return len(self.adjacent[v])
 
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
 
     def is_connected(self) -> bool:
-        return _component_count(self.vertices, self.neighbors) <= 1
+        return _component_count(self.vertices, self.adjacent.__getitem__) <= 1
 
     def has_cycle(self) -> bool:
         # a simple graph is a forest iff |E| = |V| - #components
-        components = _component_count(self.vertices, self.neighbors)
+        components = _component_count(self.vertices, self.adjacent.__getitem__)
         return len(self.edges) != len(self.vertices) - components
 
     def fresh_id(self, stem: str = "e") -> str:
@@ -129,14 +122,14 @@ def _component_count(nodes, neighbors) -> int:
 
 
 def graph(vertices, edges=()) -> WeightedGraph:
-    return WeightedGraph.build(vertices, edges)
+    return WeightedGraph(dict(vertices), frozenset(frozenset(e) for e in edges))
 
 
 def chain_graph(weights, stem: str = "v") -> WeightedGraph:
     """Linear chain v1 - v2 - ... with the given weights."""
     ids = [f"{stem}{i + 1}" for i in range(len(weights))]
     edges = [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)]
-    return WeightedGraph.build(zip(ids, weights), edges)
+    return graph(zip(ids, weights), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +217,16 @@ def ramanujam_verdict(g: WeightedGraph) -> str:
     minimal, _ = minimalize(g)
     if minimal.has_cycle():
         return "NotATree"
-    if minimal.is_connected() and all(minimal.valence(v) <= 2 for v in minimal.ids()):
+    connected = len(minimal.vertices) - len(minimal.edges) <= 1  # a forest's components
+    if connected and all(len(nbrs) <= 2 for nbrs in minimal.adjacent.values()):
         return "IsomorphicToC2"
     return "NotC2"
 
 
 def ramanujam_graph() -> WeightedGraph:
     """The resolution graph of the Ramanujam surface boundary divisor."""
-    chain = [-3, -1, -3, -1, -2, -2, -2, -2]
-    g = chain_graph(chain)
-    vertices = dict(g.vertices)
-    vertices["b1"] = -2
-    vertices["b2"] = -2
-    edges = set(g.edges) | {frozenset(("v2", "b1")), frozenset(("v4", "b2"))}
-    return WeightedGraph(vertices, frozenset(edges))
+    g = chain_graph([-3, -1, -3, -1, -2, -2, -2, -2])
+    return graph({**g.vertices, "b1": -2, "b2": -2}, [*g.edges, ("v2", "b1"), ("v4", "b2")])
 
 
 # ---------------------------------------------------------------------------
@@ -318,20 +307,26 @@ class IntersectionMatrix:
 
 def intersection_matrix(g: WeightedGraph) -> IntersectionMatrix:
     """Symmetric matrix with vertex weights on the diagonal, 1 for each edge."""
-    basis = tuple(g.ids())
-    index = {v: i for i, v in enumerate(basis)}
-    n = len(basis)
-    entries = [[0] * n for _ in range(n)]
-    for i, v in enumerate(basis):
-        entries[i][i] = g.weight(v)
-    for e in g.edges:
-        u, v = tuple(e)
-        entries[index[u]][index[v]] = 1
-        entries[index[v]][index[u]] = 1
+    return IntersectionMatrix(tuple(g.ids()), _entries(g), intersection_determinant(g))
+
+
+def intersection_determinant(g: WeightedGraph) -> int:
+    """det of the intersection matrix, with no dense matrix for a forest."""
     determinant = _forest_det(g)
     if determinant is None:  # a cycle: no leaf-to-root order, so eliminate
-        determinant = det(entries)
-    return IntersectionMatrix(basis, tuple(tuple(r) for r in entries), determinant)
+        determinant = det(_entries(g))
+    return determinant
+
+
+def _entries(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
+    basis = g.ids()
+    index = {v: i for i, v in enumerate(basis)}
+    rows = [[0] * len(basis) for _ in basis]
+    for i, v in enumerate(basis):
+        rows[i][i] = g.vertices[v]
+        for w in g.adjacent[v]:
+            rows[i][index[w]] = 1
+    return tuple(map(tuple, rows))
 
 
 def _forest_det(g: WeightedGraph) -> int | None:
@@ -346,11 +341,6 @@ def _forest_det(g: WeightedGraph) -> int | None:
     d_k = w_k d_{k-1} - d_{k-2} of Hirzebruch-Jung continued fractions.  No
     division, so a zero weight is no special case.
     """
-    adjacent: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        u, v = e
-        adjacent[u].append(v)
-        adjacent[v].append(u)
     parent: dict[str, str | None] = {}
     fold: dict[str, tuple[int, int]] = {}
     determinant = 1
@@ -360,7 +350,7 @@ def _forest_det(g: WeightedGraph) -> int | None:
         parent[root] = None
         order = [root]
         for v in order:  # breadth first; order grows as it is read
-            for w in adjacent[v]:
+            for w in g.adjacent[v]:
                 if w != parent[v]:
                     if w in parent:  # a second path to w
                         return None
@@ -559,4 +549,9 @@ def graph_from_json(data) -> WeightedGraph:
         for e in edges
     ):
         raise WrongShape('"edges" must be pairs of distinct vertex ids')
-    return WeightedGraph.build(vertices, [tuple(e) for e in edges])
+    seen: set[frozenset] = set()
+    for e in edges:
+        if frozenset(e) in seen:
+            raise WrongShape(f"edge {e!r} is repeated")
+        seen.add(frozenset(e))
+    return graph(vertices, seen)

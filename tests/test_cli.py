@@ -1155,6 +1155,9 @@ class TestInputBoundary:
              "CliError: --file and --model both give the complex; pass one"),
             (["smith", "orbit", "--file", json.dumps(EDGE), "--action", json.dumps(EDGE["action"])],
              'CliError: --action and the "action" of --file both give the action; pass one'),
+            # two curves meet at most once
+            (["graph", "det", "--json", json.dumps({**GRAPH_AB, "edges": [["a", "b"], ["b", "a"]]})],
+             "WrongShape: edge ['b', 'a'] is repeated"),
         ],
     )
     def test_exit_one_with_json_error(self, capsys, argv, error):

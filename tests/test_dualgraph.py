@@ -1,6 +1,8 @@
 """Blow-ups, contractions, Ramanujam verdicts, resolution chains, certificates."""
 
+import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,6 +20,7 @@ from exoticaffine.dualgraph import (
     graph,
     graph_from_json,
     graph_to_json,
+    intersection_determinant,
     intersection_matrix,
     minimalize,
     ramanujam_graph,
@@ -28,7 +31,8 @@ from exoticaffine.dualgraph import (
     xt_certificate,
     xt_matrix,
 )
-from exoticaffine import dualgraph
+from exoticaffine import dualgraph, fpgroups
+from exoticaffine.cli import main
 from exoticaffine.dualgraph import _q_connected
 from exoticaffine.linalg import det
 
@@ -341,6 +345,17 @@ class TestDotAndJson:
             assert graph_from_json(graph_to_json(g)) == g
 
 
+def _scan_neighbors(g, v):
+    """The neighbours of v by a scan of every edge, as WeightedGraph.neighbors
+    found them before each graph kept its adjacency."""
+    out = []
+    for e in g.edges:
+        if v in e:
+            (other,) = e - {v}
+            out.append(other)
+    return sorted(out)
+
+
 # The walks that is_connected, has_cycle and _q_connected each ran before
 # they shared one component count; kept here as oracles.
 def _old_is_connected(g):
@@ -353,7 +368,7 @@ def _old_is_connected(g):
         if v in seen:
             continue
         seen.add(v)
-        stack.extend(g.neighbors(v))
+        stack.extend(_scan_neighbors(g, v))
     return len(seen) == len(g.vertices)
 
 
@@ -370,7 +385,7 @@ def _old_has_cycle(g):
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(g.neighbors(v))
+            stack.extend(_scan_neighbors(g, v))
     return len(g.edges) != len(g.vertices) - components
 
 
@@ -411,6 +426,27 @@ class TestComponentCount:
         for _ in range(300):
             entries = intersection_matrix(random_graph(rng)).entries
             assert _q_connected(entries) == _old_q_connected(entries)
+
+    def test_neighbors_match_an_edge_scan(self):
+        rng = random.Random(167)
+        contracted = 0
+        for _ in range(200):
+            g = random_graph(rng)
+            graphs = [g, graph_from_json(graph_to_json(g))]
+            if g.vertices:
+                graphs.append(blow_up(g, rng.choice(g.ids())))
+            if g.edges:
+                graphs.append(blow_up(g, tuple(rng.choice(sorted(map(sorted, g.edges))))))
+            for v in graphs[-1].ids():  # each contraction the latest graph allows
+                try:
+                    graphs.append(contract(graphs[-1], v))
+                    contracted += 1
+                except NotContractible:
+                    pass
+            for h in graphs:
+                for v in h.ids():
+                    assert h.neighbors(v) == _scan_neighbors(h, v)
+        assert contracted >= 200
 
     def test_ramanujam_verdict_on_random_graphs(self):
         # the verdict read off the minimal graph with the old walks
@@ -485,6 +521,121 @@ class TestForestDeterminant:
             assert len(det_calls) - before == g.has_cycle()
             cyclic += g.has_cycle()
         assert cyclic >= 100
+
+
+class CountingEdges(frozenset):
+    """An edge set that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestNoWalkScansTheEdges:
+    def test_long_chain(self, capsys, monkeypatch):
+        ids = [f"v{i}" for i in range(1000)]
+        edges = CountingEdges(frozenset(pair) for pair in zip(ids, ids[1:]))
+        g = dualgraph.WeightedGraph(dict.fromkeys(ids, -2), edges)
+        assert edges.passes == 1  # the one pass that builds the adjacency
+        edges.passes = 0
+        assert not g.has_cycle() and g.is_connected()
+        assert [g.valence(v) for v in ids[:3]] == [1, 2, 2]
+        assert g.neighbors("v1") == ["v0", "v2"]
+        assert ramanujam_verdict(g) == "IsomorphicToC2"
+        assert intersection_determinant(g) == continuant([-2] * 1000) == 1001
+        assert edges.passes == 0
+
+        def no_matrix(g):
+            raise AssertionError("graph chain built the dense matrix")
+
+        monkeypatch.setattr(dualgraph, "intersection_matrix", no_matrix)
+        assert main(["graph", "chain", "--m", "89", "--n", "55"]) == 0
+        assert json.loads(capsys.readouterr().out)["determinant"] in ("1", "-1")
+
+
+def hirzebruch_jung(a, b):
+    """a/b = c1 - 1/(c2 - 1/(... - 1/ck)) with every c >= 2, for 0 < b < a coprime."""
+    out = []
+    while b:
+        c = -(-a // b)
+        out.append(c)
+        a, b = b, c * b - a
+    return out
+
+
+def plumbing_graph(e0, arms):
+    """Star: a centre of weight e0 and, for each (a, b), the chain of weights
+    -c_j of a/b = [c_1, ..., c_k], c_1 next to the centre."""
+    vertices, edges = {"centre": e0}, []
+    for i, (a, b) in enumerate(arms):
+        previous = "centre"
+        for j, c in enumerate(hirzebruch_jung(a, b)):
+            vertices[f"arm{i}.{j}"] = -c
+            edges.append((previous, f"arm{i}.{j}"))
+            previous = f"arm{i}.{j}"
+    return graph(vertices, edges)
+
+
+def seifert_presentation(e0, arms):
+    """<q_1 .. q_n, h | [h, q_i], q_i^a_i h^b_i, q_1 ... q_n h^-e0>."""
+    n = len(arms)
+    h = n + 1
+
+    def power(letter, k):
+        return (letter if k > 0 else -letter,) * abs(k)
+
+    rels = [(h, i, -h, -i) for i in range(1, n + 1)]
+    rels += [power(i, a) + power(h, b) for i, (a, b) in enumerate(arms, start=1)]
+    rels.append(tuple(range(1, n + 1)) + power(h, -e0))
+    return fpgroups.Presentation(tuple(f"q{i}" for i in range(1, h)) + ("h",), tuple(rels))
+
+
+class TestPlumbingAgainstSeifertHomology:
+    """|det| of the star-shaped plumbing graph (the forest pass) is the order
+    of H1 of the Seifert manifold (the group layer's SNF); det 0 goes with
+    free rank 1."""
+
+    def test_seeded_invariants(self):
+        rng = random.Random(173)
+        euler_zero = 0
+        for _ in range(300):
+            arms = []
+            for _ in range(rng.randint(1, 4)):
+                a = rng.randint(2, 11)
+                arms.append((a, rng.choice([b for b in range(1, a) if gcd(a, b) == 1])))
+            e0 = rng.randint(-4, 1)
+            if len(arms) % 2 == 0 and rng.random() < 0.3:
+                # pairs b/a + (a - b)/a = 1, so e = e0 + sum b_i/a_i = 0
+                arms = [arm for a, b in arms[::2] for arm in ((a, b), (a, a - b))]
+                e0 = -len(arms) // 2
+            determinant = intersection_matrix(plumbing_graph(e0, arms)).determinant
+            h1 = fpgroups.abelianization(seifert_presentation(e0, arms))
+            assert (determinant == 0) == (e0 + sum(Fraction(b, a) for a, b in arms) == 0)
+            if determinant == 0:
+                assert h1.free_rank == 1
+                euler_zero += 1
+            else:
+                assert h1.free_rank == 0 and h1.order() == abs(determinant)
+        assert euler_zero >= 20
+
+    def test_brieskorn_homology_spheres(self):
+        triples = [
+            (k, l, s)
+            for k in range(2, 14)
+            for l in range(k + 1, 14)
+            for s in range(l + 1, 14)
+            if gcd(k, l) == gcd(k, s) == gcd(l, s) == 1
+        ]
+        assert len(triples) == 79
+        for triple in triples:
+            a = triple[0] * triple[1] * triple[2]
+            arms = [(ai, -pow(a // ai, -1, ai) % ai) for ai in triple]
+            e0, rest = divmod(-(1 + sum(b * (a // ai) for ai, b in arms)), a)
+            assert rest == 0
+            assert abs(intersection_matrix(plumbing_graph(e0, arms)).determinant) == 1
+            assert fpgroups.abelianization(seifert_presentation(e0, arms)).trivial
 
 
 def _minimalize_by_contract(g):
