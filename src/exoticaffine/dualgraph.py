@@ -45,6 +45,11 @@ class Disconnected(GraphError):
     pass
 
 
+def _edge_text(e) -> str:
+    """An edge as a set literal with sorted endpoints, the same in every run."""
+    return "{" + ", ".join(sorted(map(repr, e))) + "}"
+
+
 class WeightedGraph:
     """Simple weighted graph; vertices maps id -> weight, edges are 2-sets,
     adjacent maps id -> neighbours (built once: a graph is never mutated)."""
@@ -57,7 +62,7 @@ class WeightedGraph:
         self.adjacent = adjacent = {v: [] for v in vertices}
         for e in edges:
             if len(e) != 2:
-                raise GraphError(f"edge {set(e)} is not a 2-set")
+                raise GraphError(f"edge {_edge_text(e)} is not a 2-set")
             u, v = e
             if u not in adjacent or v not in adjacent:
                 raise GraphError(f"edge endpoint {v if u in adjacent else u!r} is not a vertex")
@@ -155,7 +160,7 @@ def blow_up(g: WeightedGraph, site) -> WeightedGraph:
     u, v = tuple(site)
     e = frozenset((u, v))
     if e not in g.edges:
-        raise UnknownSite(f"edge {set(e)} not in graph")
+        raise UnknownSite(f"edge {_edge_text(e)} not in graph")
     vertices = dict(g.vertices)
     vertices[u] -= 1
     vertices[v] -= 1

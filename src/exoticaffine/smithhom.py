@@ -8,7 +8,8 @@ the boundaries of the one ChainComplex over Z or GF(p) (Z homology copies
 each into dense rows only for its certified Smith normal form), sigma, tau,
 homology representatives, induced maps and the transfer.  The Smith
 sequences run in orbit-shift coordinates, where each subcomplex they use is
-a set of coordinates and tau a shift (see _OrbitShiftComplex).
+a set of coordinates and tau a shift (see _OrbitShiftComplex); they read
+H^sigma, H(Y) and H(Y^w) off the orbit-shift complexes they build.
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -357,11 +358,6 @@ def ensure_regular(
     k: SimplicialComplex, a: CyclicAction, max_rounds: int = 2
 ) -> tuple[SimplicialComplex, CyclicAction, int]:
     """Subdivide until the regularity validator passes (at most max_rounds)."""
-    return _ensure_regular(k, a, max_rounds)
-
-
-def _ensure_regular(k, a, max_rounds=2):
-    """ensure_regular, which traces of the public name do not count."""
     rounds = 0
     while _orbits(k, a).violations:
         if rounds >= max_rounds:
@@ -477,8 +473,12 @@ def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
 
 
 def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
-    dims = simplicial_homology(k, p)
-    return bool(dims) and dims[0] == 1 and all(d == 0 for d in dims[1:])
+    return _acyclic(simplicial_homology(k, p))
+
+
+def _acyclic(dims) -> bool:
+    """Betti numbers of a nonempty acyclic complex: 1, 0, 0, ..."""
+    return bool(dims) and dims[0] == 1 and not any(dims[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +567,9 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
 
     Needs prime order and the (R1)-(R2) half of regularity.
     """
-    _prime_order(a)
+    p = _prime_order(a)
     check_regularity(k, a)  # afresh: the operators come from this call's walk
-    return _smith_operators(k, a)
-
-
-def _smith_operators(k, a) -> SmithOperators:
-    """smith_operators on the walk of the regularity check of (k, a)."""
-    p, ts = a.order, _operator_walk(k, a)
+    ts = _operator_walk(k, a)
     sigma = tuple([_column(_orbit(t, j, p), p) for j in range(len(t))] for t in ts)
     tau = tuple([_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)] for t in ts)
     return SmithOperators(p, sigma, tau, ts)
@@ -595,7 +590,7 @@ def _operator_walk(k, a) -> tuple:
 
 def _check_operator_identities(p, t):
     """sigma*tau = tau*sigma = 0 and sigma = tau^{p-1} for the operators
-    that _smith_operators builds from the signed permutation t of one
+    that smith_operators builds from the signed permutation t of one
     dimension: sigma = 1 + t + ... + t^{p-1} and tau = 1 - t.
 
     Both products are 1 - t^p, and tau^{p-1} = sum_m C(p-1, m) (-1)^m t^m
@@ -666,6 +661,11 @@ class _OrbitShiftComplex:
             if any(col and (min(col) < rows.start or max(col) >= rows.stop) for col in cols):
                 raise SmithError("subspace is not closed under the boundary")
         return out
+
+    def betti(self, coords) -> list:
+        """Betti numbers over GF(p) of a coordinate set: H^rho for rho =
+        tau^i is betti(levels(i)), H(Y^w) is betti(levels(p, fixed=True))."""
+        return _dims_mod([len(r) for r in coords], self.restricted(coords), self.p)
 
     def homology(self, coords) -> _HomologyBasis:
         """Homology of a coordinate set, in the coordinates of the whole
@@ -829,15 +829,10 @@ def orbit_complex(
     k: SimplicialComplex, a: CyclicAction
 ) -> tuple[SimplicialComplex, dict[str, str]]:
     """Quotient complex and the vertex projection; refuses non-regular input."""
-    violations = list(_orbits(k, a).violations)
-    if violations:
-        raise NotRegular(violations)
-    return _orbit_complex(k, a)
-
-
-def _orbit_complex(k, a):
-    """orbit_complex of an action known to be regular."""
-    rep = _orbits(k, a).rep
+    orbits = _orbits(k, a)
+    if orbits.violations:
+        raise NotRegular(list(orbits.violations))
+    rep = orbits.rep
     simplices = {tuple(sorted({rep[v] for v in s})) for s in k.all_simplices()}
     return SimplicialComplex.build(simplices), dict(rep)
 
@@ -878,23 +873,25 @@ class TransferReport:
         )
 
 
-def _transfer_maps(k, a, x, vrep, pi, q):
+def _transfer_maps(k, a, pi, q):
     """Per-dimension sparse columns over Z_q of mu, of sigma = the sum of the
     s powers of the generator g, and of g, from orbit walks on the signed
     permutation t of each dimension's simplices.  mu's column for an orbit
     simplex is sigma's column for its smallest preimage, times the sign pi
-    gives that preimage."""
+    gives that preimage.  pi is the projection of a regular action, so each
+    of its columns is one (row, +-1): the fibres are grouped by that row."""
     s_order = a.order
     mu, sigma, g = [], [], []
     for d, t in enumerate(_orbits(k, a).t):
         sig = [_column(_orbit(t, j, s_order), q) for j in range(len(t))]
-        fibers: dict[tuple, list] = {}
-        for jy, sim in enumerate(k.simplices[d]):
-            fibers.setdefault(tuple(sorted({vrep[v] for v in sim})), []).append(jy)
+        fibers: dict[int, list] = {}
+        for jy, col in enumerate(pi[d]):
+            (row,) = col
+            fibers.setdefault(row, []).append(jy)
         cols = []
-        for jx, xs in enumerate(x.simplices[d]):
-            jy = fibers[xs][0]  # simplices are sorted: the smallest preimage
-            if set(fibers[xs]) != {i for i, _ in _orbit(t, jy, s_order)}:
+        for jx in range(len(fibers)):
+            jy = fibers[jx][0]  # simplices are sorted: the smallest preimage
+            if set(fibers[jx]) != {i for i, _ in _orbit(t, jy, s_order)}:
                 raise NotRegular(["fiber is not a single orbit"])
             cols.append({i: pi[d][jy][jx] * v % q for i, v in sig[jy].items()})
         mu.append(cols)
@@ -925,7 +922,7 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     if x.dimension != k.dimension:
         raise NotRegular(["quotient drops dimension"])
     pi = chain_map_from_vertex_map(k, x, vrep)
-    mu, sigma_maps, g = _transfer_maps(k, a, x, vrep, pi, q)
+    mu, sigma_maps, g = _transfer_maps(k, a, pi, q)
     chain_pi_mu = all(
         mul_columns_mod(pi[d], mu[d], q) == _scalar(len(mu[d]), s_order, q)
         for d in range(k.dimension + 1)
@@ -980,8 +977,7 @@ def special_smith_homology(k: SimplicialComplex, a: CyclicAction, i: int) -> lis
     cx = _orbit_shift_complex(k, a)
     if not 1 <= i <= p - 1:
         raise SmithError("rho = tau^i needs 1 <= i <= p-1")
-    rho_c = cx.levels(i)
-    return _dims_mod([len(r) for r in rho_c], cx.restricted(rho_c), p)
+    return cx.betti(cx.levels(i))
 
 
 def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
@@ -1049,7 +1045,7 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     Z_p-acyclicity transfer statement.
     """
     # regularity is checked once per complex and action, here for (k, a)
-    # and in _ensure_regular for each subdivision
+    # and in ensure_regular for each subdivision
     p = _prime_order(a)
     cx = _orbit_shift_complex(k, a)
 
@@ -1068,23 +1064,19 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
         les_tau_ok &= _les_exact(cx, cx.levels(p - 1), cx.levels(j), cx.levels(j + 1), 1)
 
     # H^sigma of the regular subdivision, or of k when it is regular
-    kq, aq, rounds = _ensure_regular(k, a)
+    kq, aq, rounds = ensure_regular(k, a)
     cq = _orbit_shift_complex(kq, aq) if rounds else cx
-    sigma_c = cq.levels(p - 1)
-    sigma_dims = _dims_mod([len(r) for r in sigma_c], cq.restricted(sigma_c), p)
-    xq, vrep = _orbit_complex(kq, aq)
+    sigma_dims = cq.betti(cq.levels(p - 1))
+    xq, vrep = orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
     pair = relative_homology_dims(xq, fixed_image, p)
     special_ok = all(
         x == y for x, y in itertools.zip_longest(sigma_dims, pair, fillvalue=0)
     )
 
-    fixed_simplices = [s for s in k.all_simplices() if all(a.perm[v] == v for v in s)]
-    premises = (
-        bool(fixed_simplices)
-        and reduced_is_trivial(SimplicialComplex.build(fixed_simplices), p)
-        and reduced_is_trivial(xq, p)
-    )
+    # C(Y^w) is the fixed coordinates (by (R1) a simplex the walk fixes is
+    # fixed pointwise), and the rho-ladder has already built H(Y)
+    premises = _acyclic(cx.betti(cx.levels(p, fixed=True))) and reduced_is_trivial(xq, p)
     return SequenceReport(
         p=p,
         subdivisions_for_quotient=rounds,
@@ -1095,7 +1087,7 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
         special_dims_sigma=sigma_dims,
         pair_dims=pair,
         prop4_premises=premises,
-        prop4_conclusion=reduced_is_trivial(k, p),
+        prop4_conclusion=_acyclic(cx.homology(cx.levels(0, fixed=True)).dims),
     )
 
 

@@ -192,7 +192,7 @@ def verify_smith_sequences(k, a) -> SequenceReport:
     """The Smith sequences on the tower tau^0, ..., tau^p of image
     subcomplexes, each inclusion and quotient solved for on ambient bases."""
     p = smithhom._prime_order(a)
-    ops = smithhom._smith_operators(k, a)
+    ops = smithhom.smith_operators(k, a)
     c = chain_complex(k, p)
     amb = c.boundaries
     fixed_inc = fixed_inclusion_bases(k, a)
@@ -216,14 +216,14 @@ def verify_smith_sequences(k, a) -> SequenceReport:
         les_rho_ok &= les_exact(a_j, images[0], images[j], taus[j], amb, p)
         les_tau_ok &= les_exact(images[p - 1], images[j], images[j + 1], ops.tau, amb, p)
 
-    kq, aq, rounds = smithhom._ensure_regular(k, a)
+    kq, aq, rounds = smithhom.ensure_regular(k, a)
     if rounds:
-        sigma_q = smithhom._smith_operators(kq, aq).sigma
+        sigma_q = smithhom.smith_operators(kq, aq).sigma
         sigma_c = image_subcomplex(sigma_q, p, chain_complex(kq, p).boundaries)
     else:
         sigma_c = images[p - 1]
     sigma_dims = smithhom._dims_mod(sigma_c.dims(), sigma_c.boundaries, p)
-    xq, vrep = smithhom._orbit_complex(kq, aq)
+    xq, vrep = smithhom.orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
     pair = smithhom.relative_homology_dims(xq, fixed_image, p)
     special_ok = all(

@@ -354,6 +354,23 @@ class TestMoreVerbs:
         data = json.loads(out)
         assert data["contracted"] == ["v2", "v1"]
 
+    def test_absent_edge_named_under_any_hash_seed(self):
+        # the endpoints are printed sorted, whatever order the set holds them in
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "exoticaffine.cli", "graph", "blowup", "--chain=1",
+                 "--site", "v2,v1"],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {
+            json.dumps({"error": "UnknownSite: edge {'v1', 'v2'} not in graph"}) + "\n"
+        }
+
     def test_lnd_degree_and_invariants(self, capsys):
         images = json.dumps({"images": {"y": "0-2*z", "z": "x^2"}})
         code, out = run_cli(

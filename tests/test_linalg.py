@@ -690,3 +690,16 @@ class TestEveryKernelHasACaller:
                     used.add(node.attr)
         assert public, "no public function found in linalg"
         assert public <= used, sorted(public - used)
+
+
+class TestNoPrivateTwins:
+    def test_no_module_defines_f_and_underscore_f(self):
+        """No module of the package defines both f and _f at top level: a
+        private twin of a public function is a second owner of its body."""
+        package = Path(linalg.__file__).parent
+        twins = []
+        for path in sorted(package.glob("*.py")):
+            names = {node.name for node in ast.parse(path.read_text()).body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            twins += [f"{path.name}: {name}" for name in sorted(names) if "_" + name in names]
+        assert twins == []

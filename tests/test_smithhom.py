@@ -298,7 +298,7 @@ class TestSmithOperators:
             checked.append(p)
             return check(p, t)
 
-        monkeypatch.setattr(smithhom, "_smith_operators", refuse)
+        monkeypatch.setattr(smithhom, "smith_operators", refuse)
         monkeypatch.setattr(smithhom, "SmithOperators", refuse)
         monkeypatch.setattr(smithhom, "_check_operator_identities", counting)
         k, a = sphere(5)
@@ -567,6 +567,30 @@ class TestLongExactSequence:
         assert report.all_exact and report.subdivisions_for_quotient
         assert len(built) == len(set(built)) == 2 * a.order
         assert len(reductions) == k.dimension + 1
+
+    @pytest.mark.parametrize(
+        "model", [disc(3), sphere(5), free_circle(3)], ids=["disc:3", "sphere:5", "circle:3"]
+    )
+    def test_only_the_quotient_is_built(self, monkeypatch, model):
+        """The sequences build one complex, the quotient, and take the
+        homology of no other complex through simplicial_homology: H(Y) and
+        H(Y^w) are read off the orbit-shift complex."""
+        built, homologies = [], []
+        build, simplicial_homology = SimplicialComplex.build, smithhom.simplicial_homology
+
+        def counting_build(simplices):
+            built.append(build(simplices))
+            return built[-1]
+
+        def counting_homology(k, coefficients="Z"):
+            homologies.append(k)
+            return simplicial_homology(k, coefficients)
+
+        monkeypatch.setattr(SimplicialComplex, "build", staticmethod(counting_build))
+        monkeypatch.setattr(smithhom, "simplicial_homology", counting_homology)
+        assert verify_smith_sequences(*model).all_exact
+        assert len(built) == 1
+        assert len(homologies) <= 1 and all(k is built[0] for k in homologies)
 
     def test_classes_match_the_solver(self):
         """classify_many on every orbit-shift subcomplex of sphere:5 against
@@ -1105,7 +1129,7 @@ class TestTransferOracle:
             kq, aq, _ = ensure_regular(k, a)
             x, vrep = orbit_complex(kq, aq)
             pi = chain_map_from_vertex_map(kq, x, vrep)
-            walked = smithhom._transfer_maps(kq, aq, x, vrep, pi, q)
+            walked = smithhom._transfer_maps(kq, aq, pi, q)
             assert dense_maps(walked, kq) == dense_transfer_maps(kq, aq, x, vrep, q), (name, q)
             assert transfer_check(kq, aq, q).all_identities_hold, (name, q)
 
@@ -1118,7 +1142,7 @@ class TestTransferOracle:
             k, a = random_action(rng, p)
             x, vrep = orbit_complex(k, a)
             pi = chain_map_from_vertex_map(k, x, vrep)
-            walked = smithhom._transfer_maps(k, a, x, vrep, pi, q)
+            walked = smithhom._transfer_maps(k, a, pi, q)
             assert dense_maps(walked, k) == dense_transfer_maps(k, a, x, vrep, q), (k, a)
             assert transfer_check(k, a, q).all_identities_hold, (k, a)
 
@@ -1508,3 +1532,69 @@ class TestOrbitShiftCoordinates:
             assert_matches_oracle(kq, aq, (k, a), special=False)
         assert rounds_seen == {0, 1, 2}
         assert broken == {"R1", "R3", "R4"}
+
+
+# ---------------------------------------------------------------------------
+# the classical theorems of Smith theory on random regular actions
+
+
+def fixed_subcomplex(k, a):
+    """F: the simplices whose vertices the generator all fixes; None when empty."""
+    simplices = [s for s in k.all_simplices() if all(a.perm[v] == v for v in s)]
+    return SimplicialComplex.build(simplices) if simplices else None
+
+
+def vertex_orbit_quotient(k, a):
+    """X/G of a regular action: each simplex's set of vertex orbits."""
+    rep = {v: a.orbit_of_vertex(v)[0] for v in k.vertices()}
+    return SimplicialComplex.build({tuple(rep[v] for v in s) for s in k.all_simplices()})
+
+
+def betti(k, p) -> list:
+    return [] if k is None else simplicial_homology(k, p)
+
+
+def acyclic(dims) -> bool:
+    return bool(dims) and dims[0] == 1 and not any(dims[1:])
+
+
+def coned(k, a):
+    """The cone over k on a new vertex that the generator fixes."""
+    return cone_complex(k, "cone"), CyclicAction(a.order, dict(a.perm, cone="cone"))
+
+
+class TestSmithTheorems:
+    """Floyd's Euler formula, the Smith inequality and P. A. Smith's theorem
+    (Floyd, Trans. AMS 72 (1952); Bredon, Introduction to Compact
+    Transformation Groups (1972), ch. III) on seeded regular actions and on
+    cones over them, with F and X/G built here from the action alone; and
+    the sequences' Prop. 4 fields against the acyclicity of F, X/G and X."""
+
+    def test_random_regular_actions(self):
+        rng = random.Random(2704)
+        makers = (random_action, random_fixed_action, random_repair_action)
+        fixed_dims, acyclic_seen = set(), 0
+        for n in range(60):
+            p = (2, 3, 5)[n % 3]
+            k, a, _ = ensure_regular(*makers[n % 3](rng, p))
+            for x, g in ((k, a), coned(k, a)):
+                label = (n, p, x is not k)
+                f, quotient = fixed_subcomplex(x, g), vertex_orbit_quotient(x, g)
+                chi_f = 0 if f is None else f.euler_characteristic()
+                h_f, h_x = betti(f, p), simplicial_homology(x, p)
+                fixed_dims.add(-1 if f is None else f.dimension)
+                assert x.euler_characteristic() == (
+                    p * quotient.euler_characteristic() - (p - 1) * chi_f
+                ), label
+                assert sum(h_f) <= sum(h_x), label
+                if acyclic(h_x):
+                    acyclic_seen += 1
+                    assert f is not None and acyclic(h_f), label
+                report = verify_smith_sequences(x, g)
+                assert report.prop4_premises == (
+                    acyclic(h_f) and acyclic(simplicial_homology(quotient, p))
+                ), label
+                assert report.prop4_conclusion == acyclic(h_x), label
+                assert report.prop4_implication_holds, label
+        assert {0, 1, 2} <= fixed_dims
+        assert acyclic_seen > 60  # every cone, and some of the actions
