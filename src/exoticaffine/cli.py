@@ -3,6 +3,12 @@
 JSON in, JSON out (DOT for `graph dot`), every number as a string; output is
 byte-identical for identical inputs, and --verbose adds timing on stderr.
 
+The command line is read by `parse_args` against one table, COMMANDS,
+which gives each command's positional and options; a usage error prints a
+usage line on stderr and exits 2.  A value may begin with `-`: the word
+after an option is its value unless it is one of the command's own option
+spellings.  Options are never abbreviated.
+
 Outside input crosses one boundary: JSON options are read by `_json_arg`
 (`-` is stdin, inline JSON is read as is, other text is a file path),
 integer options by `_int_list`, and the options each verb needs or refuses
@@ -13,19 +19,21 @@ refuses exponent notation, and variable names through
 `polyring.readable_varset`.
 
 Exit codes: 0 success; 1 bad input ({"error": ...} on stdout); 2 usage error
-(argparse); 3 a bug ({"error": "InternalError: ..."} on stdout, the
-traceback on stderr).
+(an unknown command, verb or option, a missing value, a bad integer or an
+extra word; the usage on stderr); 3 a bug ({"error": "InternalError: ..."}
+on stdout, the traceback on stderr).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import constructions, derivations, dualgraph, fpgroups, grading, polyring, smithhom
 from .linalg import coefficient
@@ -82,7 +90,7 @@ def _need(args, option: str):
 # whole command or one of its verbs.
 REQUIRED = {
     "poly arith": "-a", "poly subst": "-a --map", "poly diff": "-a --by",
-    "poly divide": "-a -b", "poly nf": "-a -b", "poly jacobian": "--fs",
+    "poly divide": "-a -b", "poly nf": "-a -b", "poly jacobian": "--fs", "grade": "--poly",
     "lnd": "--images", "lnd degree": "--poly",
     "graph blowup": "--site", "graph contract": "--site", "graph chain": "--m --n",
     "graph xt": "--entries", "graph tdp": "--entries", "graph ample": "--seed",
@@ -95,15 +103,6 @@ REQUIRED = {
 # The options a verb refuses: these verbs read no graph, and would otherwise
 # drop one given to them without a word.
 REFUSED = dict.fromkeys(("graph chain", "graph xt", "graph tdp"), "--json --chain --ramanujam")
-
-
-class _Alias(argparse.Action):
-    """Store an option's value and, in `<dest>_typed`, the spelling it was
-    given by: argparse keeps one dest for `--json` and its alias `--file`."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_typed", option_string)
 
 
 def _typed(args, option: str) -> str:
@@ -757,99 +756,256 @@ def _cmd_repro(args):
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line
+
+FLAG = "flag"  # an option that takes no value: True when given, else False
+HELP = "help"
+GLOBAL = "global"  # --verbose and --pretty, which go before the command
+GLOBAL_FLAGS = {"--verbose": "timing on stderr", "--pretty": "indent JSON output"}
+HELP_SPELLINGS = ("-h", "--help")
+
+# Every command: its help, its positional (name, then its choices, or its
+# help when it is free text) and its options.  An option is (spellings,
+# space-separated; kind; default; help): the kind is str, int, FLAG or a
+# tuple of choices, and the dest is the first spelling without its dashes,
+# `-` read as `_`.
+COMMANDS = {
+    "poly": ("polynomial arithmetic",
+             ("verb", ("arith", "subst", "diff", "divide", "nf", "jacobian")), (
+        ("--vars", str, "x,y,z,t", "comma-separated variable names"),
+        ("-a", str, None, "first polynomial"),
+        ("-b", str, None, "second polynomial"),
+        ("--op", ("add", "sub", "mul", "pow"), "add", "arith operation"),
+        ("-n", int, None, "exponent for pow"),
+        ("--map", str, None, "JSON object variable -> polynomial (text or JSON)"),
+        ("--target-vars", str, None, "varset of substitution images"),
+        ("--by", str, None, "variable for diff"),
+        ("--order-weights", str, None, "weights for the reduction order"),
+        ("--fs", str, None, "semicolon-separated polynomials for jacobian"),
+    )),
+    "grade": ("weight degrees and graded structure",
+              ("verb", ("degree", "decompose", "appropriate", "graded", "canonical")), (
+        ("--vars", str, "x,y,z,t", "comma-separated variable names"),
+        ("--poly", str, None, "the polynomial"),
+        ("--weights", str, "-1,2,0,0", "comma weights or weight JSON"),
+    )),
+    "lnd": ("locally nilpotent derivation calculus",
+            ("verb", ("check", "degree", "flow", "kernel", "graded", "invariants")), (
+        ("--ring", str, None, "C2/C3/C4, russell, or JSON varset"),
+        ("--images", str, None, "JSON object of generator images"),
+        ("--bound", int, derivations.DEFAULT_NILPOTENCY_BOUND, "nilpotency test bound"),
+        ("--poly", str, None, "element for degree"),
+        ("--t", str, "t", "flow parameter (name or rational)"),
+        ("--degree-bound", int, 2, "degree bound for kernel and invariants"),
+        ("--weights", str, "-1,2,0,0", "comma weights or weight JSON for graded"),
+    )),
+    "family": ("named hypersurface families",
+               ("name", "tdp, tdp_general, koras-russell, brieskorn, danielewski, "
+                        "ml_suspension, sathaye_wright"), (
+        ("--k", int, None, "parameter k"),
+        ("--l", int, None, "parameter l"),
+        ("--m", int, None, "parameter m"),
+        ("--n", int, None, "parameter n"),
+        ("--s", str, None, "integer or comma list (s1,s2,s3)"),
+        ("--p", str, None, "polynomial for ml_suspension"),
+        ("--f", str, None, "polynomial for sathaye_wright"),
+        ("--g", str, None, "polynomial for sathaye_wright"),
+        ("--vars", str, None, "varset for --p/--f/--g"),
+    )),
+    "graph": ("weighted dual graph calculus",
+              ("verb", ("blowup", "contract", "minimal", "ramanujam", "chain", "det", "xt",
+                        "tdp", "ample", "dot")), (
+        ("--json --file", str, None, "graph JSON"),
+        ("--chain", str, None, "comma weights for a linear chain"),
+        ("--ramanujam", FLAG, False, "built-in Ramanujam graph"),
+        ("--site", str, None, "vertex id or u,v edge"),
+        ("--m", int, None, "resolution chain m"),
+        ("--n", int, None, "resolution chain n"),
+        ("--entries", str, None,
+         "xt entries m00,n00,m10,n10,m01,n01,m11,n11 or tdp m1,n1,m2,n2"),
+        ("--seed", str, None, "seed vector for ample"),
+    )),
+    "group": ("finitely presented group arithmetic",
+              ("verb", ("abel", "snf", "named", "triangle", "sphere", "xt", "bezout")), (
+        ("--presentation", str, None, 'JSON {"gens": [...], "rels": [[...]]}'),
+        ("--matrix", str, None, "JSON integer matrix"),
+        ("--name", str, None, "bkl, bkls, gkls, tkls, b3quot, xtquot"),
+        ("--k", int, None, "parameter k"),
+        ("--l", int, None, "parameter l"),
+        ("--s", int, None, "parameter s"),
+        ("--entries", str, None, "xt entries"),
+    )),
+    "smith": ("Smith theory on simplicial complexes",
+              ("verb", ("homology", "orbit", "transfer", "sequences", "subdivide")), (
+        ("--json --file", str, None, "complex JSON, with or without an action"),
+        ("--action", str, None, "action JSON"),
+        ("--model", str, None, "disc:p, sphere:p or circle:p"),
+        ("--mod", int, None, "prime coefficient field"),
+        ("--q", int, 2, "transfer prime"),
+        ("--subdivide", int, 0, "subdivide n times first"),
+        ("--repair", FLAG, False, "subdivide until regular"),
+    )),
+    "repro": ("named acceptance scenarios",
+              ("name", f"one of {', '.join(sorted(SCENARIOS))} or all"), ()),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state between
-    calls, so in-process callers of main share it."""
-    parser = argparse.ArgumentParser(
-        prog="exotic",
-        description="Exact computer algebra for exotic affine structures",
-        epilog="A JSON option takes inline JSON, a file path, or - for stdin.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--verbose", action="store_true", help="timing on stderr")
-    parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The reader's lookup, built once per process from COMMANDS: for each
+    command, its positional, every option spelling (-h, --help and the
+    global flags too) with its (dest, kind, aliased), and the defaults."""
+    lookup = {}
+    for command, (_, positional, options) in COMMANDS.items():
+        spellings = dict.fromkeys(HELP_SPELLINGS, ("", HELP, False))
+        spellings.update(dict.fromkeys(GLOBAL_FLAGS, ("", GLOBAL, False)))
+        defaults = {positional[0]: None}
+        for names, kind, default, _ in options:
+            names = names.split()
+            dest = names[0].lstrip("-").replace("-", "_")
+            defaults[dest] = default
+            spellings.update(dict.fromkeys(names, (dest, kind, len(names) > 1)))
+        lookup[command] = (positional, spellings, defaults)
+    return lookup
 
-    poly = sub.add_parser("poly", help="polynomial arithmetic")
-    poly.add_argument("verb", choices=["arith", "subst", "diff", "divide", "nf", "jacobian"])
-    poly.add_argument("--vars", default="x,y,z,t")
-    poly.add_argument("-a", help="first polynomial")
-    poly.add_argument("-b", help="second polynomial")
-    poly.add_argument("--op", choices=["add", "sub", "mul", "pow"], default="add")
-    poly.add_argument("-n", type=int, help="exponent for pow")
-    poly.add_argument("--map", help="JSON object variable -> polynomial (text or JSON)")
-    poly.add_argument("--target-vars", help="varset of substitution images")
-    poly.add_argument("--by", help="variable for diff")
-    poly.add_argument("--order-weights", help="weights for the reduction order")
-    poly.add_argument("--fs", help="semicolon-separated polynomials for jacobian")
 
-    grade = sub.add_parser("grade", help="weight degrees and graded structure")
-    grade.add_argument("verb", choices=["degree", "decompose", "appropriate", "graded", "canonical"])
-    grade.add_argument("--vars", default="x,y,z,t")
-    grade.add_argument("--poly", required=True)
-    grade.add_argument("--weights", default="-1,2,0,0")
+def _usage_error(command, message: str):
+    """Print the usage and the error on stderr; exit 2."""
+    if command is None:
+        usage, prog = f"exotic [--verbose] [--pretty] {{{','.join(COMMANDS)}}} ...", "exotic"
+    else:
+        name, choices = COMMANDS[command][1]
+        what = f"{{{','.join(choices)}}}" if isinstance(choices, tuple) else f"<{name}>"
+        usage, prog = f"exotic {command} {what} [options]", f"exotic {command}"
+    print(f"usage: {usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    lnd = sub.add_parser("lnd", help="locally nilpotent derivation calculus")
-    lnd.add_argument("verb", choices=["check", "degree", "flow", "kernel", "graded", "invariants"])
-    lnd.add_argument("--ring", help="C2/C3/C4, russell, or JSON varset")
-    lnd.add_argument("--images", help="JSON object of generator images")
-    lnd.add_argument("--bound", type=int, default=derivations.DEFAULT_NILPOTENCY_BOUND)
-    lnd.add_argument("--poly", help="element for degree")
-    lnd.add_argument("--t", default="t", help="flow parameter (name or rational)")
-    lnd.add_argument("--degree-bound", type=int, default=2)
-    lnd.add_argument("--weights", default="-1,2,0,0")
 
-    family = sub.add_parser("family", help="named hypersurface families")
-    family.add_argument("name", help="tdp, tdp_general, koras-russell, brieskorn, danielewski, ml_suspension, sathaye_wright")
-    family.add_argument("--k", type=int)
-    family.add_argument("--l", type=int)
-    family.add_argument("--m", type=int)
-    family.add_argument("--n", type=int)
-    family.add_argument("--s", help="integer or comma list (s1,s2,s3)")
-    family.add_argument("--p", help="polynomial for ml_suspension")
-    family.add_argument("--f", help="polynomial for sathaye_wright")
-    family.add_argument("--g", help="polynomial for sathaye_wright")
-    family.add_argument("--vars", help="varset for --p/--f/--g")
+def _print_help(command):
+    """The commands and global flags, or one command's positional and
+    options, on stdout; exit 0."""
+    if command is None:
+        lines = ["usage: exotic [--verbose] [--pretty] <command> ...\n\n"
+                 "Exact computer algebra for exotic affine structures\n",
+                 "commands (exotic <command> --help lists the options of one):"]
+        for name, (text, (_, choices), _) in COMMANDS.items():
+            lines.append(f"  {name:<8}{text}")
+            if isinstance(choices, tuple):
+                lines.append(f"  {'':<8}{', '.join(choices)}")
+        lines.append("\noptions:")
+        lines += [f"  {flag:<26}{text}" for flag, text in GLOBAL_FLAGS.items()]
+    else:
+        text, (name, choices), options = COMMANDS[command]
+        lines = [f"usage: exotic {command} <{name}> [options]\n\n{text}\n"]
+        if isinstance(choices, tuple):
+            lines.append(f"{name}: {', '.join(choices)}")
+        else:
+            lines.append(f"{name}: {choices}")
+        lines.append("\noptions:")
+        for names, kind, default, help_text in options:
+            value = ("" if kind is FLAG else " INT" if kind is int else " TEXT" if kind is str
+                     else f" {{{','.join(kind)}}}")
+            shown = "" if default in (None, False) else f" (default {default})"
+            lines.append(f"  {', '.join(names.split()) + value:<26}{help_text}{shown}")
+    lines.append(f"  {'-h, --help':<26}this help\n\n"
+                 "A JSON option takes inline JSON, a file path, or - for stdin.")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    graph = sub.add_parser("graph", help="weighted dual graph calculus")
-    graph.add_argument("verb", choices=["blowup", "contract", "minimal", "ramanujam", "chain", "det", "xt", "tdp", "ample", "dot"])
-    graph.add_argument("--json", "--file", action=_Alias, help="graph JSON")
-    graph.add_argument("--chain", help="comma weights for a linear chain")
-    graph.add_argument("--ramanujam", action="store_true", help="built-in Ramanujam graph")
-    graph.add_argument("--site", help="vertex id or u,v edge")
-    graph.add_argument("--m", type=int, help="resolution chain m")
-    graph.add_argument("--n", type=int, help="resolution chain n")
-    graph.add_argument("--entries", help="xt entries m00,n00,m10,n10,m01,n01,m11,n11 or tdp m1,n1,m2,n2")
-    graph.add_argument("--seed", help="seed vector for ample")
 
-    group = sub.add_parser("group", help="finitely presented group arithmetic")
-    group.add_argument("verb", choices=["abel", "snf", "named", "triangle", "sphere", "xt", "bezout"])
-    group.add_argument("--presentation", help='JSON {"gens": [...], "rels": [[...]]}')
-    group.add_argument("--matrix", help="JSON integer matrix")
-    group.add_argument("--name", help="bkl, bkls, gkls, tkls, b3quot, xtquot")
-    group.add_argument("--k", type=int)
-    group.add_argument("--l", type=int)
-    group.add_argument("--s", type=int)
-    group.add_argument("--entries", help="xt entries")
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read against COMMANDS: the global flags, the command, then its
+    positional and its options in any order.  The namespace holds every
+    dest of the command (its default unless given; a repeated option keeps
+    its last value), and `<dest>_typed` holds the spelling that gave an
+    option with two.  The word after an option is its value unless it is
+    one of the command's option spellings; `--opt=value` and `-avalue`
+    also give one."""
+    lookup = build_parser()
+    args = {"verbose": False, "pretty": False}
+    for i, word in enumerate(argv):
+        if word in GLOBAL_FLAGS:
+            args[word[2:]] = True
+        elif word in HELP_SPELLINGS:
+            _print_help(None)
+        elif word in lookup:
+            args["command"] = word
+            args.update(_read_command(word, lookup[word], argv[i + 1:]))
+            return SimpleNamespace(**args)
+        elif word[:1] == "-":
+            _usage_error(None, f"unknown option {word}")
+        else:
+            _usage_error(None, f"unknown command {word!r}; choose from {', '.join(COMMANDS)}")
+    _usage_error(None, "a command is needed")
 
-    smith = sub.add_parser("smith", help="Smith theory on simplicial complexes")
-    smith.add_argument("verb", choices=["homology", "orbit", "transfer", "sequences", "subdivide"])
-    smith.add_argument("--json", "--file", action=_Alias,
-                       help="complex JSON, with or without an action")
-    smith.add_argument("--action", help="action JSON")
-    smith.add_argument("--model", help="disc:p, sphere:p or circle:p")
-    smith.add_argument("--mod", type=int, help="prime coefficient field")
-    smith.add_argument("--q", type=int, default=2, help="transfer prime")
-    smith.add_argument("--subdivide", type=int, default=0, help="subdivide n times first")
-    smith.add_argument("--repair", action="store_true", help="subdivide until regular")
 
-    repro = sub.add_parser("repro", help="named acceptance scenarios")
-    repro.add_argument("name", help=f"one of {sorted(SCENARIOS)} or all")
-    return parser
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _option_word(command: str, word: str, spellings: dict):
+    """(spelling, the value the word itself gives or None) of an option
+    word, or (None, None) for a positional: a word that does not begin with
+    `-`, `-` itself, a negative number or text with a blank."""
+    if word in spellings:
+        return word, None
+    if word[:1] != "-" or word == "-":
+        return None, None
+    spelling, eq, value = word.partition("=")
+    if eq and spelling in spellings:
+        return spelling, value
+    if word[1] != "-" and word[:2] in spellings:
+        return word[:2], word[2:]  # -avalue
+    if " " in word or _NEGATIVE_NUMBER.fullmatch(word):
+        return None, None
+    _usage_error(command, f"unknown option {word}")
+
+
+def _read_command(command: str, spec, words: list[str]) -> dict:
+    (name, choices), spellings, defaults = spec
+    values = dict(defaults)
+    i, n, options_end = 0, len(words), False
+    while i < n:
+        word = words[i]
+        i += 1
+        if word == "--" and not options_end:
+            options_end = True  # every later word is a positional
+            continue
+        spelling, value = (None, None) if options_end else _option_word(command, word, spellings)
+        if spelling is None:
+            if values[name] is not None:
+                _usage_error(command, f"extra word {word!r}")
+            if isinstance(choices, tuple) and word not in choices:
+                _usage_error(command, f"unknown {name} {word!r}; choose from {', '.join(choices)}")
+            values[name] = word
+            continue
+        dest, kind, aliased = spellings[spelling]
+        if kind is GLOBAL:
+            _usage_error(command, f"{spelling} goes before the command")
+        if kind is HELP or kind is FLAG:
+            if value is not None:
+                _usage_error(command, f"{spelling} takes no value")
+            if kind is HELP:
+                _print_help(command)
+            values[dest] = True
+            continue
+        if value is None:
+            if i == n or words[i] in spellings or words[i].partition("=")[0] in spellings:
+                _usage_error(command, f"{spelling} needs a value")
+            value = words[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(command, f"{spelling} takes an integer, not {value!r}")
+        elif kind is not str and value not in kind:
+            _usage_error(command, f"{spelling} takes one of {', '.join(kind)}, not {value!r}")
+        values[dest] = value
+        if aliased:
+            values[f"{dest}_typed"] = spelling
+    if values[name] is None:
+        _usage_error(command, f"a {name} is needed")
+    return values
 
 
 # Bad input; any other exception is a bug.
@@ -865,8 +1021,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     start = time.monotonic()
     try:
         _check_options(args)

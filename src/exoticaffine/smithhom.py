@@ -472,10 +472,6 @@ def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
     return homology(chain_complex(k, coefficients))
 
 
-def reduced_is_trivial(k: SimplicialComplex, p: int) -> bool:
-    return _acyclic(simplicial_homology(k, p))
-
-
 def _acyclic(dims) -> bool:
     """Betti numbers of a nonempty acyclic complex: 1, 0, 0, ..."""
     return bool(dims) and dims[0] == 1 and not any(dims[1:])
@@ -980,15 +976,17 @@ def special_smith_homology(k: SimplicialComplex, a: CyclicAction, i: int) -> lis
     return cx.betti(cx.levels(i))
 
 
-def relative_homology_dims(k: SimplicialComplex, sub_vertices, p: int) -> list:
-    """Dims of H(K, A; Z_p), A the full subcomplex on sub_vertices."""
+def relative_homology_dims(k: SimplicialComplex, sub_vertices, chains: ChainComplex) -> list:
+    """Dims of H(K, A; Z_p), A the full subcomplex on sub_vertices, read
+    from chains = chain_complex(k, p)."""
+    p = int(chains.coefficients)
     sub_vertices = set(sub_vertices)
     keep = [
         [j for j, s in enumerate(level) if not sub_vertices.issuperset(s)]
         for level in k.simplices
     ]
     # A is a subcomplex, so these boundaries square to zero as those of K do
-    amb = chain_complex(k, p).boundaries
+    amb = chains.boundaries
     boundaries: list = [[]]
     for d in range(1, k.dimension + 1):
         rows = {i: r for r, i in enumerate(keep[d - 1])}
@@ -1069,14 +1067,15 @@ def verify_smith_sequences(k: SimplicialComplex, a: CyclicAction) -> SequenceRep
     sigma_dims = cq.betti(cq.levels(p - 1))
     xq, vrep = orbit_complex(kq, aq)
     fixed_image = {vrep[v] for v in kq.vertices() if aq.perm[v] == v}
-    pair = relative_homology_dims(xq, fixed_image, p)
+    chains_q = chain_complex(xq, p)  # the pair and the Prop. 4 premise read it
+    pair = relative_homology_dims(xq, fixed_image, chains_q)
     special_ok = all(
         x == y for x, y in itertools.zip_longest(sigma_dims, pair, fillvalue=0)
     )
 
     # C(Y^w) is the fixed coordinates (by (R1) a simplex the walk fixes is
     # fixed pointwise), and the rho-ladder has already built H(Y)
-    premises = _acyclic(cx.betti(cx.levels(p, fixed=True))) and reduced_is_trivial(xq, p)
+    premises = _acyclic(cx.betti(cx.levels(p, fixed=True))) and _acyclic(homology(chains_q))
     return SequenceReport(
         p=p,
         subdivisions_for_quotient=rounds,

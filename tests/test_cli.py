@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import argparse_oracle
 from exoticaffine import cli, dualgraph, linalg
 from exoticaffine.cli import main
 from exoticaffine.polyring import varset
@@ -1175,6 +1177,8 @@ class TestInputBoundary:
             # two curves meet at most once
             (["graph", "det", "--json", json.dumps({**GRAPH_AB, "edges": [["a", "b"], ["b", "a"]]})],
              "WrongShape: edge ['b', 'a'] is repeated"),
+            # a needed option is in REQUIRED, never a usage error
+            (["grade", "degree"], "CliError: grade degree needs --poly"),
         ],
     )
     def test_exit_one_with_json_error(self, capsys, argv, error):
@@ -1256,14 +1260,16 @@ class TestInputBoundary:
         assert captured.err.startswith("Traceback") and "KeyError" in captured.err
 
     def test_cold_import_loads_no_traceback(self):
+        """traceback is imported only when a bug is reported; argparse (with
+        gettext, about 3 ms) not at all, since COMMANDS is read by a loop."""
         src = str(Path(cli.__file__).resolve().parents[1])
         probe = (
             "import sys; sys.path.insert(0, sys.argv[1]); import exoticaffine.cli; "
-            "print('traceback' in sys.modules)"
+            "print(sorted({'traceback', 'argparse', 'gettext'} & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
                               capture_output=True, text=True, check=True)
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
 
 # Small junk for option values: the guards against inputs that blow up
@@ -1291,25 +1297,33 @@ def option_slots(argv):
     return words, slots
 
 
+def fuzzed_bench_argvs(count: int = 500) -> list[list[str]]:
+    """Bench tasks of the three workloads (seed 7, reduced sizes), each with
+    one option dropped or its value replaced by junk."""
+    tasks = [t.argv for w in WORKLOADS for t in generate(w, 7, reduced=True)]
+    rng = random.Random(5)
+    argvs = []
+    for _ in range(count):
+        words, slots = option_slots(rng.choice([t for t in tasks if len(t) > 2]))
+        i = rng.randrange(len(slots))
+        option, value = slots[i]
+        if value is None or rng.random() < 0.4:
+            del slots[i]
+        else:
+            slots[i] = (option, rng.choice(JUNK))
+        argvs.append(words + [o if v is None else f"{o}={v}" for o, v in slots])
+    return argvs
+
+
 class TestFuzzedBenchCommands:
     """Each bench task of the three workloads (reduced sizes) with one option
     dropped or its value replaced by junk: the outcome is exit 0, exit 1
-    with a JSON error, or argparse's exit 2 -- never a bug (exit 3) and
+    with a JSON error, or a usage error's exit 2 -- never a bug (exit 3) and
     never an exception out of main."""
 
     def test_mutations(self, capsys, monkeypatch):
-        tasks = [t.argv for w in WORKLOADS for t in generate(w, 7, reduced=True)]
-        rng = random.Random(5)
         outcomes = {}
-        for _ in range(500):
-            words, slots = option_slots(rng.choice([t for t in tasks if len(t) > 2]))
-            i = rng.randrange(len(slots))
-            option, value = slots[i]
-            if value is None or rng.random() < 0.4:
-                del slots[i]
-            else:
-                slots[i] = (option, rng.choice(JUNK))
-            argv = words + [o if v is None else f"{o}={v}" for o, v in slots]
+        for argv in fuzzed_bench_argvs():
             monkeypatch.setattr(sys, "stdin", io.StringIO(""))
             try:
                 code = main(argv)
@@ -1321,3 +1335,135 @@ class TestFuzzedBenchCommands:
                 assert set(json.loads(out)) == {"error"}, argv
             outcomes[code] = outcomes.get(code, 0) + 1
         assert outcomes.get(1, 0) > 150 and outcomes.get(0, 0) > 20
+
+
+def read_outcome(parse, argv):
+    """vars() of the namespace parse gives argv, or its exit code."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestReaderAgainstArgparse:
+    """cli.parse_args against the argparse spec it replaced
+    (tests/argparse_oracle.py): where argparse accepts an argv the reader
+    gives the same namespace, and where argparse exits 2 so does the
+    reader, but for three intended differences, each pinned below."""
+
+    def test_bench_and_fuzzed_argvs(self, capsys):
+        oracle = argparse_oracle.build_parser()
+        argvs = [list(t.argv) for w in WORKLOADS for seed in (7, 11) for reduced in (False, True)
+                 for t in generate(w, seed, reduced)]
+        argvs += fuzzed_bench_argvs()
+        refused = poly_missing = 0
+        for argv in argvs:
+            expected, got = read_outcome(oracle.parse_args, argv), read_outcome(cli.parse_args, argv)
+            if expected == 2 and argv[0] == "grade" and "--poly" not in (
+                    w.partition("=")[0] for w in argv):
+                # grade --poly is in REQUIRED: the reader leaves it unset
+                expected = read_outcome(oracle.parse_args, argv + ["--poly=x"]) | {"poly": None}
+                poly_missing += 1
+            refused += expected == 2
+            assert got == expected, argv
+        capsys.readouterr()
+        assert refused > 10 and poly_missing > 10
+
+    @pytest.mark.parametrize(
+        "argv, typed",
+        [
+            (["lnd", "kernel", "--ring", "C2", "--images", '{"x":"0","y":"x"}', "--deg", "2"],
+             "--deg"),
+            (["graph", "chain", "--m", "5", "--n", "3", "--ent", "1"], "--ent"),
+        ],
+    )
+    def test_abbreviations_are_refused(self, capsys, argv, typed):
+        assert isinstance(read_outcome(argparse_oracle.build_parser().parse_args, argv), dict)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"unknown option {typed}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["grade", "degree", "--vars", "x,y,z,t", "--weights", "-1,2,0,0", "--poly", "x*y"],
+             {"degree": "1"}),
+            (["poly", "arith", "--vars", "x", "-a", "-x+1", "-b", "x"],
+             {"vars": ["x"], "terms": [{"c": "1", "e": [0]}], "text": "1"}),
+        ],
+    )
+    def test_values_may_begin_with_a_dash(self, capsys, argv, out):
+        assert read_outcome(argparse_oracle.build_parser().parse_args, argv) == 2
+        capsys.readouterr()
+        code, printed = run_cli(capsys, *argv)
+        assert (code, json.loads(printed)) == (0, out)
+
+    def test_an_option_spelling_is_never_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "det", "--chain", "--ramanujam"])
+        assert exc.value.code == 2
+        assert "--chain needs a value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nonesuch"],
+            ["--verb", "repro", "all"],
+            ["graph"],
+            ["graph", "nonesuch"],
+            ["graph", "chain", "--nonesuch", "1"],
+            ["graph", "chain", "--m"],
+            ["graph", "chain", "--m", "x", "--n", "3"],
+            ["graph", "chain", "--m", "5", "--n", "3", "extra"],
+            ["graph", "chain", "--m", "5", "--n", "3", "--pretty"],
+            ["graph", "det", "--ramanujam=1"],
+            ["poly", "arith", "-a", "x", "-b", "y", "--op", "div"],
+        ],
+    )
+    def test_usage_errors_exit_two_with_the_usage_on_stderr(self, capsys, argv):
+        assert read_outcome(argparse_oracle.build_parser().parse_args, argv) == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: exotic") and ": error: " in captured.err
+
+
+def help_text(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    return captured.out
+
+
+def test_help_names_every_command_verb_and_option(capsys):
+    text = help_text(capsys, ["--help"])
+    assert all(flag in text for flag in cli.GLOBAL_FLAGS)
+    for command, (_, (_, choices), options) in cli.COMMANDS.items():
+        assert re.search(rf"^  {command} ", text, re.M), command
+        for argv in (["--verbose", command, "--help"], [command, "-h"]):
+            text_of_command = help_text(capsys, argv)
+            words = set(re.split(r"[\s,{}]+", text_of_command))
+            if isinstance(choices, tuple):
+                assert set(choices) <= words, command
+            assert {s for names, *_ in options for s in names.split()} <= words, command
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every `exotic ...` line in the README that reads no file."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^exotic (.+)$", readme, re.M)
+    return [shlex.split(line) for line in lines if ".json" not in line]
+
+
+def test_readme_examples_run(capsys):
+    examples = readme_examples()
+    assert len(examples) >= 7
+    for argv in examples:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out), argv

@@ -324,7 +324,7 @@ class TestSpecialHomology:
         dims = special_smith_homology(ksub, asub, 2)
         x, vrep = orbit_complex(ksub, asub)
         fixed_image = {vrep[v] for v in ksub.vertices() if asub.perm[v] == v}
-        pair = relative_homology_dims(x, fixed_image, 3)
+        pair = relative_homology_dims(x, fixed_image, chain_complex(x, 3))
         assert dims == pair
         assert all(d == 0 for d in dims)
 
@@ -334,7 +334,7 @@ class TestSpecialHomology:
         dims = special_smith_homology(ksub, asub, 2)
         x, vrep = orbit_complex(ksub, asub)
         fixed_image = {vrep[v] for v in ksub.vertices() if asub.perm[v] == v}
-        pair = relative_homology_dims(x, fixed_image, 3)
+        pair = relative_homology_dims(x, fixed_image, chain_complex(x, 3))
         assert dims == pair
 
 
@@ -591,6 +591,28 @@ class TestLongExactSequence:
         assert verify_smith_sequences(*model).all_exact
         assert len(built) == 1
         assert len(homologies) <= 1 and all(k is built[0] for k in homologies)
+
+    @pytest.mark.parametrize(
+        "model", [disc(3), sphere(5), free_circle(3)], ids=["disc:3", "sphere:5", "circle:3"]
+    )
+    def test_quotient_chain_complex_formed_once(self, monkeypatch, model):
+        """The pair homology and the Prop. 4 premise read one GF(p) chain
+        complex of the quotient."""
+        built, chained = [], []
+        build, chain_complex = SimplicialComplex.build, smithhom.chain_complex
+
+        def counting_build(simplices):
+            built.append(build(simplices))
+            return built[-1]
+
+        def counting_chain_complex(k, coefficients="Z"):
+            chained.append(k)
+            return chain_complex(k, coefficients)
+
+        monkeypatch.setattr(SimplicialComplex, "build", staticmethod(counting_build))
+        monkeypatch.setattr(smithhom, "chain_complex", counting_chain_complex)
+        assert verify_smith_sequences(*model).all_exact
+        assert sum(k is built[0] for k in chained) == 1
 
     def test_classes_match_the_solver(self):
         """classify_many on every orbit-shift subcomplex of sphere:5 against
