@@ -33,6 +33,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
 from . import constructions, derivations, dualgraph, fpgroups, grading, polyring, smithhom
@@ -479,6 +480,27 @@ def _smith_model(name: str):
     raise CliError(f"unknown model {name!r}; use disc:p, sphere:p or circle:p")
 
 
+def _subdivided_size(k) -> int:
+    """Simplices of the barycentric subdivision of k: sum_d n_d a(d), a(d) =
+    1, 3, 13, 75, ... the flags of faces that end at one d-simplex."""
+    flags: list[int] = []
+    for d in range(len(k.simplices)):
+        flags.append(1 + sum(comb(d + 1, r + 1) * flags[r] for r in range(d)))
+    return sum(len(level) * n for level, n in zip(k.simplices, flags))
+
+
+def _subdivided(k, action):
+    """One barycentric subdivision, refused before it is made when it would
+    pass smithhom.SUBDIVISION_CAP simplices."""
+    size = _subdivided_size(k)
+    if size > smithhom.SUBDIVISION_CAP:
+        raise CliError(
+            f"a subdivision would make {size} simplices, over the cap of "
+            f"{smithhom.SUBDIVISION_CAP}"
+        )
+    return smithhom.barycentric_subdivide(k, action)
+
+
 def _cmd_smith(args):
     if args.verb == "homology" and (args.subdivide or args.repair):
         raise CliError(
@@ -493,12 +515,14 @@ def _cmd_smith(args):
         return {"dims": [str(d) for d in h], "mod": str(coeff)}
     if action is None:
         raise CliError(f"verb {args.verb} needs an action")
+    if args.subdivide < 0:
+        raise CliError(f"--subdivide takes a count of rounds, not {args.subdivide}")
     for _ in range(args.subdivide):
-        k, action = smithhom.barycentric_subdivide(k, action)
+        k, action = _subdivided(k, action)
     if args.repair:
         k, action, rounds = smithhom.ensure_regular(k, action)
     if args.verb == "subdivide":
-        k2, a2 = smithhom.barycentric_subdivide(k, action)
+        k2, a2 = _subdivided(k, action)
         payload = smithhom.complex_to_json(k2)
         payload["action"] = smithhom.action_to_json(a2)
         payload["regular"] = not smithhom.check_regularity(k2, a2)

@@ -1,15 +1,15 @@
 """Desk-scale Smith theory for finite simplicial complexes with cyclic actions.
 
 Simplices are sorted tuples of string vertex ids; orientation signs come from
-sorting permutations, so all chain matrices are deterministic.  Homology is
-exact: Smith normal form over Z (via fpgroups), sparse column reduction over
-GF(p) (via linalg).  Every matrix is a list of sparse {row: value} columns:
-the boundaries of the one ChainComplex over Z or GF(p) (Z homology copies
-each into dense rows only for its certified Smith normal form), sigma, tau,
-homology representatives, induced maps and the transfer.  The Smith
-sequences run in orbit-shift coordinates, where each subcomplex they use is
-a set of coordinates and tau a shift (see _OrbitShiftComplex); they read
-H^sigma, H(Y) and H(Y^w) off the orbit-shift complexes they build.
+sorting permutations, so all chain matrices are deterministic.  Matrices are
+sparse {row: value} columns.  Homology is exact: Smith normal form over Z (via
+fpgroups, on a dense copy of each boundary), column reduction over GF(p) (via
+linalg, top dimension first, with clearing).  Once the regularity walk has
+found the orbits, the work is per orbit: the quotient takes one image per
+orbit, mu one orbit walk per column, and the Smith sequences run in
+orbit-shift coordinates, where each subcomplex is a set of coordinates, tau a
+shift, and only the fixed simplices and orbit representatives have boundaries
+formed (see _OrbitShiftComplex); they read H^sigma, H(Y) and H(Y^w) off them.
 
 Regularity of an action is validated, never assumed.  Four conditions are
 checked: (R1) a simplex mapped to itself by a nontrivial power is fixed
@@ -256,10 +256,11 @@ def validate_action(k: SimplicialComplex, a: CyclicAction):
 
 
 class _Orbits:
-    __slots__ = ("t", "rep", "violations")
+    __slots__ = ("t", "starts", "rep", "violations")
 
-    def __init__(self, t: tuple, rep: dict, violations: tuple):
+    def __init__(self, t: tuple, starts: tuple, rep: dict, violations: tuple):
         self.t = t  # per dimension, the (row, sign) the generator sends each simplex to
+        self.starts = starts  # per dimension, the smallest simplex of each orbit, in order
         self.rep = rep  # the smallest vertex of each vertex's orbit
         self.violations = violations  # what check_regularity returned
 
@@ -273,18 +274,20 @@ def check_regularity(k: SimplicialComplex, a: CyclicAction) -> list[str]:
     g^j fixes {v : length(v) divides j}, which for 0 < j < N (N the true
     order) is g's fixed set iff every moved vertex has orbit length N (R2).
     (R3) and (R4) key each simplex orbit by its vertex orbits, once over all
-    dimensions.  The walk is kept on k."""
+    dimensions.  The walk, with the first simplex of each orbit, is kept on k."""
     length, rep, t = validate_action(k, a)
     order = lcm(*length.values())
     found = set()
     if any(1 < n < order for n in length.values()):
         found.add("R2: fixed sets of nontrivial powers differ")
     keys: set[frozenset] = set()
-    for level, images in zip(k.simplices, t):
+    starts = tuple([] for _ in t)
+    for level, images, firsts in zip(k.simplices, t, starts):
         seen = [False] * len(level)
         for j, s in enumerate(level):
             if seen[j]:
                 continue
+            firsts.append(j)
             steps, i = 0, j
             while not seen[i]:
                 seen[i] = True
@@ -299,7 +302,7 @@ def check_regularity(k: SimplicialComplex, a: CyclicAction) -> list[str]:
                 found.add("R4: two simplex orbits share one vertex-orbit set")
             keys.add(key)
     violations = sorted(found)
-    k._orbit_walks[_action_key(a)] = _Orbits(t, rep, tuple(violations))
+    k._orbit_walks[_action_key(a)] = _Orbits(t, starts, rep, tuple(violations))
     return violations
 
 
@@ -317,6 +320,10 @@ def _orbits(k: SimplicialComplex, a: CyclicAction) -> _Orbits:
 
 # ---------------------------------------------------------------------------
 # barycentric subdivision
+
+
+# The most simplices a subdivision asked for by a count of rounds may make
+SUBDIVISION_CAP = 100_000  # the fifth round of disc:3 makes 70081, the sixth 420097
 
 
 def _bary_name(s: tuple[str, ...]) -> str:
@@ -394,15 +401,16 @@ def _sort_sign(values) -> int:
     return -1 if inversions % 2 else 1
 
 
-def boundary_columns(k: SimplicialComplex, dim: int) -> list[dict[int, int]]:
-    """The boundary of each dim-simplex as a sparse integer column
-    {face index: +-1}; zero columns below dimension 1."""
+def boundary_columns(k: SimplicialComplex, dim: int, rows=None) -> list[dict[int, int]]:
+    """The boundary of each dim-simplex (of those at the indices rows, when
+    given) as a sparse integer column {face index: +-1}; zero columns below
+    dimension 1."""
     if dim < 1 or dim > k.dimension:
-        return [{} for _ in range(k.n_simplices(dim))]
-    faces = k._positions[dim - 1]
+        return [{} for _ in (range(k.n_simplices(dim)) if rows is None else rows)]
+    faces, level = k._positions[dim - 1], k.simplices[dim]
     return [
         {faces[s[:drop] + s[drop + 1 :]]: (-1) ** drop for drop in range(len(s))}
-        for s in k.simplices[dim]
+        for s in (level if rows is None else [level[j] for j in rows])
     ]
 
 
@@ -461,10 +469,25 @@ def _rows(cols, nrows) -> list[list[int]]:
     return matrix
 
 
-def _dims_mod(dims, boundaries, p) -> list[int]:
-    """Betti numbers over GF(p), ranking each boundary's sparse columns once."""
-    ranks = [rank_mod(b, p) for b in boundaries] + [0]
+def _dims_mod(dims, boundaries, p, starts=None) -> list[int]:
+    """Betti numbers over GF(p); each boundary's rank is its pivot count."""
+    ranks = [len(r[2]) for r in _cleared_reductions(boundaries, p, starts=starts)] + [0]
     return [dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))]
+
+
+def _cleared_reductions(boundaries, p, track=False, starts=None) -> list:
+    """reduce_columns_mod of each boundary, top dimension first, emptying each
+    column whose simplex is a pivot row above (clearing: Chen and Kerber,
+    EuroCG 2011): it reduces to zero anyway, owns no pivot, and is no homology
+    representative.  starts[d]: the row name above of column 0 of boundary d."""
+    out, lows = [], {}
+    for d in reversed(range(len(boundaries))):
+        cols = list(boundaries[d])
+        for i in lows if d else ():  # boundary_0 has no columns to clear
+            cols[i - (starts[d] if starts else 0)] = {}
+        out.append(reduce_columns_mod(cols, p, track))
+        lows = out[-1][2]
+    return out[::-1]
 
 
 def simplicial_homology(k: SimplicialComplex, coefficients="Z"):
@@ -565,23 +588,23 @@ def smith_operators(k: SimplicialComplex, a: CyclicAction) -> SmithOperators:
     """
     p = _prime_order(a)
     check_regularity(k, a)  # afresh: the operators come from this call's walk
-    ts = _operator_walk(k, a)
+    ts = _operator_walk(k, a).t
     sigma = tuple([_column(_orbit(t, j, p), p) for j in range(len(t))] for t in ts)
     tau = tuple([_column(((j, 1), (i, -sign)), p) for j, (i, sign) in enumerate(t)] for t in ts)
     return SmithOperators(p, sigma, tau, ts)
 
 
-def _operator_walk(k, a) -> tuple:
-    """The signed permutations t of the walk of (k, a), per dimension, once
-    the Smith operators they define are known to be sound: (R1)-(R2) hold
-    and the ring identities are checked."""
+def _operator_walk(k, a) -> _Orbits:
+    """The walk of (k, a), once the Smith operators its signed permutations
+    t define are known to be sound: (R1)-(R2) hold and the ring identities
+    are checked."""
     orbits = _orbits(k, a)
     violations = [v for v in orbits.violations if v.startswith(("R1", "R2"))]
     if violations:
         raise NotRegular(violations)
     for t in orbits.t:
         _check_operator_identities(a.order, t)
-    return orbits.t
+    return orbits
 
 
 def _check_operator_identities(p, t):
@@ -592,11 +615,15 @@ def _check_operator_identities(p, t):
     Both products are 1 - t^p, and tau^{p-1} = sum_m C(p-1, m) (-1)^m t^m
     is sigma, since C(p-1, m) (-1)^m = 1 mod p.  So the identities hold
     exactly when p steps of each simplex's orbit bring it back to itself
-    with a sign = 1 mod p (at p = 2 a sign of -1 passes)."""
+    with a sign = 1 mod p (at p = 2 a sign of -1 passes).  Each orbit is
+    walked once: t^p e = e gives t^p (c t^m e) = c t^m e."""
+    seen = [False] * len(t)
     for j in range(len(t)):
-        *_, (i, c) = _orbit(t, j, p + 1)
-        if i != j or (c - 1) % p:
-            raise SmithError("sigma * tau != 0")
+        if not seen[j]:
+            for i, c in _orbit(t, j, p + 1):
+                seen[i] = True
+            if i != j or (c - 1) % p:
+                raise SmithError("sigma * tau != 0")
 
 
 def operator_power(ops: SmithOperators, i: int) -> list:
@@ -661,7 +688,8 @@ class _OrbitShiftComplex:
     def betti(self, coords) -> list:
         """Betti numbers over GF(p) of a coordinate set: H^rho for rho =
         tau^i is betti(levels(i)), H(Y^w) is betti(levels(p, fixed=True))."""
-        return _dims_mod([len(r) for r in coords], self.restricted(coords), self.p)
+        starts = [r.start for r in coords]  # the restricted rows keep whole-complex names
+        return _dims_mod([len(r) for r in coords], self.restricted(coords), self.p, starts)
 
     def homology(self, coords) -> _HomologyBasis:
         """Homology of a coordinate set, in the coordinates of the whole
@@ -678,6 +706,7 @@ class _OrbitShiftComplex:
 
     @cached_property
     def _reductions(self) -> list:
+        # uncleared: a column cleared from outside a range is a cycle in it
         return [reduce_columns_mod(b, self.p, track=True) for b in self.chains.boundaries]
 
 
@@ -701,35 +730,36 @@ def _orbit_shift_complex(k: SimplicialComplex, a: CyclicAction) -> _OrbitShiftCo
     A simplex on a free orbit is c t^m e for its orbit's e and a sign c, and
     t^m e = (1 - tau)^m e = sum_i C(m, i) (-1)^i u_i.  The boundary commutes
     with tau, so the boundary of u_i is tau^i of that of e: the boundary of
-    each representative, rewritten so, gives its whole orbit's columns.
+    each representative, rewritten so, gives its whole orbit's columns, and
+    only the fixed simplices and the representatives have theirs formed.
     """
     p = a.order
     binomials = [[(-1) ** i * comb(m, i) for i in range(m + 1)] for m in range(p)]
+    orbits = _operator_walk(k, a)
     counts, boundaries, below = [], [], {}
-    for d, t in enumerate(_operator_walk(k, a)):
-        fixed = [j for j, (i, _) in enumerate(t) if i == j]
-        nf, f = len(fixed), (len(t) - len(fixed)) // p
-        coords = {j: {m: 1} for m, j in enumerate(fixed)}  # each simplex in coordinates
-        reps = []
-        for j in range(len(t)):
-            if j not in coords:
-                for m, (i, c) in enumerate(_orbit(t, j, p)):
-                    coords[i] = {
-                        nf + (p - 1 - l) * f + len(reps): c * b for l, b in enumerate(binomials[m])
-                    }
-                reps.append(j)
+    for d, (t, starts) in enumerate(zip(orbits.t, orbits.starts)):
+        fixed = [j for j in starts if t[j][0] == j]
+        reps = [j for j in starts if t[j][0] != j]
+        nf, f = len(fixed), len(reps)
+        # each simplex c t^m e as (coordinate of u_0 = e, m, c); u_i is f below u_{i-1}
+        places = {j: (x, 0, 1) for x, j in enumerate(fixed)}
+        for o, e in enumerate(reps):
+            for m, (i, c) in enumerate(_orbit(t, e, p)):
+                places[i] = (nf + (p - 1) * f + o, m, c)
         cols = []
         if d:
-            faces = boundary_columns(k, d)
-            cols = [
-                _column(((y, x * v) for i, x in faces[e].items() for y, v in below[i].items()), p)
-                for e in fixed + reps
-            ]
+            step = counts[-1][1]
+            for face_col in boundary_columns(k, d, fixed + reps):
+                terms = []
+                for i, x in face_col.items():
+                    top, m, c = below[i]
+                    terms += [(top - l * step, x * c * b) for l, b in enumerate(binomials[m])]
+                cols.append(_column(terms, p))
             levels = reversed(range(p))
             cols[nf:] = [_shift(col, l, p, *counts[-1]) for l in levels for col in cols[nf:]]
         boundaries.append(cols)
         counts.append((nf, f))
-        below = coords
+        below = places
     dims = tuple(nf + p * f for nf, f in counts)
     return _OrbitShiftComplex(p, counts, ChainComplex(p, dims, tuple(boundaries)))
 
@@ -764,7 +794,7 @@ class _HomologyBasis:
 
 
 def _homology_basis(dims, boundaries, p) -> _HomologyBasis:
-    reductions = [reduce_columns_mod(b, p, track=True) for b in boundaries]
+    reductions = _cleared_reductions(boundaries, p, track=True)
     return _homology_of([range(n) for n in dims], reductions, p)
 
 
@@ -824,13 +854,18 @@ def _exact_at(incoming, outgoing, middle_dim, p) -> bool:
 def orbit_complex(
     k: SimplicialComplex, a: CyclicAction
 ) -> tuple[SimplicialComplex, dict[str, str]]:
-    """Quotient complex and the vertex projection; refuses non-regular input."""
+    """Quotient complex and the vertex projection; refuses non-regular input.
+    One image per orbit, closed as they stand: (R3) keeps dimensions, (R4)
+    keeps orbits apart, and the faces of an image are images of faces."""
     orbits = _orbits(k, a)
     if orbits.violations:
         raise NotRegular(list(orbits.violations))
     rep = orbits.rep
-    simplices = {tuple(sorted({rep[v] for v in s})) for s in k.all_simplices()}
-    return SimplicialComplex.build(simplices), dict(rep)
+    levels = tuple(
+        tuple(sorted(tuple(sorted(rep[v] for v in level[j])) for j in starts))
+        for level, starts in zip(k.simplices, orbits.starts)
+    )
+    return SimplicialComplex(levels), dict(rep)
 
 
 class TransferReport:
@@ -870,16 +905,14 @@ class TransferReport:
 
 
 def _transfer_maps(k, a, pi, q):
-    """Per-dimension sparse columns over Z_q of mu, of sigma = the sum of the
-    s powers of the generator g, and of g, from orbit walks on the signed
-    permutation t of each dimension's simplices.  mu's column for an orbit
-    simplex is sigma's column for its smallest preimage, times the sign pi
-    gives that preimage.  pi is the projection of a regular action, so each
-    of its columns is one (row, +-1): the fibres are grouped by that row."""
+    """Per-dimension sparse columns over Z_q of mu: an orbit simplex goes to
+    sigma = 1 + g + ... + g^{s-1} of its smallest preimage, one orbit walk,
+    times the sign pi gives that preimage.  pi is the projection of a
+    regular action, so each of its columns is one (row, +-1): the fibres
+    are grouped by that row."""
     s_order = a.order
-    mu, sigma, g = [], [], []
+    mu = []
     for d, t in enumerate(_orbits(k, a).t):
-        sig = [_column(_orbit(t, j, s_order), q) for j in range(len(t))]
         fibers: dict[int, list] = {}
         for jy, col in enumerate(pi[d]):
             (row,) = col
@@ -887,13 +920,21 @@ def _transfer_maps(k, a, pi, q):
         cols = []
         for jx in range(len(fibers)):
             jy = fibers[jx][0]  # simplices are sorted: the smallest preimage
-            if set(fibers[jx]) != {i for i, _ in _orbit(t, jy, s_order)}:
+            orbit = list(_orbit(t, jy, s_order))
+            if set(fibers[jx]) != {i for i, _ in orbit}:
                 raise NotRegular(["fiber is not a single orbit"])
-            cols.append({i: pi[d][jy][jx] * v % q for i, v in sig[jy].items()})
+            cols.append({i: pi[d][jy][jx] * v % q for i, v in _column(orbit, q).items()})
         mu.append(cols)
-        sigma.append(sig)
-        g.append([_column([image], q) for image in t])
-    return mu, sigma, g
+    return mu
+
+
+def _walk(t, chains, start, stop, q) -> list:
+    """Over Z_q, sum g^m z for start <= m < stop, per sparse chain z: each
+    simplex of z walked along its orbit under g's signed permutation t."""
+    return [
+        _column([(r, c * x) for i, x in z.items() for r, c in list(_orbit(t, i, stop))[start:]], q)
+        for z in chains
+    ]
 
 
 def _scalar(n, c, q) -> list[dict[int, int]]:
@@ -915,10 +956,8 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
     if s_order % q == 0:
         raise BadPrime(f"{q} divides the group order {s_order}")
     x, vrep = orbit_complex(k, a)  # raises NotRegular when not regular
-    if x.dimension != k.dimension:
-        raise NotRegular(["quotient drops dimension"])
     pi = chain_map_from_vertex_map(k, x, vrep)
-    mu, sigma_maps, g = _transfer_maps(k, a, pi, q)
+    mu = _transfer_maps(k, a, pi, q)
     chain_pi_mu = all(
         mul_columns_mod(pi[d], mu[d], q) == _scalar(len(mu[d]), s_order, q)
         for d in range(k.dimension + 1)
@@ -939,12 +978,13 @@ def transfer_check(k: SimplicialComplex, a: CyclicAction, q: int) -> TransferRep
         mul_columns_mod(pi_star[d], mu_star[d], q) == _scalar(n, s_order, q)
         for d, n in enumerate(hx.dims)
     )
-    sigma_star = _induced_on_homology(hy, hy, sigma_maps)
+    t = _orbits(k, a).t  # sigma_* and g_* walk the orbits of the representatives
+    sigma_star = [hy.classify_many(d, _walk(t[d], z, 0, s_order, q)) for d, z in enumerate(hy.reps)]
     mupi_ok = all(
         mul_columns_mod(mu_star[d], pi_star[d], q) == sigma_star[d]
         for d in range(len(hy.dims))
     )
-    g_star = _induced_on_homology(hy, hy, g)
+    g_star = [hy.classify_many(d, _walk(t[d], z, 1, 2, q)) for d, z in enumerate(hy.reps)]
     trivial = all(g_star[d] == _scalar(n, 1, q) for d, n in enumerate(hy.dims))
     iso = hy.dims == hx.dims and all(
         rank_mod(pi_star[d], q) == n for d, n in enumerate(hy.dims)

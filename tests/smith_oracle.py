@@ -8,7 +8,9 @@ quotient, the lift and the connecting map) is solved for in ambient
 coordinates.
 
 It also keeps the sparse-product check of the Smith operator identities,
-the oracle for the orbit-walk check."""
+the oracle for the orbit-walk check; the reductions of every boundary
+column, the oracle for the cleared ones; and the quotient closed under
+faces, the oracle for the quotient read one orbit at a time."""
 
 import itertools
 import random
@@ -18,7 +20,7 @@ from functools import cached_property
 import pytest
 
 from exoticaffine import smithhom
-from exoticaffine.linalg import apply_columns_mod, mul_columns_mod, rank_mod
+from exoticaffine.linalg import apply_columns_mod, mul_columns_mod, rank_mod, reduce_columns_mod
 from exoticaffine.smithhom import SmithError, chain_complex, operator_power
 from gfp_oracle import column_space_basis_mod, solve_columns_mod
 
@@ -186,6 +188,28 @@ def special_smith_homology(k, a, i) -> list:
     p = ops.p
     sub = image_subcomplex(operator_power(ops, i), p, chain_complex(k, p).boundaries)
     return smithhom._dims_mod(sub.dims(), sub.boundaries, p)
+
+
+def dims_mod(dims, boundaries, p) -> list:
+    """Betti numbers over GF(p) from the rank of every boundary column, none
+    cleared: the oracle for the cleared reductions of smithhom._dims_mod."""
+    ranks = [rank_mod(b, p) for b in boundaries] + [0]
+    return [dims[k] - ranks[k] - ranks[k + 1] for k in range(len(dims))]
+
+
+def homology_basis(dims, boundaries, p):
+    """The homology basis from the tracked reduction of every boundary
+    column, none cleared: the oracle for smithhom._homology_basis."""
+    reductions = [reduce_columns_mod(b, p, track=True) for b in boundaries]
+    return smithhom._homology_of([range(n) for n in dims], reductions, p)
+
+
+def orbit_complex(k, a):
+    """The quotient as the closure under faces of every simplex's image:
+    the oracle for smithhom.orbit_complex, which reads one image per orbit."""
+    rep = {v: a.orbit_of_vertex(v)[0] for v in k.vertices()}
+    simplices = {tuple(sorted({rep[v] for v in s})) for s in k.all_simplices()}
+    return smithhom.SimplicialComplex.build(simplices), rep
 
 
 def reduced_is_trivial(k, p) -> bool:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import argparse_oracle
-from exoticaffine import cli, dualgraph, linalg
+from exoticaffine import cli, dualgraph, linalg, smithhom
 from exoticaffine.cli import main
 from exoticaffine.polyring import varset
 from test_fpgroups import rank_deficient_matrix
@@ -594,13 +594,37 @@ PINNED_SMITH_STDOUT = {
     ("sequences", "sphere:7"): "674a16b149607102aa09a11a5349c67594709e0bf047ddb9a52f74be4142c614",
     ("sequences", "circle:3"): "bae04e011acd9fa757d5ff528aad955f08aa35660804cce750ccde5cb32fa690",
     ("sequences", "circle:5"): "cc0ab9a97fe5723d3476419dc99ac0ae2693c6c5c5d3d465e7c424c34f0147de",
+    # pinned before the quotient, the transfer and the orbit-shift complex
+    # were read one orbit at a time
+    ("orbit", "disc:7"): "f94642948c10f4568719199c9c20b201f77c76dc69409bd9b15fe31d0943dba5",
+    ("orbit", "sphere:7"): "9d3d463597747f84feb7ab6686a54daf1b4f12d5f26cd1f9659ed36b0bf2058f",
+    ("orbit", "circle:7"): "06b8371f52c272a2628dc7e8f0d6560a7e0952574428329d0074d114f7fd5048",
+    ("transfer", "disc:7"): "5ec1fb6c09d13d6324acc46f61d2076d5f3a956b099d5ce426e1eaafbb1166a6",
+    ("transfer", "sphere:7"): "26f11eb5d9f714185326ffa45787318cebadbaa58ebd4237c10d08c58c67a525",
+    ("transfer", "circle:7"): "d12f60b0417a5329be4e05e4cc9bb4192cd54c6cfda52c474cd0127c5bc9e4b8",
+    ("sequences", "disc:7"): "ab56db25e3744d4a5e198ac4ded6c80dcd481b724bae50d99febd5fff0686054",
+    ("sequences", "circle:7"): "0125e3367438788900bb948387ab0aecdb61a784889e43ed5acaa5c38e07f2c1",
+}
+
+# `smith homology --model <model> --mod p` at the model's own p, pinned
+# before GF(p) homology cleared the columns paired one dimension up
+PINNED_SMITH_HOMOLOGY_STDOUT = {
+    "disc:3": "8104d4ae1a53cf14083f31d98f829aa36ee853e05625ec2df80b68c66158c68c",
+    "disc:5": "f6fc0814497a3ce014458db1a9ceeaed64da129496e0008aa12d82caf53ebee2",
+    "disc:7": "64617086b1c5e6376d09ea5ba01fc6f4b4eb0e1867e7846467e109fb4ebfc17d",
+    "sphere:3": "80d13071748676d9c3d9ddbb27cc4b612bcff67c20d8a1562752c364343ff489",
+    "sphere:5": "ed7b14fdbf95ee682c3e1bb6c90c47068d2eef44869f6722596440709058ea71",
+    "sphere:7": "2843184f54ea6019fe10526bf9692d184fac7f1e90d590c50e7f7880fe49f43f",
+    "circle:3": "99026930b5a0a48cf4bd1516beccd897d9f33b17c872c6edd66eec17e23f203f",
+    "circle:5": "0377a740224414cf353cee236c72c849ed3b9b41bd728b8c5693ca5a1a808f83",
+    "circle:7": "fb58f59813e55e9051047906365c7c3dfe6cd0f6d6483b02802f83b82633412b",
 }
 
 
 class TestPinnedSmithOutput:
-    """subdivide, orbit --repair, transfer --repair and sequences --repair
-    print byte for byte what they printed before the rewrite named with
-    each pin."""
+    """subdivide, orbit --repair, transfer --repair, sequences --repair and
+    homology --mod p print byte for byte what they printed before the
+    rewrite named with each pin."""
 
     @pytest.mark.parametrize("verb, model", sorted(PINNED_SMITH_STDOUT))
     def test_stdout_sha256(self, capsys, verb, model):
@@ -608,6 +632,13 @@ class TestPinnedSmithOutput:
         code, out = run_cli(capsys, "smith", verb, *flags, "--model", model)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SMITH_STDOUT[verb, model]
+
+    @pytest.mark.parametrize("model", sorted(PINNED_SMITH_HOMOLOGY_STDOUT))
+    def test_homology_mod_p_stdout_sha256(self, capsys, model):
+        p = model.partition(":")[2]
+        code, out = run_cli(capsys, "smith", "homology", "--model", model, "--mod", p)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SMITH_HOMOLOGY_STDOUT[model]
 
     def test_bad_image_named_under_any_hash_seed(self):
         # three simplices have no image: (a, c), (a, x) and (a, c, x); the
@@ -1179,11 +1210,45 @@ class TestInputBoundary:
              "WrongShape: edge ['b', 'a'] is repeated"),
             # a needed option is in REQUIRED, never a usage error
             (["grade", "degree"], "CliError: grade degree needs --poly"),
+            # a negative count of rounds once ran none and exited 0
+            (["smith", "subdivide", "--model", "disc:3", "--subdivide", "-2"],
+             "CliError: --subdivide takes a count of rounds, not -2"),
+            (["smith", "orbit", "--model", "circle:3", "--subdivide", "-1", "--repair"],
+             "CliError: --subdivide takes a count of rounds, not -1"),
         ],
     )
     def test_exit_one_with_json_error(self, capsys, argv, error):
         code, out = run_cli(capsys, *argv)
         assert (code, json.loads(out)) == (1, {"error": error})
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["orbit", "--model", "disc:3", "--subdivide", "2"], 337),
+            (["sequences", "--model", "sphere:3", "--subdivide", "2"], 650),
+            (["subdivide", "--model", "disc:3", "--subdivide", "1"], 337),
+        ],
+        ids=["orbit", "sequences", "subdivide-verb"],
+    )
+    def test_subdivision_over_the_cap_refused(self, capsys, monkeypatch, argv, size):
+        """Each round is refused before it runs when its predicted size
+        passes the cap; the rounds before it run."""
+        monkeypatch.setattr(smithhom, "SUBDIVISION_CAP", 300)
+        rounds = []
+        subdivide = smithhom.barycentric_subdivide
+
+        def counting(k, a=None):
+            rounds.append(k)
+            return subdivide(k, a)
+
+        monkeypatch.setattr(smithhom, "barycentric_subdivide", counting)
+        code, out = run_cli(capsys, "smith", *argv)
+        assert (code, json.loads(out)) == (1, {
+            "error": f"CliError: a subdivision would make {size} simplices, over the cap of 300"
+        })
+        assert len(rounds) == 1
+        monkeypatch.setattr(smithhom, "SUBDIVISION_CAP", size)
+        assert run_cli(capsys, "smith", *argv)[0] == 0
 
     @pytest.mark.parametrize(
         "reader, data, error",

@@ -153,8 +153,8 @@ class TestHomology:
     def test_corrupted_sparse_boundary_refused(self, monkeypatch):
         original = smithhom.boundary_columns
 
-        def corrupted(k, dim):
-            cols = original(k, dim)
+        def corrupted(k, dim, rows=None):
+            cols = original(k, dim, rows)
             if dim == 2:
                 i, x = next(iter(cols[0].items()))
                 cols[0][i] = 2 * x
@@ -167,6 +167,10 @@ class TestHomology:
                 simplicial_homology(k, coefficients)
         with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
             verify_smith_sequences(k, a)
+        # the orbit-shift complex forms the columns of its representatives
+        # through boundary_columns too, and checks them itself
+        with pytest.raises(NotAComplex, match="^boundary squared is nonzero$"):
+            smithhom._orbit_shift_complex(k, a)
 
     def test_nonprime_rejected(self):
         with pytest.raises(NotPrime):
@@ -206,6 +210,24 @@ class TestSubdivision:
         k1, a1 = barycentric_subdivide(k, a)
         k2, a2 = barycentric_subdivide(k1, a1)
         assert not check_regularity(k2, a2)
+
+    def test_size_predicted(self):
+        """The CLI's cap counts the simplices a round makes, before it runs:
+        on seeded complexes of dimension up to 3, a 4-simplex, the models
+        and the empty complex."""
+        rng = random.Random(2907)
+        complexes = [_random_complex(rng) for _ in range(20)] + [
+            SimplicialComplex.build([tuple("abcde")]),
+            disc(5)[0],
+            sphere(3)[0],
+            SimplicialComplex.build([]),
+        ]
+        assert {k.dimension for k in complexes} >= {0, 1, 2, 3, 4}
+        for k in complexes:
+            sub, _ = barycentric_subdivide(k)
+            assert cli._subdivided_size(k) == sum(map(len, sub.simplices)), k
+        tetrahedron = SimplicialComplex.build([tuple("abcd")])
+        assert cli._subdivided_size(tetrahedron) == 4 * 1 + 6 * 3 + 4 * 13 + 1 * 75
 
 
 class TestRegularity:
@@ -507,6 +529,25 @@ class TestSmithSequences:
             assert k2.euler_characteristic() == p * x.euler_characteristic()
 
 
+def record_quotients(monkeypatch) -> list:
+    """The quotients that smithhom.orbit_complex returns from now on, with
+    SimplicialComplex.build refused: orbit_complex builds the quotient from
+    one image per orbit, and nothing else closes a complex under faces."""
+    quotients, orbit_complex = [], smithhom.orbit_complex
+
+    def recording(k, a):
+        x, vrep = orbit_complex(k, a)
+        quotients.append(x)
+        return x, vrep
+
+    def refuse(simplices):
+        raise AssertionError("a complex closed under faces")
+
+    monkeypatch.setattr(smithhom, "orbit_complex", recording)
+    monkeypatch.setattr(SimplicialComplex, "build", staticmethod(refuse))
+    return quotients
+
+
 class TestLongExactSequence:
     """The one long-exact-sequence checker on coordinate sets of the
     orbit-shift complex, on sequences that are not exact."""
@@ -557,9 +598,11 @@ class TestLongExactSequence:
             built.append(coords)
             return homology_of(coords, *args)
 
-        def counting_reductions(*args, **kwargs):
-            reductions.append(args)
-            return reduce_columns(*args, **kwargs)
+        def counting_reductions(cols, p, track=False):
+            # the Betti numbers of single sets reduce untracked, with clearing
+            if track:
+                reductions.append(cols)
+            return reduce_columns(cols, p, track)
 
         monkeypatch.setattr(smithhom, "_homology_of", counting)
         monkeypatch.setattr(smithhom, "reduce_columns_mod", counting_reductions)
@@ -572,25 +615,21 @@ class TestLongExactSequence:
         "model", [disc(3), sphere(5), free_circle(3)], ids=["disc:3", "sphere:5", "circle:3"]
     )
     def test_only_the_quotient_is_built(self, monkeypatch, model):
-        """The sequences build one complex, the quotient, and take the
+        """The sequences build one complex, the quotient (orbit_complex, with
+        no closure under faces by SimplicialComplex.build), and take the
         homology of no other complex through simplicial_homology: H(Y) and
         H(Y^w) are read off the orbit-shift complex."""
-        built, homologies = [], []
-        build, simplicial_homology = SimplicialComplex.build, smithhom.simplicial_homology
-
-        def counting_build(simplices):
-            built.append(build(simplices))
-            return built[-1]
+        quotients, homologies = record_quotients(monkeypatch), []
+        simplicial_homology = smithhom.simplicial_homology
 
         def counting_homology(k, coefficients="Z"):
             homologies.append(k)
             return simplicial_homology(k, coefficients)
 
-        monkeypatch.setattr(SimplicialComplex, "build", staticmethod(counting_build))
         monkeypatch.setattr(smithhom, "simplicial_homology", counting_homology)
         assert verify_smith_sequences(*model).all_exact
-        assert len(built) == 1
-        assert len(homologies) <= 1 and all(k is built[0] for k in homologies)
+        assert len(quotients) == 1
+        assert len(homologies) <= 1 and all(k is quotients[0] for k in homologies)
 
     @pytest.mark.parametrize(
         "model", [disc(3), sphere(5), free_circle(3)], ids=["disc:3", "sphere:5", "circle:3"]
@@ -598,21 +637,16 @@ class TestLongExactSequence:
     def test_quotient_chain_complex_formed_once(self, monkeypatch, model):
         """The pair homology and the Prop. 4 premise read one GF(p) chain
         complex of the quotient."""
-        built, chained = [], []
-        build, chain_complex = SimplicialComplex.build, smithhom.chain_complex
-
-        def counting_build(simplices):
-            built.append(build(simplices))
-            return built[-1]
+        quotients, chained = record_quotients(monkeypatch), []
+        chain_complex = smithhom.chain_complex
 
         def counting_chain_complex(k, coefficients="Z"):
             chained.append(k)
             return chain_complex(k, coefficients)
 
-        monkeypatch.setattr(SimplicialComplex, "build", staticmethod(counting_build))
         monkeypatch.setattr(smithhom, "chain_complex", counting_chain_complex)
         assert verify_smith_sequences(*model).all_exact
-        assert sum(k is built[0] for k in chained) == 1
+        assert sum(k is quotients[0] for k in chained) == 1
 
     def test_classes_match_the_solver(self):
         """classify_many on every orbit-shift subcomplex of sphere:5 against
@@ -1111,11 +1145,6 @@ def dense_chain_map(src, dst, vmap):
     return [dense(m, dst.n_simplices(d)) for d, m in enumerate(maps)]
 
 
-def dense_maps(maps, k):
-    """Each per-dimension list of sparse columns into C(k) as dense matrices."""
-    return tuple([dense(m, k.n_simplices(d)) for d, m in enumerate(ms)] for ms in maps)
-
-
 def dense_transfer_maps(k, a, x, vrep, q):
     """mu, sigma and g over Z_q from the s dense chain maps of the powers of
     the generator: mu sends an orbit simplex to the sign-adjusted sum of the
@@ -1142,6 +1171,29 @@ def dense_transfer_maps(k, a, x, vrep, q):
     return mu, sigma, g
 
 
+def assert_transfer_matches_dense(k, a, q, label):
+    """mu's columns, and sigma and g applied to every unit chain and every
+    homology basis chain of C(k; Z_q), from the orbit walks of smithhom
+    against the dense powers of the generator."""
+    x, vrep = orbit_complex(k, a)
+    pi = chain_map_from_vertex_map(k, x, vrep)
+    mu, sigma, g = dense_transfer_maps(k, a, x, vrep, q)
+    walked = smithhom._transfer_maps(k, a, pi, q)
+    assert [dense(m, k.n_simplices(d)) for d, m in enumerate(walked)] == mu, label
+    c = chain_complex(k, q)
+    h = smithhom._homology_basis(c.dims, c.boundaries, q)
+    t = smithhom._orbits(k, a).t
+    for d, n in enumerate(c.dims):
+        chains = [{j: 1} for j in range(n)] + h.reps[d] + h.boundary_basis[d]
+        for powers, matrix in ((range(a.order), sigma[d]), (range(1, 2), g[d])):
+            columns = sparse_columns(matrix, q, n)
+            images = smithhom._walk(t[d], chains, powers.start, powers.stop, q)
+            assert images == [
+                linalg.apply_columns_mod(columns, z, q) for z in chains
+            ], (label, d, powers)
+    assert transfer_check(k, a, q).all_identities_hold, label
+
+
 class TestTransferOracle:
     @pytest.mark.parametrize("p, q", [(3, 2), (5, 2), (5, 3)])
     def test_orbit_walks_match_dense_powers(self, p, q):
@@ -1149,12 +1201,7 @@ class TestTransferOracle:
             if not name.endswith(f":{p}"):
                 continue
             kq, aq, _ = ensure_regular(k, a)
-            x, vrep = orbit_complex(kq, aq)
-            pi = chain_map_from_vertex_map(kq, x, vrep)
-            walked = smithhom._transfer_maps(kq, aq, pi, q)
-            assert dense_maps(walked, kq) == dense_transfer_maps(kq, aq, x, vrep, q), (name, q)
-            assert transfer_check(kq, aq, q).all_identities_hold, (name, q)
-
+            assert_transfer_matches_dense(kq, aq, q, (name, q))
 
     def test_random_actions(self):
         rng = random.Random(3004)
@@ -1162,11 +1209,18 @@ class TestTransferOracle:
             p = (2, 3, 5)[n % 3]
             q = 3 if p == 2 else 2
             k, a = random_action(rng, p)
-            x, vrep = orbit_complex(k, a)
-            pi = chain_map_from_vertex_map(k, x, vrep)
-            walked = smithhom._transfer_maps(k, a, pi, q)
-            assert dense_maps(walked, k) == dense_transfer_maps(k, a, x, vrep, q), (k, a)
-            assert transfer_check(k, a, q).all_identities_hold, (k, a)
+            assert_transfer_matches_dense(k, a, q, (k, a))
+
+    def test_fiber_not_an_orbit_refused(self):
+        """A projection whose fibres are not the orbits is refused: two
+        vertices of different orbits trade images."""
+        k, a, _ = ensure_regular(*disc(3))
+        x, vrep = orbit_complex(k, a)
+        pi = chain_map_from_vertex_map(k, x, vrep)
+        apex, moved = k.index(("apex",)), free_column(smithhom._orbits(k, a).t[0])
+        pi[0][apex], pi[0][moved] = pi[0][moved], pi[0][apex]
+        with pytest.raises(NotRegular, match="fiber is not a single orbit"):
+            smithhom._transfer_maps(k, a, pi, 2)
 
 
 class TestRegularityChecks:
@@ -1620,3 +1674,87 @@ class TestSmithTheorems:
                 assert report.prop4_implication_holds, label
         assert {0, 1, 2} <= fixed_dims
         assert acyclic_seen > 60  # every cone, and some of the actions
+
+
+# ---------------------------------------------------------------------------
+# the per-orbit quotient and the cleared reductions against their oracles
+
+
+def seeded_regular_actions(seed, count):
+    """count seeded regular actions, made by random_action,
+    random_fixed_action and random_repair_action in turn at p = 2, 3, 5, and
+    repaired by ensure_regular where they need it."""
+    rng = random.Random(seed)
+    makers = (random_action, random_fixed_action, random_repair_action)
+    return [ensure_regular(*makers[n % 3](rng, (2, 3, 5)[n % 3]))[:2] for n in range(count)]
+
+
+def renumbered(cx, coords) -> list:
+    """The boundaries of a closed coordinate set of cx, rows counted from
+    the start of the set one dimension down, as a complex of its own."""
+    out = cx.restricted(coords)
+    return [out[0]] + [
+        [{i - rows.start: x for i, x in col.items()} for col in cols]
+        for rows, cols in zip(coords, out[1:])
+    ]
+
+
+def class_outcomes(h, d, vecs) -> list:
+    """classify_many of each vector alone, or None where h refuses it."""
+    out = []
+    for vec in vecs:
+        try:
+            out.append(h.classify_many(d, [vec]))
+        except SmithError:
+            out.append(None)
+    return out
+
+
+def assert_clearing_matches_oracle(dims, boundaries, p, rng, label):
+    """_dims_mod and _homology_basis, whose reductions are cleared, against
+    the reduction of every column: the same Betti numbers, the same basis
+    and the same class (or refusal) of unit vectors and of random cycles."""
+    betti = smith_oracle.dims_mod(dims, boundaries, p)
+    assert smithhom._dims_mod(dims, boundaries, p) == betti, label
+    h = smithhom._homology_basis(dims, boundaries, p)
+    oracle = smith_oracle.homology_basis(dims, boundaries, p)
+    assert h.dims == oracle.dims == betti, label
+    assert (h.reps, h.boundary_basis) == (oracle.reps, oracle.boundary_basis), label
+    for d, n in enumerate(dims):
+        basis = oracle.reps[d] + oracle.boundary_basis[d]
+        vecs = [{j: 1} for j in range(n)] + [
+            linalg.apply_columns_mod(basis, {i: rng.randrange(p) for i in range(len(basis))}, p)
+            for _ in range(3)
+        ]
+        assert class_outcomes(h, d, vecs) == class_outcomes(oracle, d, vecs), (label, d)
+
+
+class TestPerOrbitOracles:
+    """orbit_complex against the closure of every simplex's image, and the
+    cleared reductions against the reduction of every column."""
+
+    def test_orbit_complex_matches_closure(self):
+        for n, (k, a) in enumerate(seeded_regular_actions(2905, 60)):
+            x, vrep = orbit_complex(k, a)
+            assert (x, vrep) == smith_oracle.orbit_complex(k, a), n
+            assert x.dimension == k.dimension, n
+
+    def test_clearing_matches_uncleared_reduction(self):
+        """On every closed levels(j) and levels(j, fixed=True) of seeded
+        regular actions: betti, whose rows keep the names of the whole
+        complex, and _dims_mod and _homology_basis on the set as a complex
+        of its own; and the two on the whole complex and on its quotient."""
+        rng = random.Random(2906)
+        for n, (k, a) in enumerate(seeded_regular_actions(2906, 30)):
+            p = a.order
+            cx = smithhom._orbit_shift_complex(k, a)
+            sets = [cx.levels(j) for j in range(1, p + 1)]
+            sets += [cx.levels(j, fixed=True) for j in range(p + 1)]
+            for coords in sets:
+                dims, label = [len(r) for r in coords], (n, coords)
+                oracle = smith_oracle.dims_mod(dims, cx.restricted(coords), p)
+                assert cx.betti(coords) == oracle, label
+                assert_clearing_matches_oracle(dims, renumbered(cx, coords), p, rng, label)
+            for complex_ in (k, orbit_complex(k, a)[0]):
+                c = chain_complex(complex_, p)
+                assert_clearing_matches_oracle(list(c.dims), c.boundaries, p, rng, (n, complex_))
